@@ -8,13 +8,14 @@ numbers from approximations at a glance.
 
 Exit codes: 0 when every requested check holds, 1 when some inequality or
 consistency check fails (the report says which), 2 on malformed input or
-capacity errors.
+capacity errors, 3 on an internal error (a bug, never a verdict).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -54,6 +55,17 @@ def parse_coeffs(text: str) -> list[Fraction]:
     return [parse_fraction(part) for part in text.split(",")]
 
 
+def parse_float(text: str, what: str) -> float:
+    """A finite float; reports are strict JSON, with no Infinity or NaN."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise ParseError(f"bad {what} {text!r}") from exc
+    if not math.isfinite(value):
+        raise ParseError(f"{what} must be finite, got {text!r}")
+    return value
+
+
 def parse_family(text: str) -> IndexFamily:
     if text == "full":
         return IndexFamily.full()
@@ -75,16 +87,9 @@ def parse_phi(text: str) -> ConvexSpec:
     if not arg:
         raise ParseError(f"integrand {text!r} needs a parameter, like power:4")
     if kind == "power":
-        try:
-            num = float(arg)
-        except ValueError as exc:
-            raise ParseError(f"bad power exponent {arg!r}") from exc
-        return ConvexSpec.power(int(num) if num.is_integer() else num)
+        return ConvexSpec.power(parse_float(arg, "power exponent"))
     if kind == "exp":
-        try:
-            return ConvexSpec.exp(float(arg))
-        except ValueError as exc:
-            raise ParseError(f"bad exponential rate {arg!r}") from exc
+        return ConvexSpec.exp(parse_float(arg, "exponential rate"))
     if kind == "hinge":
         return ConvexSpec.hinge_square(parse_fraction(arg))
     raise ParseError(f"unknown integrand {text!r}; use power:P, exp:G, hinge:S or abs")
@@ -163,8 +168,10 @@ def parse_pool(text: str) -> OrthogonalSystem:
         except ValueError as exc:
             raise ParseError(f"bad order in {text!r}") from exc
     sys_obj = parse_system(text)
+    # an empty system gets sup 0; the selector rejects it with EmptyCandidates
     sup = max(
-        max(-lo, hi) for lo, hi in zip(sys_obj.lower_bounds, sys_obj.upper_bounds)
+        (max(-lo, hi) for lo, hi in zip(sys_obj.lower_bounds, sys_obj.upper_bounds)),
+        default=Fraction(0),
     )
     return OrthogonalSystem(
         functions=sys_obj.functions, sup_bound=sup, certified_orthogonal=False
@@ -176,7 +183,7 @@ def parse_pool(text: str) -> OrthogonalSystem:
 def emit(report: dict, args: argparse.Namespace) -> None:
     if not args.no_meta:
         report["meta"] = {"tool": "multsys", "version": __version__}
-    text = json.dumps(report, indent=2)
+    text = json.dumps(report, indent=2, allow_nan=False)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -253,7 +260,8 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 def cmd_khintchine(args: argparse.Namespace) -> int:
     sys_obj = parse_system(args.system)
     coeffs = parse_coeffs(args.coeffs) if args.coeffs else [Fraction(1)] * sys_obj.n
-    p: float | int = int(args.p) if float(args.p).is_integer() else float(args.p)
+    order = parse_float(args.p, "moment order")
+    p = int(order) if order.is_integer() else order
     report = verify_khintchine(sys_obj, coeffs, p, mode=args.mode)
     emit(
         {
@@ -293,13 +301,14 @@ def cmd_tail(args: argparse.Namespace) -> int:
 
 
 def cmd_lacunary(args: argparse.Namespace) -> int:
+    lam = parse_float(args.lam, "growth factor")
     if args.tau:
-        taus = [float(t) for t in args.tau.split(",")]
-        spec = explicit_spec(taus, args.lam)
+        taus = [parse_float(t, "frequency") for t in args.tau.split(",")]
+        spec = explicit_spec(taus, lam)
     else:
         if args.tau1 is None or args.n is None:
             raise ParseError("geometric mode needs --tau1 and --n (or pass --tau)")
-        spec = geometric_spec(args.lam, args.tau1, args.n)
+        spec = geometric_spec(lam, parse_float(args.tau1, "first frequency"), args.n)
     nu_max = args.nu_max if args.nu_max is not None else min(spec.n, 3)
     report = truncated_mu(spec, nu_max)
     payload = {
@@ -313,7 +322,7 @@ def cmd_lacunary(args: argparse.Namespace) -> int:
         "analytic_tail": {"value": analytic_tail_bound(spec), "approx": True},
     }
     if args.split_target is not None:
-        parts = split_for_growth(spec, args.split_target)
+        parts = split_for_growth(spec, parse_float(args.split_target, "split target"))
         payload["split"] = [
             {"tau": list(p.tau), "lam": p.lam} for p in parts
         ]
@@ -408,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("khintchine", help="p-norm bound for a coefficient sum")
     p.add_argument("--system", required=True)
     p.add_argument("--coeffs", help="comma separated rationals, default all 1")
-    p.add_argument("-p", required=True, type=float, help="moment order, p > 2")
+    p.add_argument("-p", required=True, help="moment order, p > 2")
     p.add_argument("--mode", default="general", choices=["general", "even_integer"])
     common(p)
     p.set_defaults(func=cmd_khintchine)
@@ -422,13 +431,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tail)
 
     p = sub.add_parser("lacunary", help="truncated mu of a sine system")
-    p.add_argument("--lam", required=True, type=float, help="growth factor")
-    p.add_argument("--tau1", type=float, help="first frequency (geometric mode)")
+    p.add_argument("--lam", required=True, help="growth factor")
+    p.add_argument("--tau1", help="first frequency (geometric mode)")
     p.add_argument("--n", type=int, help="number of frequencies (geometric mode)")
     p.add_argument("--tau", help="comma separated frequencies (explicit mode)")
     p.add_argument("--nu-max", type=int, help="subset size cap, default min(n, 3)")
     p.add_argument(
-        "--split-target", type=float, help="also split for growth factor >= this"
+        "--split-target", help="also split for growth factor >= this"
     )
     common(p)
     p.set_defaults(func=cmd_lacunary)
@@ -461,6 +470,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except MultsysError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -27,13 +27,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
-    BadSubset,
     CapacityExceeded,
     LambdaTooSmall,
     NotLacunary,
     OutOfRange,
     TauTooSmall,
 )
+from .moments import _validate_subset
 
 ZERO_FREQ_TOL = 1e-12
 SUBSET_CAP = 1 << 22
@@ -90,19 +90,6 @@ def explicit_spec(tau: Sequence[float], lam_claim: float) -> LacunarySpec:
     return LacunarySpec(tau=taus, lam=certified)
 
 
-def _validate_subset(spec: LacunarySpec, subset: Sequence[int]) -> tuple[int, ...]:
-    s = tuple(subset)
-    if not s:
-        raise BadSubset("subsets must be nonempty")
-    for i in s:
-        if not isinstance(i, int) or not 1 <= i <= spec.n:
-            raise BadSubset(f"index {i} outside 1..{spec.n}")
-    for a, b in zip(s, s[1:]):
-        if not b > a:
-            raise BadSubset(f"subset {s} not strictly ascending")
-    return s
-
-
 # ------------------------------------------------------------------ expansion
 
 @dataclass(frozen=True)
@@ -132,7 +119,7 @@ def expand_product(spec: LacunarySpec, subset: Sequence[int]) -> ProductExpansio
     and every coefficient is +-2**(1-v).  Negative intermediate
     frequencies are folded back via parity.
     """
-    s = _validate_subset(spec, subset)
+    s = _validate_subset(subset, spec.n)
     terms: list[tuple[float, str, float]] = [(spec.tau[s[0] - 1], "sin", 1.0)]
     for idx in s[1:]:
         t = spec.tau[idx - 1]
@@ -175,7 +162,7 @@ def product_integral(spec: LacunarySpec, subset: Sequence[int]) -> float:
 
 def signed_sums(spec: LacunarySpec, subset: Sequence[int]) -> list[float]:
     """All values tau(n_v) +- ... +- tau(n_1), the expansion frequencies before folding."""
-    s = _validate_subset(spec, subset)
+    s = _validate_subset(subset, spec.n)
     head = spec.tau[s[-1] - 1]
     rest = [spec.tau[i - 1] for i in s[:-1]]
     sums = []
@@ -193,7 +180,7 @@ def frequency_range_check(spec: LacunarySpec, subset: Sequence[int]) -> bool:
     less than tau(n_v) / (lam - 1)."""
     if not spec.lam > 2:
         raise LambdaTooSmall(f"containment needs lambda > 2, got {spec.lam}")
-    s = _validate_subset(spec, subset)
+    s = _validate_subset(subset, spec.n)
     head = spec.tau[s[-1] - 1]
     lo = (spec.lam - 2.0) * head / (spec.lam - 1.0)
     hi = spec.lam * head / (spec.lam - 1.0)
@@ -204,7 +191,7 @@ def collection_bound(spec: LacunarySpec, subset: Sequence[int]) -> float:
     """Per-subset integral bound (lam - 1) / (pi (lam - 2) tau(n_v)) for lam > 2."""
     if not spec.lam > 2:
         raise LambdaTooSmall(f"the bound needs lambda > 2, got {spec.lam}")
-    s = _validate_subset(spec, subset)
+    s = _validate_subset(subset, spec.n)
     head = spec.tau[s[-1] - 1]
     return (spec.lam - 1.0) / (math.pi * (spec.lam - 2.0) * head)
 
@@ -353,7 +340,7 @@ def quadrature_product_integral(
     until two successive estimates agree within tol.  Raises
     CapacityExceeded if the panel cap is hit before convergence.
     """
-    s = _validate_subset(spec, subset)
+    s = _validate_subset(subset, spec.n)
     freqs = np.array([spec.tau[i - 1] for i in s], dtype=float)
     total_freq = float(freqs.sum())
     nodes, weights = _gauss_nodes(order)

@@ -32,7 +32,7 @@ from .errors import (
     ParseError,
     ValueOutOfBounds,
 )
-from .stepfn import Rational, StepFunction, as_fraction, common_refinement
+from .stepfn import Rational, StepFunction, as_fraction, common_refinement, json_list
 
 FAMILY_CAP = 1 << 22
 
@@ -90,9 +90,9 @@ class BoundedSystem:
     @classmethod
     def from_json(cls, obj: dict) -> "BoundedSystem":
         try:
-            fns = tuple(StepFunction.from_json(o) for o in obj["functions"])
-            lo = tuple(Fraction(s) for s in obj["lower_bounds"])
-            hi = tuple(Fraction(s) for s in obj["upper_bounds"])
+            fns = tuple(StepFunction.from_json(o) for o in json_list(obj, "functions"))
+            lo = tuple(Fraction(s) for s in json_list(obj, "lower_bounds"))
+            hi = tuple(Fraction(s) for s in json_list(obj, "upper_bounds"))
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad system object: {exc}") from exc
         return cls(fns, lo, hi)
@@ -124,7 +124,9 @@ class IndexFamily:
 
     @classmethod
     def explicit(cls, subsets: Sequence[Sequence[int]]) -> "IndexFamily":
-        return cls(cap=None, subsets=tuple(tuple(s) for s in subsets))
+        # entries that are not index lists stay as given; enumerate_family rejects them
+        subsets = tuple(tuple(s) if isinstance(s, (list, tuple)) else s for s in subsets)
+        return cls(cap=None, subsets=subsets)
 
     @classmethod
     def full(cls) -> "IndexFamily":
@@ -140,11 +142,13 @@ class IndexFamily:
 
 
 def _validate_subset(s: Sequence[int], n: int) -> Subset:
+    if not isinstance(s, (list, tuple)):
+        raise BadSubset(f"subset {s!r} is not a list of indices")
     t = tuple(s)
     if not t:
         raise BadSubset("subsets must be nonempty")
     for i in t:
-        if not isinstance(i, int) or not 1 <= i <= n:
+        if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= n:
             raise BadSubset(f"index {i} outside 1..{n}")
     for a, b in zip(t, t[1:]):
         if not b > a:
@@ -175,33 +179,41 @@ def enumerate_family(n: int, fam: IndexFamily) -> list[Subset]:
 
 # ------------------------------------------------------------------ moments
 
-def _refined_rows(
-    sys: BoundedSystem,
-) -> tuple[tuple[Fraction, ...], list[tuple[Fraction, ...]]]:
-    """Shared piece lengths plus one value row per function."""
-    refined = common_refinement(sys.functions)
-    lengths = refined[0].piece_lengths()
-    return lengths, [f.values for f in refined]
+ValuePattern = tuple[Fraction, ...]
+
+
+def pattern_measure(functions: Sequence[StepFunction]) -> dict[ValuePattern, Fraction]:
+    """Total length of the points where (phi_1, ..., phi_n) takes each value tuple.
+
+    One refinement pass; pieces carrying the same tuple collapse into one
+    entry.  Every mixed moment and joint law of the functions depends on
+    this histogram alone, and a two-valued system has at most 2**n entries
+    however many pieces it has.
+    """
+    refined = common_refinement(functions)
+    hist: dict[ValuePattern, Fraction] = {}
+    if not refined:
+        return hist
+    for vals, length in zip(zip(*(f.values for f in refined)), refined[0].piece_lengths()):
+        hist[vals] = hist.get(vals, 0) + length
+    return hist
+
+
+def subset_integral(hist: dict[ValuePattern, Fraction], subset: Subset) -> Fraction:
+    """Integral of prod_{k in subset} phi_k over the domain, read off the histogram."""
+    total = Fraction(0)
+    for vals, length in hist.items():
+        p = length
+        for k in subset:
+            p *= vals[k - 1]
+        total += p
+    return total
 
 
 def mixed_moment(sys: BoundedSystem, subset: Sequence[int]) -> Fraction:
     """E[prod_{k in subset} phi_k] under the uniform law on [0, T)."""
     s = _validate_subset(subset, sys.n)
-    lengths, rows = _refined_rows(sys)
-    return _moment_from_rows(lengths, rows, s) / sys.domain_length
-
-
-def _moment_from_rows(
-    lengths: Sequence[Fraction], rows: Sequence[Sequence[Fraction]], subset: Subset
-) -> Fraction:
-    total = Fraction(0)
-    picked = [rows[i - 1] for i in subset]
-    for i, ln in enumerate(lengths):
-        p = ln
-        for row in picked:
-            p *= row[i]
-        total += p
-    return total
+    return subset_integral(pattern_measure(sys.functions), s) / sys.domain_length
 
 
 @dataclass(frozen=True)
@@ -232,21 +244,16 @@ class MomentTable:
 
 
 def compute_moment_table(sys: BoundedSystem, fam: IndexFamily) -> MomentTable:
-    """All selected mixed moments from one shared refinement pass."""
+    """All selected mixed moments from one shared value-pattern histogram."""
     subsets = tuple(enumerate_family(sys.n, fam))
-    lengths, rows = _refined_rows(sys)
+    hist = pattern_measure(sys.functions)
     T = sys.domain_length
     caps = sys.capacities()
-    moments = []
-    normalized = []
-    for s in subsets:
-        m = _moment_from_rows(lengths, rows, s) / T
-        denom = Fraction(1)
-        for i in s:
-            denom *= caps[i - 1]
-        moments.append(m)
-        normalized.append(abs(m) / denom)
-    return MomentTable(subsets, tuple(moments), tuple(normalized))
+    moments = tuple(subset_integral(hist, s) / T for s in subsets)
+    normalized = tuple(
+        abs(m) / math.prod(caps[i - 1] for i in s) for s, m in zip(subsets, moments)
+    )
+    return MomentTable(subsets, moments, normalized)
 
 
 def multiplicative_error(

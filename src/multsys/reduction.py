@@ -31,6 +31,7 @@ from .errors import (
     NonZeroMean,
     NotTwoValued,
 )
+from .inequalities import REL_TOL
 from .moments import (
     BoundedSystem,
     IndexFamily,
@@ -38,6 +39,7 @@ from .moments import (
     Subset,
     compute_moment_table,
     enumerate_family,
+    pattern_measure,
 )
 from .stepfn import (
     ConvexSpec,
@@ -141,14 +143,11 @@ def extend_system(sys: BoundedSystem, fam: IndexFamily) -> BoundedSystem:
     table = compute_moment_table(sys, fam)
     T = sys.domain_length
     caps = sys.capacities()
-    blocks: list[tuple[Subset, Fraction, Fraction]] = []
-    for s, m in zip(table.subsets, table.moments):
-        if m == 0:
-            continue
-        denom = Fraction(1)
-        for i in s:
-            denom *= caps[i - 1]
-        blocks.append((s, T * abs(m) / denom, Fraction(1 if m > 0 else -1)))
+    blocks = [
+        (s, T * d, Fraction(1 if m > 0 else -1))
+        for s, m, d in zip(table.subsets, table.moments, table.normalized)
+        if m != 0
+    ]
     if not blocks:
         return sys
     extensions: list[list[StepFunction]] = [[] for _ in range(sys.n)]
@@ -233,34 +232,29 @@ def check_independence(sys: BoundedSystem, fam: IndexFamily) -> IndependenceRepo
     Requires every function to be {A_k, B_k}-valued with zero mean; then
     the marginal law is pinned (P{phi_k == A_k} = B_k / (B_k - A_k)) and
     the check compares each joint pattern measure with the product of
-    marginals, all in exact arithmetic.
+    marginals, all in exact arithmetic.  Marginals and joint laws are sums
+    over the system's value-pattern histogram.
     """
     T = sys.domain_length
-    refined = common_refinement(sys.functions)
-    lengths = refined[0].piece_lengths()
+    hist = pattern_measure(sys.functions)
+    lows = sys.lower_bounds
     marginals: list[Fraction] = []
-    is_low: list[list[bool]] = []
-    for k, f in enumerate(refined, start=1):
-        lo = sys.lower_bounds[k - 1]
-        hi = sys.upper_bounds[k - 1]
-        seen = set(f.values)
+    for k, (lo, hi) in enumerate(zip(lows, sys.upper_bounds)):
+        seen = {vals[k] for vals in hist}
         if not seen <= {lo, hi} or len(seen) != 2:
-            raise NotTwoValued(f"function {k} takes values {sorted(seen)}, not [{lo}, {hi}]")
-        total = sum(
-            (ln for v, ln in zip(f.values, lengths) if v == lo), Fraction(0)
-        )
+            raise NotTwoValued(f"function {k + 1} takes values {sorted(seen)}, not [{lo}, {hi}]")
+        total = sum((w for vals, w in hist.items() if vals[k] == lo), Fraction(0))
         mean = (lo * total + hi * (T - total)) / T
         if mean != 0:
-            raise NonZeroMean(f"function {k} has mean {mean}")
+            raise NonZeroMean(f"function {k + 1} has mean {mean}")
         marginals.append(total / T)
-        is_low.append([v == lo for v in f.values])
     failures: list[dict] = []
     subsets = enumerate_family(sys.n, fam)
     for s in subsets:
         joint: dict[tuple[bool, ...], Fraction] = {}
-        for i, ln in enumerate(lengths):
-            pattern = tuple(is_low[k - 1][i] for k in s)
-            joint[pattern] = joint.get(pattern, Fraction(0)) + ln
+        for vals, w in hist.items():
+            pattern = tuple(vals[k - 1] == lows[k - 1] for k in s)
+            joint[pattern] = joint.get(pattern, 0) + w
         for pattern in iter_product((True, False), repeat=len(s)):
             expected = Fraction(1)
             for flag, k in zip(pattern, s):
@@ -358,9 +352,6 @@ class DominationReport:
             "holds": self.holds,
             "exact": self.exact,
         }
-
-
-REL_TOL = 1e-9
 
 
 def verify_domination(

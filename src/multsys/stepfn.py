@@ -29,6 +29,7 @@ from .errors import (
     NonPositiveFactor,
     OutOfDomain,
     OutOfRange,
+    ParseError,
     UnsortedSamples,
 )
 
@@ -42,7 +43,17 @@ def piece_cap() -> int:
     raw = os.environ.get("MULTSYS_PIECE_CAP")
     if raw is None:
         return DEFAULT_PIECE_CAP
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise OutOfRange(f"MULTSYS_PIECE_CAP must be a positive integer, got {raw!r}")
     return int(raw)
+
+
+def json_list(obj: dict, key: str) -> list:
+    """obj[key], which must be a JSON list: a string would iterate by characters."""
+    value = obj[key]
+    if not isinstance(value, list):
+        raise TypeError(f"{key} must be a JSON list, got {type(value).__name__}")
+    return value
 
 
 def as_fraction(x: Rational) -> Fraction:
@@ -119,11 +130,9 @@ class StepFunction:
     @classmethod
     def from_json(cls, obj: dict) -> "StepFunction":
         try:
-            bps = tuple(Fraction(s) for s in obj["breakpoints"])
-            vals = tuple(Fraction(s) for s in obj["values"])
+            bps = tuple(Fraction(s) for s in json_list(obj, "breakpoints"))
+            vals = tuple(Fraction(s) for s in json_list(obj, "values"))
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            from .errors import ParseError
-
             raise ParseError(f"bad step function object: {exc}") from exc
         return cls(bps, vals)
 
@@ -440,17 +449,14 @@ def convex_expectation(f: StepFunction, spec: ConvexSpec) -> Fraction | float:
 
 # ------------------------------------------------------------------ sampling
 
-def approx_by_steps(
-    samples: Sequence[tuple[float, float]], delta: Rational | float = Fraction(0)
-) -> StepFunction:
+def approx_by_steps(samples: Sequence[tuple[float, float]]) -> StepFunction:
     """Right-continuous step interpolant through float samples on [0, 1).
 
     Sample abscissae must be strictly ascending inside [0, 1); the value
     before the first sample backfills from it.  Floats are rationalized
     exactly via Fraction(float).  This is a modelling convenience: the
     distance to the sampled function is NOT certified, callers own the
-    resolution choice (delta is recorded nowhere and only documents
-    intent).
+    resolution choice.
     """
     if not samples:
         raise EmptyDomain("no samples")

@@ -31,7 +31,7 @@ from .errors import (
     TooLarge,
     WindowExhausted,
 )
-from .moments import BoundedSystem, symmetric_system
+from .moments import BoundedSystem, pattern_measure, subset_integral, symmetric_system
 from .stepfn import (
     StepFunction,
     common_refinement,
@@ -278,20 +278,12 @@ def selected_family_mu(sys: OrthogonalSystem, indices: Sequence[int]) -> Fractio
         else scale(sys.functions[i - 1], Fraction(1, 1) / sys.sup_bound)
         for i in indices
     ]
-    refined = common_refinement(funcs)
-    lengths = refined[0].piece_lengths()
-    T = refined[0].domain_length
-    rows = [f.values for f in refined]
+    hist = pattern_measure(funcs)
+    T = funcs[0].domain_length
     total = Fraction(0)
     for size in range(2, len(funcs) + 1):
-        for sub in combinations(range(len(funcs)), size):
-            acc = Fraction(0)
-            for i, ln in enumerate(lengths):
-                p = ln
-                for j in sub:
-                    p *= rows[j][i]
-                acc += p
-            total += abs(acc / T)
+        for sub in combinations(range(1, len(funcs) + 1), size):
+            total += abs(subset_integral(hist, sub) / T)
     return total
 
 

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from multsys import __version__, rademacher, symmetric_system
-from multsys.cli import main
+from multsys import cli
+from multsys.cli import build_parser, emit, main
 
 
 def run(capsys, *argv):
@@ -292,6 +293,74 @@ def test_malformed_inputs_exit_two(capsys, argv):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("family", ["[[true]]", "[1, 2]", "[[1], [false, 2]]"])
+def test_malformed_family_file_is_a_bad_subset(capsys, tmp_path, family):
+    fam_path = tmp_path / "fam.json"
+    fam_path.write_text(family)
+    code = main(["analyze", "--system", "rademacher:2", "--family", str(fam_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_select_from_an_empty_system_file_exits_two(capsys, tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text('{"functions": [], "lower_bounds": [], "upper_bounds": []}')
+    code = main(["select", "--system", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("raw", ["abc", "-5"])
+def test_bad_piece_cap_exits_two_and_names_the_variable(capsys, monkeypatch, raw):
+    monkeypatch.setenv("MULTSYS_PIECE_CAP", raw)
+    code = main(["analyze", "--system", "rademacher:2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "MULTSYS_PIECE_CAP" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["khintchine", "--system", "rademacher:2", "-p", "inf"],
+        ["khintchine", "--system", "rademacher:2", "-p", "1e999"],
+        ["khintchine", "--system", "rademacher:2", "-p", "nan"],
+        ["lacunary", "--lam", "inf", "--tau1", "1", "--n", "3"],
+        ["lacunary", "--lam", "3", "--tau", "1,nan"],
+        ["lacunary", "--lam", "3", "--tau", "1,x"],
+        ["reduce", "--system", "rademacher:2", "--phi", "exp:inf"],
+    ],
+)
+def test_non_finite_float_options_exit_two(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_reports_are_strict_json(capsys):
+    args = build_parser().parse_args(["analyze", "--system", "rademacher:1", "--no-meta"])
+    with pytest.raises(ValueError):
+        emit({"value": float("inf")}, args)
+    assert capsys.readouterr().out == ""
+
+
+def test_internal_error_exits_three(capsys, monkeypatch):
+    def broken(*args):
+        raise ZeroDivisionError("boom\nsecond line")
+
+    monkeypatch.setattr(cli, "multiplicative_error", broken)
+    code = main(["analyze", "--system", "rademacher:2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("internal error:")
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_version_flag(capsys):

@@ -22,6 +22,7 @@ from multsys.errors import (
     BadSubset,
     CapTooLarge,
     DomainMismatch,
+    ParseError,
     ValueOutOfBounds,
 )
 
@@ -68,6 +69,10 @@ def test_explicit_family_is_validated_and_sorted():
         enumerate_family(3, IndexFamily.explicit([[4]]))
     with pytest.raises(BadSubset):
         enumerate_family(3, IndexFamily.explicit([[]]))
+    with pytest.raises(BadSubset):
+        enumerate_family(3, IndexFamily.explicit([[True]]))
+    with pytest.raises(BadSubset):
+        enumerate_family(3, IndexFamily.explicit([1, 2]))
 
 
 def test_rademacher_moments_vanish():
@@ -120,3 +125,10 @@ def test_moment_matches_monte_carlo():
 def test_system_json_round_trip():
     sys_obj = rademacher_system(3)
     assert BoundedSystem.from_json(sys_obj.to_json()) == sys_obj
+
+
+def test_system_json_requires_lists():
+    obj = symmetric_system([rademacher(1)]).to_json()
+    for key in ("functions", "lower_bounds", "upper_bounds"):
+        with pytest.raises(ParseError):
+            BoundedSystem.from_json({**obj, key: "1"})

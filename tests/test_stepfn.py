@@ -35,8 +35,10 @@ from multsys.errors import (
     NonPositiveFactor,
     OutOfDomain,
     OutOfRange,
+    ParseError,
     UnsortedSamples,
 )
+from multsys.stepfn import piece_cap
 
 
 def test_validation_rejects_bad_shapes():
@@ -182,3 +184,24 @@ def test_approx_by_steps_backfills_and_validates():
 def test_json_round_trip_is_exact():
     f = make_step([0, "1/3", 1], ["22/7", "-1/3"])
     assert StepFunction.from_json(f.to_json()) == f
+
+
+def test_json_requires_lists_not_strings():
+    with pytest.raises(ParseError):
+        StepFunction.from_json({"breakpoints": ["0", "1"], "values": "1"})
+    with pytest.raises(ParseError):
+        StepFunction.from_json({"breakpoints": "01", "values": ["1"]})
+
+
+@pytest.mark.parametrize("raw", ["abc", "-5", "0", "2.5", ""])
+def test_piece_cap_rejects_values_that_are_not_positive_integers(monkeypatch, raw):
+    monkeypatch.setenv("MULTSYS_PIECE_CAP", raw)
+    with pytest.raises(OutOfRange, match="MULTSYS_PIECE_CAP"):
+        piece_cap()
+
+
+def test_piece_cap_reads_the_environment(monkeypatch):
+    monkeypatch.setenv("MULTSYS_PIECE_CAP", "64")
+    assert piece_cap() == 64
+    monkeypatch.delenv("MULTSYS_PIECE_CAP")
+    assert piece_cap() == 1 << 20
