@@ -7,8 +7,9 @@ wrapped as {"value": ..., "approx": true} so consumers can tell certified
 numbers from approximations at a glance.
 
 Exit codes: 0 when every requested check holds, 1 when some inequality or
-consistency check fails (the report says which), 2 on malformed input or
-capacity errors, 3 on an internal error (a bug, never a verdict).
+consistency check fails (the report says which), 2 on malformed input,
+capacity errors or input too large for float arithmetic, 3 on an
+internal error (a bug, never a verdict).
 """
 
 from __future__ import annotations
@@ -469,6 +470,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except MultsysError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        # finite input beyond what a float can carry, such as --lam 1e308
+        print(f"error: an input is too large for float arithmetic ({exc})", file=sys.stderr)
         return 2
     except Exception as exc:
         print(f"internal error: {exc!r}", file=sys.stderr)

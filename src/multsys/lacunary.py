@@ -24,8 +24,6 @@ from functools import lru_cache
 from itertools import combinations, product as iter_product
 from typing import Sequence
 
-import numpy as np
-
 from .errors import (
     CapacityExceeded,
     LambdaTooSmall,
@@ -321,6 +319,8 @@ def split_for_growth(spec: LacunarySpec, target: float = 3.0) -> list[LacunarySp
 
 @lru_cache(maxsize=4)
 def _gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np  # the quadrature oracle alone needs numpy; the CLI never loads it
+
     x, w = np.polynomial.legendre.leggauss(order)
     return x, w
 
@@ -340,6 +340,8 @@ def quadrature_product_integral(
     until two successive estimates agree within tol.  Raises
     CapacityExceeded if the panel cap is hit before convergence.
     """
+    import numpy as np
+
     s = _validate_subset(subset, spec.n)
     freqs = np.array([spec.tau[i - 1] for i in s], dtype=float)
     total_freq = float(freqs.sum())

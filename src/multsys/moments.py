@@ -32,7 +32,16 @@ from .errors import (
     ParseError,
     ValueOutOfBounds,
 )
-from .stepfn import Rational, StepFunction, as_fraction, common_refinement, json_list
+from .stepfn import (
+    Rational,
+    StepFunction,
+    as_fraction,
+    common_refinement,
+    int_lengths,
+    int_row,
+    json_list,
+    value_range,
+)
 
 FAMILY_CAP = 1 << 22
 
@@ -62,9 +71,10 @@ class BoundedSystem:
         ):
             if not (lo < 0 < hi):
                 raise BadBounds(f"function {k}: bounds must satisfy A < 0 < B, got [{lo}, {hi}]")
-            for v in f.values:
-                if v < lo or v > hi:
-                    raise ValueOutOfBounds(f"function {k}: value {v} outside [{lo}, {hi}]")
+            low, high = value_range(f)
+            if low < lo or high > hi:
+                v = next(v for v in f.values if v < lo or v > hi)
+                raise ValueOutOfBounds(f"function {k}: value {v} outside [{lo}, {hi}]")
 
     @property
     def n(self) -> int:
@@ -191,12 +201,23 @@ def pattern_measure(functions: Sequence[StepFunction]) -> dict[ValuePattern, Fra
     however many pieces it has.
     """
     refined = common_refinement(functions)
-    hist: dict[ValuePattern, Fraction] = {}
     if not refined:
-        return hist
-    for vals, length in zip(zip(*(f.values for f in refined)), refined[0].piece_lengths()):
-        hist[vals] = hist.get(vals, 0) + length
-    return hist
+        return {}
+    lengths, den = int_lengths(refined[0])
+    # patterns are keyed by int rows, which hash far faster than Fractions
+    mass: dict[tuple[int, ...], int] = {}
+    first: dict[tuple[int, ...], int] = {}
+    rows = [int_row(f.values)[0] for f in refined]
+    for i, (key, length) in enumerate(zip(zip(*rows), lengths)):
+        if key in mass:
+            mass[key] += length
+        else:
+            mass[key] = length
+            first[key] = i
+    return {
+        tuple(f.values[first[key]] for f in refined): Fraction(length, den)
+        for key, length in mass.items()
+    }
 
 
 def subset_integral(hist: dict[ValuePattern, Fraction], subset: Subset) -> Fraction:

@@ -51,9 +51,11 @@ from .stepfn import (
     constant,
     convex_expectation,
     dilate,
+    int_row,
     linear_combination,
     normalize,
     piece_cap,
+    uniform_grid,
 )
 
 
@@ -73,8 +75,7 @@ def walsh_cancellation_system(nu: int, length: Rational = 1) -> list[StepFunctio
     pieces = 1 << (nu - 1)
     if pieces > piece_cap():
         raise CapacityExceeded(f"{pieces} pieces exceed the cap of {piece_cap()}")
-    length = as_fraction(length)
-    bps = tuple(Fraction(i, pieces) * length for i in range(pieces + 1))
+    bps = uniform_grid(pieces, length)
     rows: list[list[int]] = []
     for k in range(1, nu):
         rows.append([1 if (i >> (nu - 1 - k)) & 1 == 0 else -1 for i in range(pieces)])
@@ -123,7 +124,7 @@ def flip_cancellation_system(nu: int, length: Rational = 1) -> list[StepFunction
             doubled.append(new)
         rows = doubled
     pieces = len(rows[0])
-    bps = tuple(Fraction(i, pieces) * length for i in range(pieces + 1))
+    bps = uniform_grid(pieces, length)
     return [StepFunction(bps, tuple(Fraction(v) for v in row)) for row in rows]
 
 
@@ -196,20 +197,25 @@ def binarize(sys: BoundedSystem, k: int | None = None) -> BoundedSystem:
         hi = sys.upper_bounds[idx - 1]
         refined = common_refinement(functions)
         grid = refined[0].breakpoints
-        target = refined[idx - 1].values
+        ends, d = int_row(grid)
+        row, q = int_row(refined[idx - 1].values)
+        # with a == ends[i] / d, b == ends[i + 1] / d and v == row[i] / q,
+        # c == num / (q * d * width) where width / (h2 * l2) == B_k - A_k
+        h1, h2, l1, l2 = hi.numerator, hi.denominator, lo.numerator, lo.denominator
+        width = h1 * l2 - l1 * h2
+        den = q * d * width
         bps: list[Fraction] = [Fraction(0)]
         vals: list[Fraction] = []
-        for i, v in enumerate(target):
-            a, b = grid[i], grid[i + 1]
-            c = (hi * a - lo * b + v * (b - a)) / (hi - lo)
-            if c > a:
-                bps.append(c)
-                vals.append(hi)
-            if c < b:
-                bps.append(b)
-                vals.append(lo)
+        for i, n in enumerate(row):
+            a, b = ends[i], ends[i + 1]
+            num = h1 * l2 * q * a - l1 * h2 * q * b + n * h2 * l2 * (b - a)
+            low, high = a * q * width, b * q * width
+            if low < num < high:
+                bps += [Fraction(num, den), grid[i + 1]]
+                vals += [hi, lo]
             else:
-                bps[-1] = b
+                bps.append(grid[i + 1])
+                vals.append(hi if num > low else lo)
         functions[idx - 1] = normalize(StepFunction(tuple(bps), tuple(vals)))
     return BoundedSystem(tuple(functions), sys.lower_bounds, sys.upper_bounds)
 

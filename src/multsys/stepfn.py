@@ -2,9 +2,16 @@
 
 A step function is stored as strictly ascending rational breakpoints
 0 = b_0 < b_1 < ... < b_P = T together with one rational value per piece
-[b_i, b_{i+1}).  All algebra (products, linear combinations, integrals,
-level-set measures) happens in fractions.Fraction, so results are exact
-and representations are reproducible byte for byte.
+[b_i, b_{i+1}).  The fields are fractions.Fraction tuples, and every
+result is exact and reproducible byte for byte.
+
+The arithmetic itself runs on an exact integer grid: breakpoints meet on
+one shared denominator D (b == n / D) and each row of values on its own
+denominator, so validation, refinement, products, linear combinations,
+integrals, level-set measures and convex expectations are loops over
+Python ints.  Fraction is the API and JSON boundary: a Fraction is built
+at most once per distinct output value, and none at all where an input
+Fraction object already is the answer.
 
 Floats enter only through convex integrands that have no rational value
 (fractional powers, exponentials); those paths are documented on
@@ -14,10 +21,12 @@ ConvexSpec.
 from __future__ import annotations
 
 import math
+import operator
 import os
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 from .errors import (
@@ -34,6 +43,7 @@ from .errors import (
 )
 
 DEFAULT_PIECE_CAP = 1 << 20
+POWER_CAP = 1024
 
 Rational = Fraction | int | str
 
@@ -78,6 +88,67 @@ def _guard_pieces(count: int) -> None:
         raise CapacityExceeded(f"{count} pieces exceed the cap of {cap}")
 
 
+# ------------------------------------------------------------------ integer kernel
+
+def int_row(xs: Sequence[Rational]) -> tuple[list[int], int]:
+    """Clear denominators: xs == ints / den elementwise, den the lcm of theirs.
+
+    Sums, products and comparisons over such rows cost no gcd per
+    operation; one Fraction at the end restores the exact value.
+    """
+    dens = [x.denominator for x in xs]
+    den = math.lcm(*dens)
+    return [x.numerator * (den // d) for x, d in zip(xs, dens)], den
+
+
+def int_lengths(f: StepFunction) -> tuple[list[int], int]:
+    """Piece lengths of f as ints over one shared denominator."""
+    grid, den = int_row(f.breakpoints)
+    return [b - a for a, b in zip(grid, grid[1:])], den
+
+
+def _fractions(nums: Sequence[int], den: int) -> tuple[Fraction, ...]:
+    """nums / den elementwise, one Fraction object per distinct numerator."""
+    made = {n: Fraction(n, den) for n in set(nums)}
+    return tuple(map(made.__getitem__, nums))
+
+
+def _spread(row: Sequence, at: Sequence[int]) -> list:
+    """Row entry j repeated on the merged pieces at[j] .. at[j + 1] - 1."""
+    out: list = []
+    for v, start, end in zip(row, at, at[1:]):
+        out += [v] * (end - start)
+    return out
+
+
+def uniform_grid(pieces: int, length: Rational = 1) -> tuple[Fraction, ...]:
+    """Breakpoints i * length / pieces for i = 0..pieces, one Fraction each."""
+    length = as_fraction(length)
+    num, den = length.numerator, length.denominator * pieces
+    return tuple(Fraction(i * num, den) for i in range(pieces + 1))
+
+
+# The last breakpoint tuple that passed validation.  The strong reference
+# keeps its id from being reused, and a tuple of rationals cannot change,
+# so the same object passes again without a second walk.  Lists and
+# other mutable sequences are walked every time.
+_valid_grid: tuple | None = None
+
+
+def _check_breakpoints(bps: Sequence[Rational]) -> None:
+    global _valid_grid
+    if bps is _valid_grid:
+        return
+    if bps[0] != 0:
+        raise NonAscendingBreakpoints("breakpoints must start at 0")
+    grid, _ = int_row(bps)
+    if not all(map(operator.lt, grid, grid[1:])):
+        i = next(i for i in range(1, len(grid)) if not grid[i] > grid[i - 1])
+        raise NonAscendingBreakpoints(f"breakpoints not strictly ascending at {bps[i]}")
+    if type(bps) is tuple:
+        _valid_grid = bps
+
+
 @dataclass(frozen=True)
 class StepFunction:
     """Piecewise-constant function on [0, breakpoints[-1]).
@@ -99,11 +170,7 @@ class StepFunction:
             )
         if len(self.values) == 0:
             raise EmptyDomain("a step function needs at least one piece")
-        if self.breakpoints[0] != 0:
-            raise NonAscendingBreakpoints("breakpoints must start at 0")
-        for a, b in zip(self.breakpoints, self.breakpoints[1:]):
-            if not b > a:
-                raise NonAscendingBreakpoints(f"breakpoints not strictly ascending at {b}")
+        _check_breakpoints(self.breakpoints)
         _guard_pieces(len(self.values))
 
     # -- geometry -------------------------------------------------
@@ -117,7 +184,7 @@ class StepFunction:
         return len(self.values)
 
     def piece_lengths(self) -> tuple[Fraction, ...]:
-        return tuple(b - a for a, b in zip(self.breakpoints, self.breakpoints[1:]))
+        return _fractions(*int_lengths(self))
 
     # -- serialization --------------------------------------------
 
@@ -158,10 +225,7 @@ def rademacher(k: int, length: Rational = 1) -> StepFunction:
         raise OutOfRange("rademacher index must be >= 1")
     pieces = 1 << k
     _guard_pieces(pieces)
-    length = as_fraction(length)
-    bps = tuple(Fraction(i, pieces) * length for i in range(pieces + 1))
-    vals = tuple(Fraction(1 if i % 2 == 0 else -1) for i in range(pieces))
-    return StepFunction(bps, vals)
+    return StepFunction(uniform_grid(pieces, length), (Fraction(1), Fraction(-1)) * (pieces // 2))
 
 
 # ------------------------------------------------------------------ refinement
@@ -176,65 +240,93 @@ def _check_same_domain(fs: Sequence[StepFunction]) -> Fraction:
     return T
 
 
+def _align(fs: Sequence[StepFunction]) -> tuple[tuple[Fraction, ...], list[Sequence[int]]]:
+    """The union of the breakpoints of fs, and for every function the index
+    in that union of each of its own breakpoints.
+
+    The grids meet as ints on one shared denominator; the merged tuple
+    reuses the input Fraction objects.
+    """
+    _check_same_domain(fs)
+    first = fs[0].breakpoints
+    if all(f.breakpoints is first for f in fs):
+        _guard_pieces(len(first) - 1)
+        return first, [range(len(first))] * len(fs)
+    grids = {id(f.breakpoints): f.breakpoints for f in fs}
+    den = math.lcm(*(b.denominator for g in grids.values() for b in g))
+    ints = {
+        key: [b.numerator * (den // b.denominator) for b in g] for key, g in grids.items()
+    }
+    merged = sorted(set().union(*ints.values()))
+    _guard_pieces(len(merged) - 1)
+    owner: dict[int, Fraction] = {}
+    for key, g in grids.items():
+        owner.update(zip(ints[key], g))
+    bps = tuple(map(owner.__getitem__, merged))
+    at = {key: [bisect_left(merged, n) for n in row] for key, row in ints.items()}
+    return bps, [at[id(f.breakpoints)] for f in fs]
+
+
 def common_refinement(fs: Sequence[StepFunction]) -> list[StepFunction]:
     """Rewrite all functions on the union of their breakpoints.
 
     Values are untouched, only the partition is refined, so every
-    returned function equals its input pointwise.
+    returned function equals its input pointwise.  A function already on
+    the union comes back as itself.
     """
     if not fs:
         return []
-    _check_same_domain(fs)
-    merged: set[Fraction] = set()
-    for f in fs:
-        merged.update(f.breakpoints)
-    bps = tuple(sorted(merged))
-    _guard_pieces(len(bps) - 1)
-    out = []
-    for f in fs:
-        vals = []
-        src = 0
-        for left in bps[:-1]:
-            while f.breakpoints[src + 1] <= left:
-                src += 1
-            vals.append(f.values[src])
-        out.append(StepFunction(bps, tuple(vals)))
-    return out
+    bps, where = _align(fs)
+    return [
+        f if len(at) == len(bps) else StepFunction(bps, tuple(_spread(f.values, at)))
+        for f, at in zip(fs, where)
+    ]
 
 
 def product(fs: Sequence[StepFunction]) -> StepFunction:
     """Pointwise product; exact."""
     if not fs:
         raise LengthMismatch("product of an empty list is undefined")
-    refined = common_refinement(fs)
-    bps = refined[0].breakpoints
-    vals = []
-    for i in range(len(bps) - 1):
-        p = Fraction(1)
-        for f in refined:
-            p *= f.values[i]
-        vals.append(p)
-    return StepFunction(bps, tuple(vals))
+    bps, where = _align(fs)
+    nums: list[int] | None = None
+    den = 1
+    for f, at in zip(fs, where):
+        row, d = int_row(f.values)
+        row = _spread(row, at)
+        nums = row if nums is None else list(map(operator.mul, nums, row))
+        den *= d
+    return StepFunction(bps, _fractions(nums, den))
 
 
 def linear_combination(
     coeffs: Sequence[Rational], fs: Sequence[StepFunction]
 ) -> StepFunction:
-    """sum_k coeffs[k] * fs[k]; exact."""
+    """sum_k coeffs[k] * fs[k]; exact.
+
+    A difference array over the merged grid: each function adds the jump
+    of its scaled value at the start of each of its pieces, and one
+    prefix sum yields every merged value, with no refined row built.
+    """
     if len(coeffs) != len(fs):
         raise LengthMismatch(f"{len(coeffs)} coefficients for {len(fs)} functions")
     if not fs:
         raise LengthMismatch("linear combination of an empty list is undefined")
     cs = [as_fraction(c) for c in coeffs]
-    refined = common_refinement(fs)
-    bps = refined[0].breakpoints
-    vals = []
-    for i in range(len(bps) - 1):
-        s = Fraction(0)
-        for c, f in zip(cs, refined):
-            s += c * f.values[i]
-        vals.append(s)
-    return StepFunction(bps, tuple(vals))
+    bps, where = _align(fs)
+    rows = [int_row(f.values) for f in fs]
+    den = math.lcm(*(c.denominator * d for c, (_, d) in zip(cs, rows)))
+    jumps = [0] * (len(bps) - 1)
+    for c, (row, d), at in zip(cs, rows, where):
+        if not c:
+            continue
+        factor = c.numerator * (den // (c.denominator * d))
+        prev = 0
+        for v, start in zip(row, at):
+            v *= factor
+            jumps[start] += v - prev
+            prev = v
+    del rows  # the input rows go before the output values are built
+    return StepFunction(bps, _fractions(list(accumulate(jumps)), den))
 
 
 def scale(f: StepFunction, c: Rational) -> StepFunction:
@@ -246,10 +338,9 @@ def scale(f: StepFunction, c: Rational) -> StepFunction:
 
 def integral(f: StepFunction) -> Fraction:
     """Unnormalized integral over the whole domain [0, T)."""
-    return sum(
-        (v * (b - a) for v, a, b in zip(f.values, f.breakpoints, f.breakpoints[1:])),
-        Fraction(0),
-    )
+    lengths, d = int_lengths(f)
+    row, q = int_row(f.values)
+    return Fraction(sum(map(operator.mul, row, lengths)), d * q)
 
 
 def mean(f: StepFunction) -> Fraction:
@@ -325,32 +416,43 @@ def restrict(f: StepFunction, t: Rational) -> StepFunction:
 
 def normalize(f: StepFunction) -> StepFunction:
     """Merge adjacent pieces with equal values.  The only coalescing operation."""
+    row, _ = int_row(f.values)
     bps = [f.breakpoints[0]]
     vals: list[Fraction] = []
-    for v, right in zip(f.values, f.breakpoints[1:]):
-        if vals and vals[-1] == v:
+    last = None
+    for v, n, right in zip(f.values, row, f.breakpoints[1:]):
+        if n == last:
             bps[-1] = right
         else:
             vals.append(v)
             bps.append(right)
+            last = n
     return StepFunction(tuple(bps), tuple(vals))
+
+
+def _measure_where(f: StepFunction, compare, level: Rational) -> Fraction:
+    """Measure of {x : compare(f(x), level)}.  For v == n / q and
+    level == a / b, compare(v, level) is compare(n * b, a * q)."""
+    level = as_fraction(level)
+    row, q = int_row(f.values)
+    lengths, d = int_lengths(f)
+    b, bar = level.denominator, level.numerator * q
+    return Fraction(sum(ln for n, ln in zip(row, lengths) if compare(n * b, bar)), d)
 
 
 def measure_above(f: StepFunction, level: Rational) -> Fraction:
     """Lebesgue measure of the strict superlevel set {x : f(x) > level}."""
-    level = as_fraction(level)
-    return sum(
-        (b - a for v, a, b in zip(f.values, f.breakpoints, f.breakpoints[1:]) if v > level),
-        Fraction(0),
-    )
+    return _measure_where(f, operator.gt, level)
 
 
 def measure_equal(f: StepFunction, value: Rational) -> Fraction:
-    value = as_fraction(value)
-    return sum(
-        (b - a for v, a, b in zip(f.values, f.breakpoints, f.breakpoints[1:]) if v == value),
-        Fraction(0),
-    )
+    return _measure_where(f, operator.eq, value)
+
+
+def value_range(f: StepFunction) -> tuple[Fraction, Fraction]:
+    """Smallest and largest value of f, compared as ints."""
+    row, q = int_row(f.values)
+    return Fraction(min(row), q), Fraction(max(row), q)
 
 
 # ------------------------------------------------------------------ convex integrands
@@ -359,7 +461,7 @@ def measure_equal(f: StepFunction, value: Rational) -> Fraction:
 class ConvexSpec:
     """Nonnegative convex integrand t -> Phi(t).
 
-    kind "power":        Phi(t) = |t| ** p, p >= 1; exact when p is an even integer
+    kind "power":        Phi(t) = |t| ** p, 1 <= p <= POWER_CAP; exact when p is an integer
     kind "exp":          Phi(t) = exp(gamma * t), gamma > 0; float
     kind "hinge_square": Phi(t) = max(t - shift, 0) ** 2; exact for rational shift
     kind "abs":          Phi(t) = |t|; exact
@@ -372,6 +474,9 @@ class ConvexSpec:
     def power(cls, p: float | int) -> "ConvexSpec":
         if p < 1:
             raise OutOfRange(f"power exponent must be >= 1, got {p}")
+        if p > POWER_CAP:
+            # an integer exponent is evaluated exactly, and v**p grows with p
+            raise OutOfRange(f"power exponent {p} is above the cap of {POWER_CAP}")
         if isinstance(p, float) and p.is_integer():
             p = int(p)
         return cls("power", p)
@@ -433,17 +538,24 @@ def convex_expectation(f: StepFunction, spec: ConvexSpec) -> Fraction | float:
     (even powers, hinge squares, absolute value), a float otherwise.
     Divide by domain_length for the expectation under the uniform law.
     """
-    exact_parts: list[Fraction] = []
-    for v, a, b in zip(f.values, f.breakpoints, f.breakpoints[1:]):
-        ev = spec.exact_value(v)
-        if ev is None:
-            break
-        exact_parts.append(ev * (b - a))
-    else:
-        return sum(exact_parts, Fraction(0))
+    row, q = int_row(f.values)
+    lengths, d = int_lengths(f)
+    if spec.exact_value(f.values[0]) is not None:
+        # Phi is evaluated once per distinct value, on the length it covers
+        mass: dict[int, int] = {}
+        for n, ln in zip(row, lengths):
+            mass[n] = mass.get(n, 0) + ln
+        return sum(
+            (spec.exact_value(Fraction(n, q)) * Fraction(ln, d) for n, ln in mass.items()),
+            Fraction(0),
+        )
+    # piece by piece in domain order: the float sum depends on the order
+    phi = {n: spec.float_value(n / q) for n in set(row)}
     total = 0.0
-    for v, a, b in zip(f.values, f.breakpoints, f.breakpoints[1:]):
-        total += spec.float_value(float(v)) * float(b - a)
+    for n, ln in zip(row, lengths):
+        total += phi[n] * (ln / d)
+    if not math.isfinite(total):
+        raise OutOfRange(f"the integral of {spec.describe()} overflows a float")
     return total
 
 

@@ -17,6 +17,7 @@ step that chose its largest index).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -35,10 +36,13 @@ from .moments import BoundedSystem, pattern_measure, subset_integral, symmetric_
 from .stepfn import (
     StepFunction,
     common_refinement,
+    int_lengths,
+    int_row,
     integral,
     product,
     rademacher,
     scale,
+    uniform_grid,
 )
 
 PRODUCT_STEP_CAP = 16
@@ -66,27 +70,17 @@ def _l2_sq(f: StepFunction) -> Fraction:
     return integral(product([f, f])) / f.domain_length
 
 
-def _scale_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Clear denominators: row == ints / den elementwise.
-
-    Dot products over integer vectors avoid a gcd per multiply, which is
-    what makes selection over thousand-piece candidate pools affordable;
-    the single Fraction at the end restores exactness.
-    """
-    den = math.lcm(*(v.denominator for v in row))
-    return [int(v * den) for v in row], den
-
-
 def check_orthogonality(functions: Sequence[StepFunction]) -> None:
     """Raise NotOrthogonal on the first nonvanishing pairwise expectation."""
     refined = common_refinement(functions)
     if not refined:
         return
-    len_ints, _ = _scale_row(refined[0].piece_lengths())
-    rows = [_scale_row(f.values)[0] for f in refined]
+    len_ints, _ = int_lengths(refined[0])
+    rows = [int_row(f.values)[0] for f in refined]
     for i in range(len(rows)):
+        weighted = list(map(operator.mul, len_ints, rows[i]))
         for j in range(i + 1, len(rows)):
-            if sum(l * a * b for l, a, b in zip(len_ints, rows[i], rows[j])) != 0:
+            if sum(map(operator.mul, weighted, rows[j])) != 0:
                 raise NotOrthogonal(f"functions {i + 1} and {j + 1} are not orthogonal")
 
 
@@ -101,7 +95,7 @@ def walsh_system(m: int) -> OrthogonalSystem:
     if not 0 <= m <= WALSH_CAP:
         raise TooLarge(f"walsh order must lie in 0..{WALSH_CAP}, got {m}")
     pieces = 1 << m
-    bps = tuple(Fraction(i, pieces) for i in range(pieces + 1))
+    bps = uniform_grid(pieces)
     plus, minus = Fraction(1), Fraction(-1)
     reversed_bits = [
         sum(((i >> b) & 1) << (m - 1 - b) for b in range(m)) for i in range(pieces)
@@ -143,20 +137,20 @@ def parseval_select(
         check_orthogonality(candidates)
     refined = common_refinement(list(candidates) + list(targets))
     T = refined[0].domain_length
-    len_ints, len_den = _scale_row(refined[0].piece_lengths())
-    cand_rows = [_scale_row(f.values) for f in refined[: len(candidates)]]
-    targ_rows = [_scale_row(f.values) for f in refined[len(candidates):]]
+    len_ints, len_den = int_lengths(refined[0])
+    cand_rows = [int_row(f.values) for f in refined[: len(candidates)]]
+    targ_rows = [int_row(f.values) for f in refined[len(candidates):]]
     for i, (cv, cd) in enumerate(cand_rows, start=1):
-        norm_num = sum(l * v * v for l, v in zip(len_ints, cv))
+        norm_num = sum(map(operator.mul, map(operator.mul, len_ints, cv), cv))
         if Fraction(norm_num, len_den * cd * cd) > T:
             raise BoundViolation(f"candidate {i} has L2 norm above 1")
-    weighted = [[l * t for l, t in zip(len_ints, tv)] for tv, _ in targ_rows]
+    weighted = [list(map(operator.mul, len_ints, tv)) for tv, _ in targ_rows]
     best_pos = 0
     best_sum: Fraction | None = None
     for pos, (cv, cd) in enumerate(cand_rows):
         total = Fraction(0)
         for (_, td), wrow in zip(targ_rows, weighted):
-            raw = sum(c * w for c, w in zip(cv, wrow))
+            raw = sum(map(operator.mul, cv, wrow))
             if raw:
                 total += abs(Fraction(raw, len_den * cd * td))
         if best_sum is None or total < best_sum:

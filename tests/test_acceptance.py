@@ -47,8 +47,8 @@ from multsys import (
     walsh_system,
 )
 from multsys.inequalities import double_factorial
-from multsys.stepfn import StepFunction
-from multsys.subseq import _l2_sq, _scale_row
+from multsys.stepfn import StepFunction, int_row
+from multsys.subseq import _l2_sq
 
 _CACHE: dict[str, list] = {}
 
@@ -143,7 +143,7 @@ def test_criterion_01_cancellation_systems(acceptance):
                 full ^= mask
             ok = ok and full == 0
             uniform = len(set(lengths)) == 1
-            len_ints, _ = _scale_row(lengths)
+            len_ints, _ = int_row(lengths)
             for size in range(1, nu):
                 for sub in combinations(range(nu), size):
                     m = 0

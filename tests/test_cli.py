@@ -1,12 +1,18 @@
 """End-to-end runs of the command line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from multsys import __version__, rademacher, symmetric_system
 from multsys import cli
 from multsys.cli import build_parser, emit, main
+from multsys.errors import OutOfRange
+from multsys.stepfn import POWER_CAP, ConvexSpec
 
 
 def run(capsys, *argv):
@@ -341,6 +347,44 @@ def test_non_finite_float_options_exit_two(capsys, argv):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lacunary", "--lam", "1e308", "--tau1", "1", "--n", "3"],
+        ["khintchine", "--system", "rademacher:3", "-p", "1e308"],
+        ["reduce", "--system", "rademacher:2", "--phi", "exp:1e308"],
+    ],
+)
+def test_extreme_finite_floats_exit_two(capsys, argv):
+    code = main(argv + ["--no-meta"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_power_exponent_above_the_cap_is_refused_before_any_evaluation():
+    # the exact path would compute v**p with p = 10**308; only the spec is built here
+    for build in (lambda: cli.parse_phi("power:1e308"), lambda: ConvexSpec.power(1e308)):
+        with pytest.raises(OutOfRange, match=f"cap of {POWER_CAP}"):
+            build()
+    assert ConvexSpec.power(POWER_CAP).param == POWER_CAP
+
+
+def test_importing_the_cli_does_not_load_numpy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, multsys.cli; print('numpy' in sys.modules)"],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_reports_are_strict_json(capsys):

@@ -1,0 +1,290 @@
+"""The integer-grid kernel of multsys.stepfn against the Fraction loops it replaced.
+
+The reference functions below are the original piece-by-piece Fraction
+code: refinement by a sorted set of breakpoints and a walk, one Fraction
+multiply-add per refined piece for products and linear combinations,
+Fraction subtractions for piece lengths, and the denominator-clearing
+row scaling selection used for its dot products.  Every comparison is
+exact equality, floats included: the float path sums in the same order.
+"""
+
+import math
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from multsys import (
+    ConvexSpec,
+    StepFunction,
+    common_refinement,
+    convex_expectation,
+    evaluate,
+    integral,
+    linear_combination,
+    measure_above,
+    measure_equal,
+    normalize,
+    product,
+)
+from multsys.errors import CapacityExceeded, LengthMismatch, NonAscendingBreakpoints
+from multsys.stepfn import int_lengths, int_row, value_range
+
+PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+
+# ------------------------------------------------------------------ reference loops
+
+def reference_refinement(fs):
+    merged = set()
+    for f in fs:
+        merged.update(f.breakpoints)
+    bps = tuple(sorted(merged))
+    out = []
+    for f in fs:
+        vals = []
+        src = 0
+        for left in bps[:-1]:
+            while f.breakpoints[src + 1] <= left:
+                src += 1
+            vals.append(f.values[src])
+        out.append((bps, tuple(vals)))
+    return out
+
+
+def reference_product(fs):
+    refined = reference_refinement(fs)
+    bps = refined[0][0]
+    vals = []
+    for i in range(len(bps) - 1):
+        p = F(1)
+        for _, row in refined:
+            p *= row[i]
+        vals.append(p)
+    return bps, tuple(vals)
+
+
+def reference_linear_combination(coeffs, fs):
+    refined = reference_refinement(fs)
+    bps = refined[0][0]
+    vals = []
+    for i in range(len(bps) - 1):
+        s = F(0)
+        for c, (_, row) in zip(coeffs, refined):
+            s += c * row[i]
+        vals.append(s)
+    return bps, tuple(vals)
+
+
+def pieces(f):
+    return zip(f.values, f.breakpoints, f.breakpoints[1:])
+
+
+def reference_integral(f):
+    return sum((v * (b - a) for v, a, b in pieces(f)), F(0))
+
+
+def reference_measure_above(f, level):
+    return sum((b - a for v, a, b in pieces(f) if v > level), F(0))
+
+
+def reference_measure_equal(f, value):
+    return sum((b - a for v, a, b in pieces(f) if v == value), F(0))
+
+
+def reference_convex_expectation(f, spec):
+    exact_parts = []
+    for v, a, b in pieces(f):
+        ev = spec.exact_value(v)
+        if ev is None:
+            break
+        exact_parts.append(ev * (b - a))
+    else:
+        return sum(exact_parts, F(0))
+    total = 0.0
+    for v, a, b in pieces(f):
+        total += spec.float_value(float(v)) * float(b - a)
+    return total
+
+
+def reference_scale_row(row):
+    den = math.lcm(*(v.denominator for v in row))
+    return [int(v * den) for v in row], den
+
+
+# ------------------------------------------------------------------ strategies
+
+GRID_DENOMINATORS = st.sampled_from([1, 2, 3, 7, 10, 12, 64])
+VALUE_DENOMINATORS = st.sampled_from([1, 2, 3, 7, 10])
+LENGTHS = st.sampled_from([F(1), F(3, 7), F(10, 3)])
+values = st.builds(F, st.integers(-9, 9), VALUE_DENOMINATORS)
+coefficients = st.builds(F, st.integers(-6, 6), VALUE_DENOMINATORS)
+
+
+@st.composite
+def grids(draw, length):
+    den = draw(GRID_DENOMINATORS)
+    cuts = draw(st.sets(st.integers(1, den - 1), max_size=9)) if den > 1 else set()
+    return (F(0), *(F(c, den) * length for c in sorted(cuts)), length)
+
+
+@st.composite
+def step_functions(draw, length=None, grid=None):
+    if grid is None:
+        grid = draw(grids(length if length is not None else draw(LENGTHS)))
+    row = draw(st.lists(values, min_size=len(grid) - 1, max_size=len(grid) - 1))
+    return StepFunction(grid, tuple(row))
+
+
+@st.composite
+def systems(draw, max_n=5):
+    """1..max_n functions on one domain: each on its own grid, or all on one
+    shared breakpoint tuple object."""
+    length = draw(LENGTHS)
+    n = draw(st.integers(1, max_n))
+    if draw(st.booleans()):
+        shared = draw(grids(length))
+        return [draw(step_functions(grid=shared)) for _ in range(n)]
+    return [draw(step_functions(length=length)) for _ in range(n)]
+
+
+SPECS = [
+    ConvexSpec.power(2),
+    ConvexSpec.power(3),
+    ConvexSpec.power(4),
+    ConvexSpec.power(2.5),
+    ConvexSpec.exp(0.75),
+    ConvexSpec.hinge_square(F(1, 3)),
+    ConvexSpec.abs(),
+]
+
+
+def fields(f):
+    return f.breakpoints, f.values
+
+
+# ------------------------------------------------------------------ kernel == reference
+
+@PROPERTY
+@given(systems())
+def test_refinement_matches_the_reference_and_is_idempotent(fs):
+    refined = common_refinement(fs)
+    assert [fields(g) for g in refined] == reference_refinement(fs)
+    assert [fields(g) for g in common_refinement(refined)] == [fields(g) for g in refined]
+    for f, g in zip(fs, refined):
+        for a, b in zip(g.breakpoints, g.breakpoints[1:]):
+            x = (a + b) / 2
+            assert evaluate(g, x) == evaluate(f, x)
+
+
+@PROPERTY
+@given(systems(), st.data())
+def test_linear_combination_matches_the_reference(fs, data):
+    coeffs = data.draw(st.lists(coefficients, min_size=len(fs), max_size=len(fs)))
+    assert fields(linear_combination(coeffs, fs)) == reference_linear_combination(coeffs, fs)
+
+
+@PROPERTY
+@given(systems(max_n=4))
+def test_product_matches_the_reference(fs):
+    assert fields(product(fs)) == reference_product(fs)
+
+
+@PROPERTY
+@given(step_functions(), values)
+def test_integrals_and_measures_match_the_reference(f, level):
+    assert integral(f) == reference_integral(f)
+    assert measure_above(f, level) == reference_measure_above(f, level)
+    assert measure_equal(f, level) == reference_measure_equal(f, level)
+    assert f.piece_lengths() == tuple(b - a for a, b in zip(f.breakpoints, f.breakpoints[1:]))
+    assert value_range(f) == (min(f.values), max(f.values))
+    for got in (integral(f), measure_above(f, level), measure_equal(f, level)):
+        assert type(got) is F
+
+
+@PROPERTY
+@given(step_functions(), st.sampled_from(SPECS))
+def test_convex_expectation_matches_the_reference(f, spec):
+    got = convex_expectation(f, spec)
+    want = reference_convex_expectation(f, spec)
+    assert type(got) is type(want)
+    assert got == want
+
+
+@PROPERTY
+@given(systems())
+def test_integer_rows_give_the_fraction_dot_products(fs):
+    refined = common_refinement(fs)
+    lengths = refined[0].piece_lengths()
+    len_ints, len_den = int_lengths(refined[0])
+    assert (len_ints, len_den) == reference_scale_row(lengths)
+    rows = []
+    for g in refined:
+        row, den = int_row(g.values)
+        assert (row, den) == reference_scale_row(g.values)
+        rows.append((row, den))
+    for i, (a, da) in enumerate(rows):
+        for b, db in rows[i:]:
+            got = F(sum(ln * x * y for ln, x, y in zip(len_ints, a, b)), len_den * da * db)
+            want = sum(
+                (ln * x / da * y / db for ln, x, y in zip(lengths, a, b)), F(0)
+            )
+            assert got == want
+
+
+@PROPERTY
+@given(step_functions())
+def test_normalize_is_idempotent_and_keeps_the_function(f):
+    g = normalize(f)
+    assert normalize(g) == g
+    assert all(a != b for a, b in zip(g.values, g.values[1:]))
+    for a, b in zip(f.breakpoints, f.breakpoints[1:]):
+        x = (a + b) / 2
+        assert evaluate(g, x) == evaluate(f, x)
+
+
+# ------------------------------------------------------------------ validation
+
+@PROPERTY
+@given(step_functions(), st.data())
+def test_repeated_or_swapped_breakpoints_are_rejected(f, data):
+    bps = f.breakpoints
+    if len(bps) < 3:
+        bad = (bps[0], bps[1], bps[1])
+    else:
+        i = data.draw(st.integers(1, len(bps) - 2))
+        if data.draw(st.booleans()):
+            bad = bps[:i] + (bps[i],) + bps[i:]
+        else:
+            bad = bps[:i] + (bps[i + 1], bps[i]) + bps[i + 2:]
+    with pytest.raises(NonAscendingBreakpoints):
+        StepFunction(bad, (F(1),) * (len(bad) - 1))
+
+
+def test_a_validated_tuple_is_still_checked_for_shape_and_cap(monkeypatch):
+    grid = (F(0), F(1, 3), F(1))
+    StepFunction(grid, (F(1), F(2)))
+    with pytest.raises(LengthMismatch):
+        StepFunction(grid, (F(1),))
+    with pytest.raises(NonAscendingBreakpoints):
+        StepFunction(grid[:2] + (F(1, 3), F(1)), (F(1),) * 3)
+    monkeypatch.setenv("MULTSYS_PIECE_CAP", "1")
+    with pytest.raises(CapacityExceeded):
+        StepFunction(grid, (F(1), F(2)))
+
+
+def test_a_rejected_tuple_stays_rejected():
+    bad = (F(0), F(1, 2), F(1, 2), F(1))
+    for _ in range(2):
+        with pytest.raises(NonAscendingBreakpoints, match="at 1/2"):
+            StepFunction(bad, (F(1),) * 3)
+
+
+def test_list_breakpoints_are_checked_on_every_construction():
+    grid = [F(0), F(1, 2), F(1)]
+    StepFunction(grid, (F(1), F(2)))
+    grid[1] = F(1)
+    with pytest.raises(NonAscendingBreakpoints):
+        StepFunction(grid, (F(1), F(2)))
+    with pytest.raises(NonAscendingBreakpoints, match="start at 0"):
+        StepFunction([F(1, 2), F(1)], (F(1),))
