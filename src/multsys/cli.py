@@ -52,7 +52,10 @@ def parse_fraction(text: str) -> Fraction:
         raise ParseError(f"expected a rational like 3/4, got {text!r}") from exc
 
 
-def parse_coeffs(text: str) -> list[Fraction]:
+def parse_coeffs(text: str | None, n: int) -> list[Fraction]:
+    """Comma separated rationals; all ones for n functions when absent."""
+    if not text:
+        return [Fraction(1)] * n
     return [parse_fraction(part) for part in text.split(",")]
 
 
@@ -161,7 +164,7 @@ def parse_system(text: str) -> BoundedSystem:
 
 
 def parse_pool(text: str) -> OrthogonalSystem:
-    """Candidate pool for selection: walsh:M or a system JSON path."""
+    """Candidate pool for selection: walsh:M, or any system parse_system accepts."""
     kind, _, rest = text.partition(":")
     if kind == "walsh" and rest:
         try:
@@ -197,44 +200,41 @@ def verdict_exit(flags: Sequence[bool]) -> int:
 
 
 # ------------------------------------------------------------------ subcommands
+# Each cmd_* returns (report, checks): the report body that follows
+# "command", and the flags whose conjunction sets the exit code.
 
-def cmd_analyze(args: argparse.Namespace) -> int:
+Outcome = tuple[dict, list[bool]]
+
+
+def cmd_analyze(args: argparse.Namespace) -> Outcome:
     sys_obj = parse_system(args.system)
     fam = parse_family(args.family)
     mu, table = multiplicative_error(sys_obj, fam)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(table.to_csv())
-    emit(
-        {
-            "command": "analyze",
-            "config": {"system": args.system, "family": fam.describe()},
-            "n": sys_obj.n,
-            "mu": str(mu),
-            "multiplicative": mu == 0,
-            "moments": table.to_json(),
-        },
-        args,
-    )
-    return 0
+    return {
+        "config": {"system": args.system, "family": fam.describe()},
+        "n": sys_obj.n,
+        "mu": str(mu),
+        "multiplicative": mu == 0,
+        "moments": table.to_json(),
+    }, []
 
 
-def cmd_reduce(args: argparse.Namespace) -> int:
+def cmd_reduce(args: argparse.Namespace) -> Outcome:
     sys_obj = parse_system(args.system)
     fam = parse_family(args.family)
-    coeffs = parse_coeffs(args.coeffs) if args.coeffs else [Fraction(1)] * sys_obj.n
+    coeffs = parse_coeffs(args.coeffs, sys_obj.n)
     phi = parse_phi(args.phi)
     trace = reduce_to_independent(sys_obj, fam)
     domination = verify_domination(sys_obj, fam, coeffs, phi, trace=trace)
     independence = check_independence(trace.xi, fam)
     xi_mu = trace.moment_tables["xi"].mu()
     report = {
-        "command": "reduce",
         "config": {
-            "system": args.system,
-            "family": fam.describe(),
-            "coeffs": [str(c) for c in coeffs],
-            "phi": phi.describe(),
+            "system": args.system, "family": fam.describe(),
+            "coeffs": [str(c) for c in coeffs], "phi": phi.describe(),
         },
         "mu": str(trace.mu),
         "stage_pieces": {
@@ -252,56 +252,38 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     }
     if args.full_trace:
         report["trace"] = trace.to_json()
-    emit(report, args)
-    return verdict_exit(
-        [domination.holds, independence.independent, xi_mu == 0]
-    )
+    return report, [domination.holds, independence.independent, xi_mu == 0]
 
 
-def cmd_khintchine(args: argparse.Namespace) -> int:
+def cmd_khintchine(args: argparse.Namespace) -> Outcome:
     sys_obj = parse_system(args.system)
-    coeffs = parse_coeffs(args.coeffs) if args.coeffs else [Fraction(1)] * sys_obj.n
+    coeffs = parse_coeffs(args.coeffs, sys_obj.n)
     order = parse_float(args.p, "moment order")
     p = int(order) if order.is_integer() else order
     report = verify_khintchine(sys_obj, coeffs, p, mode=args.mode)
-    emit(
-        {
-            "command": "khintchine",
-            "config": {
-                "system": args.system,
-                "coeffs": [str(c) for c in coeffs],
-                "p": p,
-                "mode": args.mode,
-            },
-            **report.to_json(),
+    return {
+        "config": {
+            "system": args.system, "coeffs": [str(c) for c in coeffs], "p": p, "mode": args.mode,
         },
-        args,
-    )
-    return verdict_exit([report.holds])
+        **report.to_json(),
+    }, [report.holds]
 
 
-def cmd_tail(args: argparse.Namespace) -> int:
+def cmd_tail(args: argparse.Namespace) -> Outcome:
     sys_obj = parse_system(args.system)
     fam = parse_family(args.family)
     mu = parse_fraction(args.mu) if args.mu is not None else None
     report = hoeffding_tail(sys_obj, parse_fraction(args.level), fam=fam, mu=mu)
-    emit(
-        {
-            "command": "tail",
-            "config": {
-                "system": args.system,
-                "family": fam.describe(),
-                "level": args.level,
-                "mu_supplied": args.mu,
-            },
-            **report.to_json(),
+    return {
+        "config": {
+            "system": args.system, "family": fam.describe(),
+            "level": args.level, "mu_supplied": args.mu,
         },
-        args,
-    )
-    return verdict_exit([report.holds])
+        **report.to_json(),
+    }, [report.holds]
 
 
-def cmd_lacunary(args: argparse.Namespace) -> int:
+def cmd_lacunary(args: argparse.Namespace) -> Outcome:
     lam = parse_float(args.lam, "growth factor")
     if args.tau:
         taus = [parse_float(t, "frequency") for t in args.tau.split(",")]
@@ -313,77 +295,65 @@ def cmd_lacunary(args: argparse.Namespace) -> int:
     nu_max = args.nu_max if args.nu_max is not None else min(spec.n, 3)
     report = truncated_mu(spec, nu_max)
     payload = {
-        "command": "lacunary",
-        "config": {
-            "tau": list(spec.tau),
-            "lam": spec.lam,
-            "nu_max": nu_max,
-        },
+        "config": {"tau": list(spec.tau), "lam": spec.lam, "nu_max": nu_max},
         **report.to_json(),
         "analytic_tail": {"value": analytic_tail_bound(spec), "approx": True},
     }
     if args.split_target is not None:
         parts = split_for_growth(spec, parse_float(args.split_target, "split target"))
-        payload["split"] = [
-            {"tau": list(p.tau), "lam": p.lam} for p in parts
-        ]
-    emit(payload, args)
-    return verdict_exit([report.holds, not report.violations])
+        payload["split"] = [{"tau": list(p.tau), "lam": p.lam} for p in parts]
+    return payload, [report.holds, not report.violations]
 
 
-def cmd_select(args: argparse.Namespace) -> int:
+def cmd_select(args: argparse.Namespace) -> Outcome:
     pool = parse_pool(args.system)
     cert = greedy_subsequence(pool, rho=args.rho, steps=args.steps)
     recomputed = selected_family_mu(pool, cert.chosen_indices)
     consistent = recomputed == cert.mu_total
-    bound_ok = [
-        s * s <= b for s, b in zip(cert.per_step_sum, cert.per_step_bound_sq)
-    ]
-    emit(
-        {
-            "command": "select",
-            "config": {"system": args.system, "rho": args.rho, "steps": args.steps},
-            **cert.to_json(),
-            "recomputed_mu": str(recomputed),
-            "certificate_consistent": consistent,
-            "bound_satisfied": bound_ok,
-        },
-        args,
-    )
-    return verdict_exit([consistent, *bound_ok])
+    bound_ok = [s * s <= b for s, b in zip(cert.per_step_sum, cert.per_step_bound_sq)]
+    return {
+        "config": {"system": args.system, "rho": args.rho, "steps": args.steps},
+        **cert.to_json(),
+        "recomputed_mu": str(recomputed),
+        "certificate_consistent": consistent,
+        "bound_satisfied": bound_ok,
+    }, [consistent, *bound_ok]
 
 
-def cmd_rubinshtein(args: argparse.Namespace) -> int:
+def cmd_rubinshtein(args: argparse.Namespace) -> Outcome:
     seed = parse_seed(args.seed)
-    coeffs = parse_coeffs(args.coeffs) if args.coeffs else None
+    # without --coeffs the library sizes the all-ones default once --n is validated
+    coeffs = parse_coeffs(args.coeffs, args.n) if args.coeffs else None
     report = verify_rubinshtein(
-        seed,
-        args.n,
-        l=args.l,
-        coeffs=coeffs,
-        lam=parse_fraction(args.level),
-        phi_spec=parse_phi(args.phi),
+        seed, args.n, l=args.l, coeffs=coeffs,
+        lam=parse_fraction(args.level), phi_spec=parse_phi(args.phi),
     )
-    emit(
-        {
-            "command": "rubinshtein",
-            "config": {
-                "seed": args.seed,
-                "n": args.n,
-                "l": args.l,
-                "level": args.level,
-                "phi": args.phi,
-            },
-            **report.to_json(),
+    return {
+        "config": {
+            "seed": args.seed, "n": args.n, "l": args.l, "level": args.level, "phi": args.phi,
         },
-        args,
-    )
-    return verdict_exit(
-        [report.multiplicative, report.domination.holds, report.tail.holds]
-    )
+        **report.to_json(),
+    }, [report.multiplicative, report.domination.holds, report.tail.holds]
 
 
 # ------------------------------------------------------------------ wiring
+# An option is (flags, add_argument keywords); a shared one is defined once.
+
+def _opt(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
+    return flags, kwargs
+
+
+SYSTEM = _opt(
+    "--system", required=True, help="rademacher:N, walsh:M, rubinshtein:N:SEED or a JSON path"
+)
+FAMILY = _opt("--family", default="full", help="full, l=K or a JSON path")
+COEFFS = _opt("--coeffs", help="comma separated rationals, default all 1")
+PHI = _opt("--phi", default="power:4", help="convex integrand: power:P, exp:G, hinge:S or abs")
+REPORT = (
+    _opt("--out", help="write the JSON report to this file"),
+    _opt("--no-meta", action="store_true", help="omit the meta block from the report"),
+)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -392,82 +362,51 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"multsys {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--out", help="write the JSON report to this file")
-        p.add_argument(
-            "--no-meta", action="store_true", help="omit the meta block from the report"
-        )
-
-    p = sub.add_parser("analyze", help="mixed moments and mu over a family")
-    p.add_argument("--system", required=True, help="rademacher:N, walsh:M, rubinshtein:N:SEED or a JSON path")
-    p.add_argument("--family", default="full", help="full, l=K or a JSON path")
-    p.add_argument("--csv", help="also write the moment table as CSV")
-    common(p)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("reduce", help="reduce to an independent system and check domination")
-    p.add_argument("--system", required=True)
-    p.add_argument("--family", default="full")
-    p.add_argument("--coeffs", help="comma separated rationals, default all 1")
-    p.add_argument("--phi", default="power:4", help="power:P, exp:G, hinge:S or abs")
-    p.add_argument("--full-trace", action="store_true", help="embed all pipeline stages")
-    common(p)
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("khintchine", help="p-norm bound for a coefficient sum")
-    p.add_argument("--system", required=True)
-    p.add_argument("--coeffs", help="comma separated rationals, default all 1")
-    p.add_argument("-p", required=True, help="moment order, p > 2")
-    p.add_argument("--mode", default="general", choices=["general", "even_integer"])
-    common(p)
-    p.set_defaults(func=cmd_khintchine)
-
-    p = sub.add_parser("tail", help="sub-Gaussian tail bound at a level")
-    p.add_argument("--system", required=True)
-    p.add_argument("--family", default="full", help="family for the mu factor")
-    p.add_argument("--level", required=True, help="tail threshold, a positive rational")
-    p.add_argument("--mu", help="known mu, skips the moment computation")
-    common(p)
-    p.set_defaults(func=cmd_tail)
-
-    p = sub.add_parser("lacunary", help="truncated mu of a sine system")
-    p.add_argument("--lam", required=True, help="growth factor")
-    p.add_argument("--tau1", help="first frequency (geometric mode)")
-    p.add_argument("--n", type=int, help="number of frequencies (geometric mode)")
-    p.add_argument("--tau", help="comma separated frequencies (explicit mode)")
-    p.add_argument("--nu-max", type=int, help="subset size cap, default min(n, 3)")
-    p.add_argument(
-        "--split-target", help="also split for growth factor >= this"
+    # (name, handler, help, options); built per call, so the handlers are
+    # whatever the module attributes hold when the parser is built
+    commands = (
+        ("analyze", cmd_analyze, "mixed moments and mu over a family",
+         (SYSTEM, FAMILY, _opt("--csv", help="also write the moment table as CSV"))),
+        ("reduce", cmd_reduce, "reduce to an independent system and check domination",
+         (SYSTEM, FAMILY, COEFFS, PHI,
+          _opt("--full-trace", action="store_true", help="embed all pipeline stages"))),
+        ("khintchine", cmd_khintchine, "p-norm bound for a coefficient sum",
+         (SYSTEM, COEFFS, _opt("-p", required=True, help="moment order, p > 2"),
+          _opt("--mode", default="general", choices=["general", "even_integer"]))),
+        ("tail", cmd_tail, "sub-Gaussian tail bound at a level",
+         (SYSTEM, FAMILY,
+          _opt("--level", required=True, help="tail threshold, a positive rational"),
+          _opt("--mu", help="known mu, skips the moment computation"))),
+        ("lacunary", cmd_lacunary, "truncated mu of a sine system",
+         (_opt("--lam", required=True, help="growth factor"),
+          _opt("--tau1", help="first frequency (geometric mode)"),
+          _opt("--n", type=int, help="number of frequencies (geometric mode)"),
+          _opt("--tau", help="comma separated frequencies (explicit mode)"),
+          _opt("--nu-max", type=int, help="subset size cap, default min(n, 3)"),
+          _opt("--split-target", help="also split for growth factor >= this"))),
+        ("select", cmd_select, "greedy quasi-multiplicative subsequence",
+         (SYSTEM, _opt("--rho", type=int, default=8, help="window base, default 8"),
+          _opt("--steps", type=int, default=2, help="selection steps, default 2"))),
+        ("rubinshtein", cmd_rubinshtein, "reflection generator battery",
+         (_opt("--seed", required=True, help="step:v1,v2,... or a JSON path"),
+          _opt("--n", required=True, type=int, help="number of dyadic dilates"),
+          _opt("--l", type=int, help="family cardinality cap, default full"),
+          COEFFS, _opt("--level", default="1", help="tail threshold, default 1"), PHI)),
     )
-    common(p)
-    p.set_defaults(func=cmd_lacunary)
-
-    p = sub.add_parser("select", help="greedy quasi-multiplicative subsequence")
-    p.add_argument("--system", required=True, help="walsh:M or a system JSON path")
-    p.add_argument("--rho", type=int, default=8, help="window base, default 8")
-    p.add_argument("--steps", type=int, default=2, help="selection steps, default 2")
-    common(p)
-    p.set_defaults(func=cmd_select)
-
-    p = sub.add_parser("rubinshtein", help="reflection generator battery")
-    p.add_argument("--seed", required=True, help="step:v1,v2,... or a JSON path")
-    p.add_argument("--n", required=True, type=int, help="number of dyadic dilates")
-    p.add_argument("--l", type=int, help="family cardinality cap, default full")
-    p.add_argument("--coeffs", help="comma separated rationals, default all 1")
-    p.add_argument("--level", default="1", help="tail threshold, default 1")
-    p.add_argument("--phi", default="power:4", help="convex integrand for domination")
-    common(p)
-    p.set_defaults(func=cmd_rubinshtein)
-
+    for name, handler, help_text, options in commands:
+        p = sub.add_parser(name, help=help_text)
+        for flags, kwargs in options + REPORT:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        report, checks = args.func(args)
+        emit({"command": args.command, **report}, args)
+        return verdict_exit(checks)
     except MultsysError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -48,6 +48,15 @@ class LacunarySpec:
     tau: tuple[float, ...]
     lam: float
 
+    def __post_init__(self) -> None:
+        # every expansion frequency is at most the sum of all of them, and
+        # its harmonic integral needs 2 pi times it as a finite float
+        if not math.isfinite(2.0 * math.pi * sum(self.tau)):
+            raise OutOfRange(
+                f"frequency {max(self.tau)} is too large: 2 pi times the sum of all "
+                "frequencies is beyond float range"
+            )
+
     @property
     def n(self) -> int:
         return len(self.tau)
@@ -191,14 +200,22 @@ def collection_bound(spec: LacunarySpec, subset: Sequence[int]) -> float:
         raise LambdaTooSmall(f"the bound needs lambda > 2, got {spec.lam}")
     s = _validate_subset(subset, spec.n)
     head = spec.tau[s[-1] - 1]
-    return (spec.lam - 1.0) / (math.pi * (spec.lam - 2.0) * head)
+    return (spec.lam - 1.0) / _denominator(math.pi * (spec.lam - 2.0) * head, spec.lam)
 
 
 def global_mu_bound(lam: float) -> float:
     """lambda (lambda - 1) / (pi (lambda - 2)^2), the summed bound for lam > 2."""
     if not lam > 2:
         raise LambdaTooSmall(f"the bound needs lambda > 2, got {lam}")
-    return lam * (lam - 1.0) / (math.pi * (lam - 2.0) ** 2)
+    return lam * (lam - 1.0) / _denominator(math.pi * (lam - 2.0) ** 2, lam)
+
+
+def _denominator(value: float, lam: float) -> float:
+    """A bound's denominator, refused once it overflows: a bound divided by
+    inf would read 0 and pass every check."""
+    if not math.isfinite(value):
+        raise OutOfRange(f"growth factor {lam} is too large: a bound's denominator overflows")
+    return value
 
 
 # ------------------------------------------------------------------ truncated mu
@@ -286,7 +303,7 @@ def analytic_tail_bound(spec: LacunarySpec) -> float:
     return (
         2.0**spec.n
         * (spec.lam - 1.0)
-        / (math.pi * (spec.lam - 2.0) ** 2 * spec.tau[-1])
+        / _denominator(math.pi * (spec.lam - 2.0) ** 2 * spec.tau[-1], spec.lam)
     )
 
 

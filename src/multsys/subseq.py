@@ -66,6 +66,13 @@ class OrthogonalSystem:
         return len(self.functions)
 
 
+def _unit_sup(sys: OrthogonalSystem, functions: Sequence[StepFunction]) -> list[StepFunction]:
+    """The functions divided by the pool's sup bound, untouched when it is 1."""
+    return [
+        f if sys.sup_bound == 1 else scale(f, Fraction(1, 1) / sys.sup_bound) for f in functions
+    ]
+
+
 def _l2_sq(f: StepFunction) -> Fraction:
     return integral(product([f, f])) / f.domain_length
 
@@ -214,10 +221,7 @@ def greedy_subsequence(
         raise EmptyCandidates("empty system")
     if sys.sup_bound <= 0:
         raise BoundViolation("sup bound must be positive")
-    funcs = [
-        f if sys.sup_bound == 1 else scale(f, Fraction(1, 1) / sys.sup_bound)
-        for f in sys.functions
-    ]
+    funcs = _unit_sup(sys, sys.functions)
     chosen = [1]
     sums: list[Fraction] = []
     bounds_sq: list[Fraction] = []
@@ -266,12 +270,7 @@ def selected_family_mu(sys: OrthogonalSystem, indices: Sequence[int]) -> Fractio
     excluded because the selection controls product moments, not means.
     Functions are scaled by the sup bound, matching the selection run.
     """
-    funcs = [
-        sys.functions[i - 1]
-        if sys.sup_bound == 1
-        else scale(sys.functions[i - 1], Fraction(1, 1) / sys.sup_bound)
-        for i in indices
-    ]
+    funcs = _unit_sup(sys, [sys.functions[i - 1] for i in indices])
     hist = pattern_measure(funcs)
     T = funcs[0].domain_length
     total = Fraction(0)

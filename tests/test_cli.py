@@ -355,6 +355,10 @@ def test_non_finite_float_options_exit_two(capsys, argv):
         ["lacunary", "--lam", "1e308", "--tau1", "1", "--n", "3"],
         ["khintchine", "--system", "rademacher:3", "-p", "1e308"],
         ["reduce", "--system", "rademacher:2", "--phi", "exp:1e308"],
+        # 2 pi tau overflows: cos(inf) used to escape as an internal error
+        ["lacunary", "--lam", "3", "--tau", "1,1e308"],
+        # pi (lam - 2)^2 overflows: the bounds used to read 0.0 and exit 0
+        ["lacunary", "--lam", "1e154", "--tau1", "1", "--n", "2"],
     ],
 )
 def test_extreme_finite_floats_exit_two(capsys, argv):
@@ -364,6 +368,12 @@ def test_extreme_finite_floats_exit_two(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error:")
     assert len(captured.err.splitlines()) == 1
+
+
+def test_huge_frequency_error_names_the_frequency(capsys):
+    code = main(["lacunary", "--lam", "3", "--tau", "1,1e308"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: frequency 1e+308 is too large")
 
 
 def test_power_exponent_above_the_cap_is_refused_before_any_evaluation():

@@ -119,6 +119,30 @@ def test_bound_formulas():
     )
 
 
+def test_bounds_refuse_an_overflowing_denominator():
+    # pi (lam - 2)^2 is inf at lam = 1e154; dividing by it would read as a 0.0 bound
+    spec = LacunarySpec(tau=(1.0, 1e154), lam=1e154)
+    with pytest.raises(OutOfRange, match="denominator"):
+        global_mu_bound(1e154)
+    with pytest.raises(OutOfRange, match="denominator"):
+        collection_bound(spec, (2,))
+    with pytest.raises(OutOfRange, match="denominator"):
+        analytic_tail_bound(spec)
+    # a finite denominator keeps the formula's float, bit for bit
+    assert collection_bound(spec, (1,)) == (1e154 - 1.0) / (math.pi * (1e154 - 2.0) * 1.0)
+    assert global_mu_bound(1e150) == 1e150 * (1e150 - 1.0) / (math.pi * (1e150 - 2.0) ** 2)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: explicit_spec([1, 1e308], 3),
+    lambda: explicit_spec([1e308], 3),
+    lambda: geometric_spec(1e200, 1e200, 2),
+])
+def test_frequencies_beyond_float_range_are_refused(build):
+    with pytest.raises(OutOfRange, match="frequency"):
+        build()
+
+
 def test_truncated_mu_report():
     spec = geometric_spec(3, 2, 4)
     report = truncated_mu(spec, 2)
