@@ -184,13 +184,20 @@ def parse_pool(text: str) -> OrthogonalSystem:
 
 # ------------------------------------------------------------------ report plumbing
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
+
+
 def emit(report: dict, args: argparse.Namespace) -> None:
     if not args.no_meta:
         report["meta"] = {"tool": "multsys", "version": __version__}
     text = json.dumps(report, indent=2, allow_nan=False)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write(args.out, text + "\n")
     else:
         print(text)
 
@@ -211,8 +218,7 @@ def cmd_analyze(args: argparse.Namespace) -> Outcome:
     fam = parse_family(args.family)
     mu, table = multiplicative_error(sys_obj, fam)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(table.to_csv())
+        _write(args.csv, table.to_csv())
     return {
         "config": {"system": args.system, "family": fam.describe()},
         "n": sys_obj.n,

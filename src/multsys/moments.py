@@ -36,9 +36,7 @@ from .stepfn import (
     Rational,
     StepFunction,
     as_fraction,
-    common_refinement,
-    int_lengths,
-    int_row,
+    int_grid,
     json_list,
     value_range,
 )
@@ -189,46 +187,41 @@ def enumerate_family(n: int, fam: IndexFamily) -> list[Subset]:
 
 # ------------------------------------------------------------------ moments
 
-ValuePattern = tuple[Fraction, ...]
+# (mass, den, dens): each value pattern, as one int per function with
+# function k's value key[k] / dens[k], mapped to the length it covers
+# as an int over den.
+PatternHistogram = tuple[dict[tuple[int, ...], int], int, tuple[int, ...]]
 
 
-def pattern_measure(functions: Sequence[StepFunction]) -> dict[ValuePattern, Fraction]:
+def pattern_measure(functions: Sequence[StepFunction]) -> PatternHistogram:
     """Total length of the points where (phi_1, ..., phi_n) takes each value tuple.
 
-    One refinement pass; pieces carrying the same tuple collapse into one
-    entry.  Every mixed moment and joint law of the functions depends on
-    this histogram alone, and a two-valued system has at most 2**n entries
-    however many pieces it has.
+    One pass over the shared integer grid; pieces carrying the same tuple
+    collapse into one entry.  Every mixed moment and joint law of the
+    functions depends on this histogram alone, and a two-valued system
+    has at most 2**n entries however many pieces it has.
     """
-    refined = common_refinement(functions)
-    if not refined:
-        return {}
-    lengths, den = int_lengths(refined[0])
-    # patterns are keyed by int rows, which hash far faster than Fractions
+    if not functions:
+        return {}, 1, ()
+    _, lengths, den, rows = int_grid(functions)
     mass: dict[tuple[int, ...], int] = {}
-    first: dict[tuple[int, ...], int] = {}
-    rows = [int_row(f.values)[0] for f in refined]
-    for i, (key, length) in enumerate(zip(zip(*rows), lengths)):
+    for key, length in zip(zip(*(row for row, _ in rows)), lengths):
         if key in mass:
             mass[key] += length
         else:
             mass[key] = length
-            first[key] = i
-    return {
-        tuple(f.values[first[key]] for f in refined): Fraction(length, den)
-        for key, length in mass.items()
-    }
+    return mass, den, tuple(q for _, q in rows)
 
 
-def subset_integral(hist: dict[ValuePattern, Fraction], subset: Subset) -> Fraction:
+def subset_integral(hist: PatternHistogram, subset: Subset) -> Fraction:
     """Integral of prod_{k in subset} phi_k over the domain, read off the histogram."""
-    total = Fraction(0)
-    for vals, length in hist.items():
-        p = length
+    mass, den, dens = hist
+    total = 0
+    for key, length in mass.items():
         for k in subset:
-            p *= vals[k - 1]
-        total += p
-    return total
+            length *= key[k - 1]
+        total += length
+    return Fraction(total, den * math.prod(dens[k - 1] for k in subset))
 
 
 def mixed_moment(sys: BoundedSystem, subset: Sequence[int]) -> Fraction:

@@ -25,12 +25,7 @@ from fractions import Fraction
 from itertools import combinations, product as iter_product
 from typing import Sequence
 
-from .errors import (
-    BadArity,
-    CapacityExceeded,
-    NonZeroMean,
-    NotTwoValued,
-)
+from .errors import BadArity, NonZeroMean, NotTwoValued
 from .inequalities import REL_TOL
 from .moments import (
     BoundedSystem,
@@ -45,16 +40,16 @@ from .stepfn import (
     ConvexSpec,
     Rational,
     StepFunction,
+    _guard_pieces,
     as_fraction,
-    common_refinement,
     concat_many,
     constant,
     convex_expectation,
     dilate,
-    int_row,
+    int_grid,
     linear_combination,
     normalize,
-    piece_cap,
+    scale,
     uniform_grid,
 )
 
@@ -73,8 +68,7 @@ def walsh_cancellation_system(nu: int, length: Rational = 1) -> list[StepFunctio
     if nu < 2:
         raise BadArity(f"need at least two functions, got {nu}")
     pieces = 1 << (nu - 1)
-    if pieces > piece_cap():
-        raise CapacityExceeded(f"{pieces} pieces exceed the cap of {piece_cap()}")
+    _guard_pieces(pieces)
     bps = uniform_grid(pieces, length)
     rows: list[list[int]] = []
     for k in range(1, nu):
@@ -101,11 +95,7 @@ def flip_cancellation_system(nu: int, length: Rational = 1) -> list[StepFunction
     """
     if nu < 2:
         raise BadArity(f"need at least two functions, got {nu}")
-    final_pieces = 1 << ((1 << nu) - 2)
-    if final_pieces > piece_cap():
-        raise CapacityExceeded(
-            f"{final_pieces} pieces exceed the cap of {piece_cap()}"
-        )
+    _guard_pieces(1 << ((1 << nu) - 2))
     length = as_fraction(length)
     rows: list[list[int]] = [[1] for _ in range(nu)]
     proper: list[Subset] = []
@@ -157,12 +147,10 @@ def extend_system(sys: BoundedSystem, fam: IndexFamily) -> BoundedSystem:
             members = [constant(-sign * caps[s[0] - 1], block_len)]
         else:
             base = walsh_cancellation_system(len(s), block_len)
-            members = []
-            for j, idx in enumerate(s):
-                c = caps[idx - 1] if j > 0 else -sign * caps[idx - 1]
-                members.append(
-                    StepFunction(base[j].breakpoints, tuple(c * v for v in base[j].values))
-                )
+            members = [
+                scale(g, caps[idx - 1] if j > 0 else -sign * caps[idx - 1])
+                for j, (g, idx) in enumerate(zip(base, s))
+            ]
         member_of = dict(zip(s, members))
         zero_block = constant(0, block_len)
         for k in range(1, sys.n + 1):
@@ -195,26 +183,25 @@ def binarize(sys: BoundedSystem, k: int | None = None) -> BoundedSystem:
     for idx in indices:
         lo = sys.lower_bounds[idx - 1]
         hi = sys.upper_bounds[idx - 1]
-        refined = common_refinement(functions)
-        grid = refined[0].breakpoints
-        ends, d = int_row(grid)
-        row, q = int_row(refined[idx - 1].values)
-        # with a == ends[i] / d, b == ends[i + 1] / d and v == row[i] / q,
+        grid, lengths, d, rows = int_grid(functions)
+        row, q = rows[idx - 1]
+        # with a / d and b / d the ends of a piece and v == n / q its value,
         # c == num / (q * d * width) where width / (h2 * l2) == B_k - A_k
         h1, h2, l1, l2 = hi.numerator, hi.denominator, lo.numerator, lo.denominator
         width = h1 * l2 - l1 * h2
         den = q * d * width
         bps: list[Fraction] = [Fraction(0)]
         vals: list[Fraction] = []
-        for i, n in enumerate(row):
-            a, b = ends[i], ends[i + 1]
-            num = h1 * l2 * q * a - l1 * h2 * q * b + n * h2 * l2 * (b - a)
+        b = 0
+        for n, ln, right in zip(row, lengths, grid[1:]):
+            a, b = b, b + ln
+            num = h1 * l2 * q * a - l1 * h2 * q * b + n * h2 * l2 * ln
             low, high = a * q * width, b * q * width
             if low < num < high:
-                bps += [Fraction(num, den), grid[i + 1]]
+                bps += [Fraction(num, den), right]
                 vals += [hi, lo]
             else:
-                bps.append(grid[i + 1])
+                bps.append(right)
                 vals.append(hi if num > low else lo)
         functions[idx - 1] = normalize(StepFunction(tuple(bps), tuple(vals)))
     return BoundedSystem(tuple(functions), sys.lower_bounds, sys.upper_bounds)
@@ -242,14 +229,17 @@ def check_independence(sys: BoundedSystem, fam: IndexFamily) -> IndependenceRepo
     over the system's value-pattern histogram.
     """
     T = sys.domain_length
-    hist = pattern_measure(sys.functions)
-    lows = sys.lower_bounds
+    mass, den, dens = pattern_measure(sys.functions)
+    # function k is low where its int value is lows[k], that is A_k * dens[k]
+    lows: list[int] = []
     marginals: list[Fraction] = []
-    for k, (lo, hi) in enumerate(zip(lows, sys.upper_bounds)):
-        seen = {vals[k] for vals in hist}
-        if not seen <= {lo, hi} or len(seen) != 2:
-            raise NotTwoValued(f"function {k + 1} takes values {sorted(seen)}, not [{lo}, {hi}]")
-        total = sum((w for vals, w in hist.items() if vals[k] == lo), Fraction(0))
+    for k, (lo, hi, q) in enumerate(zip(sys.lower_bounds, sys.upper_bounds, dens)):
+        seen = {key[k] for key in mass}
+        if not seen <= {lo * q, hi * q} or len(seen) != 2:
+            values = sorted(Fraction(n, q) for n in seen)
+            raise NotTwoValued(f"function {k + 1} takes values {values}, not [{lo}, {hi}]")
+        lows.append(int(lo * q))
+        total = Fraction(sum(w for key, w in mass.items() if key[k] == lows[k]), den)
         mean = (lo * total + hi * (T - total)) / T
         if mean != 0:
             raise NonZeroMean(f"function {k + 1} has mean {mean}")
@@ -257,15 +247,15 @@ def check_independence(sys: BoundedSystem, fam: IndexFamily) -> IndependenceRepo
     failures: list[dict] = []
     subsets = enumerate_family(sys.n, fam)
     for s in subsets:
-        joint: dict[tuple[bool, ...], Fraction] = {}
-        for vals, w in hist.items():
-            pattern = tuple(vals[k - 1] == lows[k - 1] for k in s)
+        joint: dict[tuple[bool, ...], int] = {}
+        for key, w in mass.items():
+            pattern = tuple(key[k - 1] == lows[k - 1] for k in s)
             joint[pattern] = joint.get(pattern, 0) + w
         for pattern in iter_product((True, False), repeat=len(s)):
             expected = Fraction(1)
             for flag, k in zip(pattern, s):
                 expected *= marginals[k - 1] if flag else 1 - marginals[k - 1]
-            got = joint.get(pattern, Fraction(0)) / T
+            got = Fraction(joint.get(pattern, 0), den) / T
             if got != expected:
                 failures.append(
                     {"subset": s, "pattern": pattern, "measure": got, "expected": expected}

@@ -101,12 +101,6 @@ def int_row(xs: Sequence[Rational]) -> tuple[list[int], int]:
     return [x.numerator * (den // d) for x, d in zip(xs, dens)], den
 
 
-def int_lengths(f: StepFunction) -> tuple[list[int], int]:
-    """Piece lengths of f as ints over one shared denominator."""
-    grid, den = int_row(f.breakpoints)
-    return [b - a for a, b in zip(grid, grid[1:])], den
-
-
 def _fractions(nums: Sequence[int], den: int) -> tuple[Fraction, ...]:
     """nums / den elementwise, one Fraction object per distinct numerator."""
     made = {n: Fraction(n, den) for n in set(nums)}
@@ -184,7 +178,8 @@ class StepFunction:
         return len(self.values)
 
     def piece_lengths(self) -> tuple[Fraction, ...]:
-        return _fractions(*int_lengths(self))
+        _, lengths, den, _ = int_grid([self])
+        return _fractions(lengths, den)
 
     # -- serialization --------------------------------------------
 
@@ -267,6 +262,26 @@ def _align(fs: Sequence[StepFunction]) -> tuple[tuple[Fraction, ...], list[Seque
     return bps, [at[id(f.breakpoints)] for f in fs]
 
 
+def int_grid(
+    fs: Sequence[StepFunction],
+) -> tuple[tuple[Fraction, ...], list[int], int, list[tuple[list[int], int]]]:
+    """The functions of fs on their merged grid, as ints.
+
+    Returns (breakpoints, lengths, den, rows): the union of the
+    breakpoints (the input Fraction objects), the merged piece lengths
+    as ints over den, and per function (row, q) with its values on the
+    merged pieces as ints over q.  No refined StepFunction is built.
+    """
+    bps, where = _align(fs)
+    grid, den = int_row(bps)
+    lengths = list(map(operator.sub, grid[1:], grid))
+    rows = []
+    for f, at in zip(fs, where):
+        row, q = int_row(f.values)
+        rows.append((row if len(at) == len(bps) else _spread(row, at), q))
+    return bps, lengths, den, rows
+
+
 def common_refinement(fs: Sequence[StepFunction]) -> list[StepFunction]:
     """Rewrite all functions on the union of their breakpoints.
 
@@ -287,14 +302,11 @@ def product(fs: Sequence[StepFunction]) -> StepFunction:
     """Pointwise product; exact."""
     if not fs:
         raise LengthMismatch("product of an empty list is undefined")
-    bps, where = _align(fs)
-    nums: list[int] | None = None
-    den = 1
-    for f, at in zip(fs, where):
-        row, d = int_row(f.values)
-        row = _spread(row, at)
-        nums = row if nums is None else list(map(operator.mul, nums, row))
-        den *= d
+    bps, _, _, rows = int_grid(fs)
+    nums, den = rows[0]
+    for row, q in rows[1:]:
+        nums = list(map(operator.mul, nums, row))
+        den *= q
     return StepFunction(bps, _fractions(nums, den))
 
 
@@ -338,8 +350,7 @@ def scale(f: StepFunction, c: Rational) -> StepFunction:
 
 def integral(f: StepFunction) -> Fraction:
     """Unnormalized integral over the whole domain [0, T)."""
-    lengths, d = int_lengths(f)
-    row, q = int_row(f.values)
+    _, lengths, d, [(row, q)] = int_grid([f])
     return Fraction(sum(map(operator.mul, row, lengths)), d * q)
 
 
@@ -434,8 +445,7 @@ def _measure_where(f: StepFunction, compare, level: Rational) -> Fraction:
     """Measure of {x : compare(f(x), level)}.  For v == n / q and
     level == a / b, compare(v, level) is compare(n * b, a * q)."""
     level = as_fraction(level)
-    row, q = int_row(f.values)
-    lengths, d = int_lengths(f)
+    _, lengths, d, [(row, q)] = int_grid([f])
     b, bar = level.denominator, level.numerator * q
     return Fraction(sum(ln for n, ln in zip(row, lengths) if compare(n * b, bar)), d)
 
@@ -538,8 +548,7 @@ def convex_expectation(f: StepFunction, spec: ConvexSpec) -> Fraction | float:
     (even powers, hinge squares, absolute value), a float otherwise.
     Divide by domain_length for the expectation under the uniform law.
     """
-    row, q = int_row(f.values)
-    lengths, d = int_lengths(f)
+    _, lengths, d, [(row, q)] = int_grid([f])
     if spec.exact_value(f.values[0]) is not None:
         # Phi is evaluated once per distinct value, on the length it covers
         mass: dict[int, int] = {}

@@ -35,9 +35,7 @@ from .errors import (
 from .moments import BoundedSystem, pattern_measure, subset_integral, symmetric_system
 from .stepfn import (
     StepFunction,
-    common_refinement,
-    int_lengths,
-    int_row,
+    int_grid,
     integral,
     product,
     rademacher,
@@ -79,11 +77,10 @@ def _l2_sq(f: StepFunction) -> Fraction:
 
 def check_orthogonality(functions: Sequence[StepFunction]) -> None:
     """Raise NotOrthogonal on the first nonvanishing pairwise expectation."""
-    refined = common_refinement(functions)
-    if not refined:
+    if not functions:
         return
-    len_ints, _ = int_lengths(refined[0])
-    rows = [int_row(f.values)[0] for f in refined]
+    _, len_ints, _, grid_rows = int_grid(functions)
+    rows = [row for row, _ in grid_rows]
     for i in range(len(rows)):
         weighted = list(map(operator.mul, len_ints, rows[i]))
         for j in range(i + 1, len(rows)):
@@ -142,11 +139,9 @@ def parseval_select(
         raise OutOfRange("need at least one target")
     if not assume_orthogonal:
         check_orthogonality(candidates)
-    refined = common_refinement(list(candidates) + list(targets))
-    T = refined[0].domain_length
-    len_ints, len_den = int_lengths(refined[0])
-    cand_rows = [int_row(f.values) for f in refined[: len(candidates)]]
-    targ_rows = [int_row(f.values) for f in refined[len(candidates):]]
+    bps, len_ints, len_den, rows = int_grid(list(candidates) + list(targets))
+    T = bps[-1]
+    cand_rows, targ_rows = rows[: len(candidates)], rows[len(candidates):]
     for i, (cv, cd) in enumerate(cand_rows, start=1):
         norm_num = sum(map(operator.mul, map(operator.mul, len_ints, cv), cv))
         if Fraction(norm_num, len_den * cd * cd) > T:

@@ -280,6 +280,17 @@ def test_out_writes_the_report_to_a_file(capsys, tmp_path):
     assert report["mu"] == "0"
 
 
+@pytest.mark.parametrize("option", ["--out", "--csv"])
+def test_unwritable_report_path_exits_two(capsys, tmp_path, option):
+    path = tmp_path / "missing" / "report"
+    code = main(["analyze", "--system", "rademacher:2", option, str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {path}:")
+    assert len(captured.err.splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [

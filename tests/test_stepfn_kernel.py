@@ -12,7 +12,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from multsys import (
     ConvexSpec,
@@ -28,7 +28,7 @@ from multsys import (
     product,
 )
 from multsys.errors import CapacityExceeded, LengthMismatch, NonAscendingBreakpoints
-from multsys.stepfn import int_lengths, int_row, value_range
+from multsys.stepfn import int_grid, value_range
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -211,18 +211,25 @@ def test_convex_expectation_matches_the_reference(f, spec):
     assert got == want
 
 
+SHARED_GRID = (F(0), F(1, 3), F(1, 2), F(1))
+
+
 @PROPERTY
 @given(systems())
+@example([StepFunction(SHARED_GRID, (F(1), F(-2, 3), F(3, 10))),
+          StepFunction(SHARED_GRID, (F(1, 2), F(0), F(-7)))])
+@example([StepFunction((F(0), F(2, 7), F(3, 7)), (F(-1), F(3, 10)))])
 def test_integer_rows_give_the_fraction_dot_products(fs):
-    refined = common_refinement(fs)
-    lengths = refined[0].piece_lengths()
-    len_ints, len_den = int_lengths(refined[0])
+    bps, len_ints, len_den, rows = int_grid(fs)
+    refined = reference_refinement(fs)
+    assert bps == refined[0][0]
+    inputs = [b for f in fs for b in f.breakpoints]
+    assert all(any(b is c for c in inputs) for b in bps)
+    if all(f.breakpoints is fs[0].breakpoints for f in fs):
+        assert bps is fs[0].breakpoints
+    lengths = [b - a for a, b in zip(bps, bps[1:])]
     assert (len_ints, len_den) == reference_scale_row(lengths)
-    rows = []
-    for g in refined:
-        row, den = int_row(g.values)
-        assert (row, den) == reference_scale_row(g.values)
-        rows.append((row, den))
+    assert rows == [reference_scale_row(vals) for _, vals in refined]
     for i, (a, da) in enumerate(rows):
         for b, db in rows[i:]:
             got = F(sum(ln * x * y for ln, x, y in zip(len_ints, a, b)), len_den * da * db)
