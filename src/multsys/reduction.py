@@ -20,6 +20,8 @@ convex functional, which verify_domination checks numerically or exactly.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product as iter_product
@@ -69,17 +71,15 @@ def walsh_cancellation_system(nu: int, length: Rational = 1) -> list[StepFunctio
         raise BadArity(f"need at least two functions, got {nu}")
     pieces = 1 << (nu - 1)
     _guard_pieces(pieces)
-    bps = uniform_grid(pieces, length)
-    rows: list[list[int]] = []
+    grid, den = uniform_grid(pieces, length)
+    rows: list[tuple[int, ...]] = []
     for k in range(1, nu):
-        rows.append([1 if (i >> (nu - 1 - k)) & 1 == 0 else -1 for i in range(pieces)])
-    last = [1] * pieces
+        rows.append(tuple(1 if (i >> (nu - 1 - k)) & 1 == 0 else -1 for i in range(pieces)))
+    last = (1,) * pieces
     for row in rows:
-        last = [a * b for a, b in zip(last, row)]
+        last = tuple(map(operator.mul, last, row))
     rows.append(last)
-    return [
-        StepFunction(bps, tuple(Fraction(v) for v in row)) for row in rows
-    ]
+    return [StepFunction._from_ints(grid, den, row, 1) for row in rows]
 
 
 def flip_cancellation_system(nu: int, length: Rational = 1) -> list[StepFunction]:
@@ -113,9 +113,8 @@ def flip_cancellation_system(nu: int, length: Rational = 1) -> list[StepFunction
                 new = [v for v in row for _ in (0, 1)]
             doubled.append(new)
         rows = doubled
-    pieces = len(rows[0])
-    bps = uniform_grid(pieces, length)
-    return [StepFunction(bps, tuple(Fraction(v) for v in row)) for row in rows]
+    grid, den = uniform_grid(len(rows[0]), length)
+    return [StepFunction._from_ints(grid, den, tuple(row), 1) for row in rows]
 
 
 # ------------------------------------------------------------------ extension
@@ -131,7 +130,11 @@ def extend_system(sys: BoundedSystem, fam: IndexFamily) -> BoundedSystem:
     the longer domain [0, T * (1 + mu)).  Zero moments get no block, so a
     multiplicative input comes back unchanged.
     """
-    table = compute_moment_table(sys, fam)
+    return _extend(sys, compute_moment_table(sys, fam))
+
+
+def _extend(sys: BoundedSystem, table: MomentTable) -> BoundedSystem:
+    """extend_system given the moment table of sys over the family."""
     T = sys.domain_length
     caps = sys.capacities()
     blocks = [
@@ -183,27 +186,30 @@ def binarize(sys: BoundedSystem, k: int | None = None) -> BoundedSystem:
     for idx in indices:
         lo = sys.lower_bounds[idx - 1]
         hi = sys.upper_bounds[idx - 1]
-        grid, lengths, d, rows = int_grid(functions)
+        _, lengths, d, rows = int_grid(functions)
         row, q = rows[idx - 1]
         # with a / d and b / d the ends of a piece and v == n / q its value,
-        # c == num / (q * d * width) where width / (h2 * l2) == B_k - A_k
+        # c == num / (q * d * width) where width / (h2 * l2) == B_k - A_k;
+        # every output breakpoint is an int over that one denominator
         h1, h2, l1, l2 = hi.numerator, hi.denominator, lo.numerator, lo.denominator
         width = h1 * l2 - l1 * h2
-        den = q * d * width
-        bps: list[Fraction] = [Fraction(0)]
-        vals: list[Fraction] = []
+        vq = math.lcm(h2, l2)
+        hi_num, lo_num = h1 * (vq // h2), l1 * (vq // l2)
+        grid: list[int] = [0]
+        vals: list[int] = []
         b = 0
-        for n, ln, right in zip(row, lengths, grid[1:]):
+        for n, ln in zip(row, lengths):
             a, b = b, b + ln
             num = h1 * l2 * q * a - l1 * h2 * q * b + n * h2 * l2 * ln
             low, high = a * q * width, b * q * width
             if low < num < high:
-                bps += [Fraction(num, den), right]
-                vals += [hi, lo]
+                grid += [num, high]
+                vals += [hi_num, lo_num]
             else:
-                bps.append(right)
-                vals.append(hi if num > low else lo)
-        functions[idx - 1] = normalize(StepFunction(tuple(bps), tuple(vals)))
+                grid.append(high)
+                vals.append(hi_num if num > low else lo_num)
+        binary = StepFunction._from_ints(tuple(grid), q * d * width, tuple(vals), vq)
+        functions[idx - 1] = normalize(binary)
     return BoundedSystem(tuple(functions), sys.lower_bounds, sys.upper_bounds)
 
 
@@ -298,7 +304,7 @@ def reduce_to_independent(sys: BoundedSystem, fam: IndexFamily) -> ReductionTrac
     """Run extend, binarize, dilate; return all stages with moment tables."""
     input_table = compute_moment_table(sys, fam)
     mu = input_table.mu()
-    extended = extend_system(sys, fam)
+    extended = _extend(sys, input_table)
     binarized = binarize(extended)
     factor = 1 + mu
     xi = BoundedSystem(

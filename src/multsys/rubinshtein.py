@@ -46,9 +46,9 @@ def reflect(f: StepFunction) -> StepFunction:
     right-open moves values at finitely many points only, which no
     integral can see.
     """
-    T = f.domain_length
-    bps = tuple(T - b for b in reversed(f.breakpoints))
-    return StepFunction(bps, tuple(reversed(f.values)))
+    grid = f._grid
+    mirrored = tuple(grid[-1] - n for n in reversed(grid))
+    return StepFunction._from_ints(mirrored, f._den, f._row[::-1], f._q)
 
 
 @dataclass(frozen=True)

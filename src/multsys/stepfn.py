@@ -1,17 +1,20 @@
 """Exact arithmetic for step functions on half-open intervals [0, T).
 
-A step function is stored as strictly ascending rational breakpoints
-0 = b_0 < b_1 < ... < b_P = T together with one rational value per piece
-[b_i, b_{i+1}).  The fields are fractions.Fraction tuples, and every
-result is exact and reproducible byte for byte.
+A step function has strictly ascending rational breakpoints
+0 = b_0 < b_1 < ... < b_P = T and one rational value per piece
+[b_i, b_{i+1}).  It stores them as ints: the breakpoints as numerators
+over one lowest-terms denominator (b_i == grid[i] / den) and the values
+as numerators over another (v_i == row[i] / q).  That form is canonical,
+so equality and hashing compare the ints, and every result is exact and
+reproducible byte for byte.
 
-The arithmetic itself runs on an exact integer grid: breakpoints meet on
-one shared denominator D (b == n / D) and each row of values on its own
-denominator, so validation, refinement, products, linear combinations,
-integrals, level-set measures and convex expectations are loops over
-Python ints.  Fraction is the API and JSON boundary: a Fraction is built
-at most once per distinct output value, and none at all where an input
-Fraction object already is the answer.
+Validation, refinement, products, linear combinations, dilation,
+concatenation, integrals, level-set measures and convex expectations are
+loops over those Python ints, and each operation builds its result's
+ints directly.  Fraction is the API and JSON boundary: the breakpoints
+and values fields are Fraction tuples built on first access, with one
+Fraction per distinct numerator, and a public constructor takes
+rationals.
 
 Floats enter only through convex integrands that have no rational value
 (fractional powers, exponentials); those paths are documented on
@@ -26,6 +29,7 @@ import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from typing import Sequence
 
@@ -101,6 +105,14 @@ def int_row(xs: Sequence[Rational]) -> tuple[list[int], int]:
     return [x.numerator * (den // d) for x, d in zip(xs, dens)], den
 
 
+def _lowest(nums: tuple[int, ...], den: int) -> tuple[tuple[int, ...], int]:
+    """nums / den with the common factor of all numerators and den removed."""
+    g = math.gcd(den, *nums)
+    if g == 1:
+        return nums, den
+    return tuple(n // g for n in nums), den // g
+
+
 def _fractions(nums: Sequence[int], den: int) -> tuple[Fraction, ...]:
     """nums / den elementwise, one Fraction object per distinct numerator."""
     made = {n: Fraction(n, den) for n in set(nums)}
@@ -115,35 +127,37 @@ def _spread(row: Sequence, at: Sequence[int]) -> list:
     return out
 
 
-def uniform_grid(pieces: int, length: Rational = 1) -> tuple[Fraction, ...]:
-    """Breakpoints i * length / pieces for i = 0..pieces, one Fraction each."""
+def uniform_grid(pieces: int, length: Rational = 1) -> tuple[tuple[int, ...], int]:
+    """Breakpoints i * length / pieces for i = 0..pieces, as (grid, den) in
+    lowest terms, so every function built on it keeps this very tuple."""
     length = as_fraction(length)
     num, den = length.numerator, length.denominator * pieces
-    return tuple(Fraction(i * num, den) for i in range(pieces + 1))
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    return tuple(map(num.__mul__, range(pieces + 1))), den
 
 
-# The last breakpoint tuple that passed validation.  The strong reference
-# keeps its id from being reused, and a tuple of rationals cannot change,
-# so the same object passes again without a second walk.  Lists and
-# other mutable sequences are walked every time.
+# The last int grid that passed validation.  The strong reference keeps
+# its id from being reused, and a tuple of ints cannot change, so the
+# same object passes again without a second walk.
 _valid_grid: tuple | None = None
 
 
-def _check_breakpoints(bps: Sequence[Rational]) -> None:
+def _check_breakpoints(grid: tuple[int, ...], den: int) -> None:
     global _valid_grid
-    if bps is _valid_grid:
+    if grid is _valid_grid:
         return
-    if bps[0] != 0:
+    if grid[0] != 0:
         raise NonAscendingBreakpoints("breakpoints must start at 0")
-    grid, _ = int_row(bps)
     if not all(map(operator.lt, grid, grid[1:])):
         i = next(i for i in range(1, len(grid)) if not grid[i] > grid[i - 1])
-        raise NonAscendingBreakpoints(f"breakpoints not strictly ascending at {bps[i]}")
-    if type(bps) is tuple:
-        _valid_grid = bps
+        raise NonAscendingBreakpoints(
+            f"breakpoints not strictly ascending at {Fraction(grid[i], den)}"
+        )
+    _valid_grid = grid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class StepFunction:
     """Piecewise-constant function on [0, breakpoints[-1]).
 
@@ -151,31 +165,68 @@ class StepFunction:
     values: one Fraction per piece, len(values) == len(breakpoints) - 1.
     Adjacent pieces may carry equal values; merging them is the explicit
     normalize() operation, never a side effect.
+
+    Both are stored as ints over a lowest-terms denominator each (see the
+    module docstring); the Fraction tuples are built on first access.
     """
 
-    breakpoints: tuple[Fraction, ...]
-    values: tuple[Fraction, ...]
+    _grid: tuple[int, ...]
+    _den: int
+    _row: tuple[int, ...]
+    _q: int
+
+    def __init__(self, breakpoints: Sequence[Rational], values: Sequence[Rational]) -> None:
+        grid, den = int_row(breakpoints)
+        row, q = int_row(values)
+        self._set(tuple(grid), den, tuple(row), q)
+
+    @classmethod
+    def _from_ints(
+        cls, grid: tuple[int, ...], den: int, row: tuple[int, ...], q: int
+    ) -> "StepFunction":
+        """The function with breakpoints grid[i] / den and values row[i] / q."""
+        self = object.__new__(cls)
+        self._set(grid, den, row, q)
+        return self
+
+    def _set(self, grid: tuple[int, ...], den: int, row: tuple[int, ...], q: int) -> None:
+        """Store both rows in lowest terms, the canonical form, and validate."""
+        grid, den = _lowest(grid, den)
+        row, q = _lowest(row, q)
+        vars(self).update(_grid=grid, _den=den, _row=row, _q=q)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        if len(self.breakpoints) != len(self.values) + 1:
+        if len(self._grid) != len(self._row) + 1:
             raise LengthMismatch(
-                f"{len(self.breakpoints)} breakpoints need "
-                f"{len(self.breakpoints) - 1} values, got {len(self.values)}"
+                f"{len(self._grid)} breakpoints need "
+                f"{len(self._grid) - 1} values, got {len(self._row)}"
             )
-        if len(self.values) == 0:
+        if len(self._row) == 0:
             raise EmptyDomain("a step function needs at least one piece")
-        _check_breakpoints(self.breakpoints)
-        _guard_pieces(len(self.values))
+        _check_breakpoints(self._grid, self._den)
+        _guard_pieces(len(self._row))
+
+    @cached_property
+    def breakpoints(self) -> tuple[Fraction, ...]:
+        return _fractions(self._grid, self._den)
+
+    @cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        return _fractions(self._row, self._q)
+
+    def __repr__(self) -> str:
+        return f"StepFunction(breakpoints={self.breakpoints!r}, values={self.values!r})"
 
     # -- geometry -------------------------------------------------
 
     @property
     def domain_length(self) -> Fraction:
-        return self.breakpoints[-1]
+        return Fraction(self._grid[-1], self._den)
 
     @property
     def piece_count(self) -> int:
-        return len(self.values)
+        return len(self._row)
 
     def piece_lengths(self) -> tuple[Fraction, ...]:
         _, lengths, den, _ = int_grid([self])
@@ -211,7 +262,10 @@ def constant(value: Rational, length: Rational = 1) -> StepFunction:
     length = as_fraction(length)
     if length <= 0:
         raise EmptyDomain("constant function needs positive length")
-    return StepFunction((Fraction(0), length), (as_fraction(value),))
+    value = as_fraction(value)
+    return StepFunction._from_ints(
+        (0, length.numerator), length.denominator, (value.numerator,), value.denominator
+    )
 
 
 def rademacher(k: int, length: Rational = 1) -> StepFunction:
@@ -220,66 +274,64 @@ def rademacher(k: int, length: Rational = 1) -> StepFunction:
         raise OutOfRange("rademacher index must be >= 1")
     pieces = 1 << k
     _guard_pieces(pieces)
-    return StepFunction(uniform_grid(pieces, length), (Fraction(1), Fraction(-1)) * (pieces // 2))
+    grid, den = uniform_grid(pieces, length)
+    return StepFunction._from_ints(grid, den, (1, -1) * (pieces // 2), 1)
 
 
 # ------------------------------------------------------------------ refinement
 
-def _check_same_domain(fs: Sequence[StepFunction]) -> Fraction:
-    T = fs[0].domain_length
+def _check_same_domain(fs: Sequence[StepFunction]) -> None:
+    first = fs[0]
+    end, den = first._grid[-1], first._den
     for f in fs[1:]:
-        if f.domain_length != T:
+        if f._grid[-1] * den != end * f._den:
             raise DomainMismatch(
-                f"domain lengths differ: {T} vs {f.domain_length}"
+                f"domain lengths differ: {first.domain_length} vs {f.domain_length}"
             )
-    return T
 
 
-def _align(fs: Sequence[StepFunction]) -> tuple[tuple[Fraction, ...], list[Sequence[int]]]:
-    """The union of the breakpoints of fs, and for every function the index
-    in that union of each of its own breakpoints.
-
-    The grids meet as ints on one shared denominator; the merged tuple
-    reuses the input Fraction objects.
+def _align(fs: Sequence[StepFunction]) -> tuple[tuple[int, ...], int, list[Sequence[int]]]:
+    """The union of the breakpoints of fs as ints over one denominator, that
+    denominator, and for every function the index in the union of each of
+    its own breakpoints.  Functions sharing one grid get that grid back.
     """
-    _check_same_domain(fs)
-    first = fs[0].breakpoints
-    if all(f.breakpoints is first for f in fs):
+    first, den = fs[0]._grid, fs[0]._den
+    if all(f._grid is first and f._den == den for f in fs):
         _guard_pieces(len(first) - 1)
-        return first, [range(len(first))] * len(fs)
-    grids = {id(f.breakpoints): f.breakpoints for f in fs}
-    den = math.lcm(*(b.denominator for g in grids.values() for b in g))
-    ints = {
-        key: [b.numerator * (den // b.denominator) for b in g] for key, g in grids.items()
-    }
+        return first, den, [range(len(first))] * len(fs)
+    _check_same_domain(fs)
+    den = math.lcm(*{f._den for f in fs})
+    ints: dict[tuple[int, int], Sequence[int]] = {}
+    for f in fs:
+        key = (id(f._grid), f._den)
+        if key not in ints:
+            m = den // f._den
+            ints[key] = f._grid if m == 1 else [n * m for n in f._grid]
     merged = sorted(set().union(*ints.values()))
     _guard_pieces(len(merged) - 1)
-    owner: dict[int, Fraction] = {}
-    for key, g in grids.items():
-        owner.update(zip(ints[key], g))
-    bps = tuple(map(owner.__getitem__, merged))
-    at = {key: [bisect_left(merged, n) for n in row] for key, row in ints.items()}
-    return bps, [at[id(f.breakpoints)] for f in fs]
+    index = {n: i for i, n in enumerate(merged)}.__getitem__
+    at = {key: list(map(index, row)) for key, row in ints.items()}
+    return tuple(merged), den, [at[id(f._grid), f._den] for f in fs]
 
 
 def int_grid(
     fs: Sequence[StepFunction],
-) -> tuple[tuple[Fraction, ...], list[int], int, list[tuple[list[int], int]]]:
+) -> tuple[tuple[int, ...], list[int], int, list[tuple[Sequence[int], int]]]:
     """The functions of fs on their merged grid, as ints.
 
-    Returns (breakpoints, lengths, den, rows): the union of the
-    breakpoints (the input Fraction objects), the merged piece lengths
-    as ints over den, and per function (row, q) with its values on the
-    merged pieces as ints over q.  No refined StepFunction is built.
+    Returns (grid, lengths, den, rows): the union of the breakpoints and
+    the merged piece lengths, both as ints over den, and per function
+    (row, q) with its values on the merged pieces as ints over q.  A grid
+    shared by every function comes back as that very tuple.  No refined
+    StepFunction is built.
     """
-    bps, where = _align(fs)
-    grid, den = int_row(bps)
+    grid, den, where = _align(fs)
     lengths = list(map(operator.sub, grid[1:], grid))
-    rows = []
-    for f, at in zip(fs, where):
-        row, q = int_row(f.values)
-        rows.append((row if len(at) == len(bps) else _spread(row, at), q))
-    return bps, lengths, den, rows
+    rows = [
+        (f._row if len(at) == len(grid) else _spread(f._row, at), f._q)
+        for f, at in zip(fs, where)
+    ]
+    return grid, lengths, den, rows
 
 
 def common_refinement(fs: Sequence[StepFunction]) -> list[StepFunction]:
@@ -291,9 +343,10 @@ def common_refinement(fs: Sequence[StepFunction]) -> list[StepFunction]:
     """
     if not fs:
         return []
-    bps, where = _align(fs)
+    grid, den, where = _align(fs)
     return [
-        f if len(at) == len(bps) else StepFunction(bps, tuple(_spread(f.values, at)))
+        f if len(at) == len(grid)
+        else StepFunction._from_ints(grid, den, tuple(_spread(f._row, at)), f._q)
         for f, at in zip(fs, where)
     ]
 
@@ -302,12 +355,12 @@ def product(fs: Sequence[StepFunction]) -> StepFunction:
     """Pointwise product; exact."""
     if not fs:
         raise LengthMismatch("product of an empty list is undefined")
-    bps, _, _, rows = int_grid(fs)
-    nums, den = rows[0]
-    for row, q in rows[1:]:
+    grid, _, den, rows = int_grid(fs)
+    nums, q = rows[0]
+    for row, d in rows[1:]:
         nums = list(map(operator.mul, nums, row))
-        den *= q
-    return StepFunction(bps, _fractions(nums, den))
+        q *= d
+    return StepFunction._from_ints(grid, den, tuple(nums), q)
 
 
 def linear_combination(
@@ -324,26 +377,27 @@ def linear_combination(
     if not fs:
         raise LengthMismatch("linear combination of an empty list is undefined")
     cs = [as_fraction(c) for c in coeffs]
-    bps, where = _align(fs)
-    rows = [int_row(f.values) for f in fs]
-    den = math.lcm(*(c.denominator * d for c, (_, d) in zip(cs, rows)))
-    jumps = [0] * (len(bps) - 1)
-    for c, (row, d), at in zip(cs, rows, where):
+    grid, den, where = _align(fs)
+    q = math.lcm(*(c.denominator * f._q for c, f in zip(cs, fs)))
+    jumps = [0] * (len(grid) - 1)
+    for c, f, at in zip(cs, fs, where):
         if not c:
             continue
-        factor = c.numerator * (den // (c.denominator * d))
+        factor = c.numerator * (q // (c.denominator * f._q))
         prev = 0
-        for v, start in zip(row, at):
+        for v, start in zip(f._row, at):
             v *= factor
             jumps[start] += v - prev
             prev = v
-    del rows  # the input rows go before the output values are built
-    return StepFunction(bps, _fractions(list(accumulate(jumps)), den))
+    return StepFunction._from_ints(grid, den, tuple(accumulate(jumps)), q)
 
 
 def scale(f: StepFunction, c: Rational) -> StepFunction:
     c = as_fraction(c)
-    return StepFunction(f.breakpoints, tuple(c * v for v in f.values))
+    num = c.numerator
+    return StepFunction._from_ints(
+        f._grid, f._den, tuple(n * num for n in f._row), f._q * c.denominator
+    )
 
 
 # ------------------------------------------------------------------ calculus
@@ -363,16 +417,23 @@ def evaluate(f: StepFunction, x: Rational) -> Fraction:
     x = as_fraction(x)
     if x < 0 or x >= f.domain_length:
         raise OutOfDomain(f"{x} outside [0, {f.domain_length})")
-    i = bisect_right(f.breakpoints, x) - 1
-    return f.values[i]
+    # grid[i] <= x * den exactly when grid[i] <= floor(x * den)
+    i = bisect_right(f._grid, x.numerator * f._den // x.denominator) - 1
+    return Fraction(f._row[i], f._q)
 
 
 def dilate(f: StepFunction, factor: Rational) -> StepFunction:
-    """Time rescale: result g on [0, T/factor) with g(x) = f(factor * x)."""
+    """Time rescale: result g on [0, T/factor) with g(x) = f(factor * x).
+
+    Only the breakpoint denominator changes (and the numerators, by the
+    denominator of the factor); the value row is shared.
+    """
     factor = as_fraction(factor)
     if factor <= 0:
         raise NonPositiveFactor(f"dilation factor must be positive, got {factor}")
-    return StepFunction(tuple(b / factor for b in f.breakpoints), f.values)
+    r = factor.denominator
+    grid = f._grid if r == 1 else tuple(n * r for n in f._grid)
+    return StepFunction._from_ints(grid, f._den * factor.numerator, f._row, f._q)
 
 
 def concat(f: StepFunction | None, g: StepFunction | None) -> StepFunction:
@@ -395,19 +456,24 @@ def concat_many(fs: Sequence[StepFunction]) -> StepFunction:
     fs = [f for f in fs if f is not None]
     if not fs:
         raise EmptyDomain("concat of an empty list")
-    bps: list[Fraction] = [Fraction(0)]
-    vals: list[Fraction] = []
-    offset = Fraction(0)
+    den = math.lcm(*{f._den for f in fs})
+    q = math.lcm(*{f._q for f in fs})
+    grid = [0]
+    row: list[int] = []
     for f in fs:
-        bps.extend(b + offset for b in f.breakpoints[1:])
-        vals.extend(f.values)
-        offset += f.domain_length
-    _guard_pieces(len(vals))
-    return StepFunction(tuple(bps), tuple(vals))
+        m, offset = den // f._den, grid[-1]
+        grid.extend(n * m + offset for n in f._grid[1:])
+        s = q // f._q
+        row.extend(f._row if s == 1 else [v * s for v in f._row])
+    _guard_pieces(len(row))
+    return StepFunction._from_ints(tuple(grid), den, tuple(row), q)
 
 
 def tile(f: StepFunction, copies: int) -> StepFunction:
-    """copies shrunk repetitions side by side; used for dyadic dilates mod 1."""
+    """copies unshrunk copies of f side by side, on [0, copies * T).
+
+    A dyadic dilate mod 1 is tile(dilate(f, 2**k), 2**k).
+    """
     if copies < 1:
         raise OutOfRange("tile needs at least one copy")
     return concat_many([f] * copies)
@@ -420,25 +486,32 @@ def restrict(f: StepFunction, t: Rational) -> StepFunction:
         raise OutOfDomain(f"restriction endpoint {t} outside (0, {f.domain_length}]")
     if t == f.domain_length:
         return f
-    i = bisect_right(f.breakpoints, t) - 1
-    bps = f.breakpoints[: i + 1] + (t,)
-    return StepFunction(bps, f.values[: i + 1])
+    den = math.lcm(f._den, t.denominator)
+    m = den // f._den
+    cut = t.numerator * (den // t.denominator)
+    grid = [n * m for n in f._grid]
+    i = bisect_left(grid, cut)  # the pieces before t are 0 .. i - 1
+    return StepFunction._from_ints(tuple(grid[:i]) + (cut,), den, f._row[:i], f._q)
 
 
 def normalize(f: StepFunction) -> StepFunction:
-    """Merge adjacent pieces with equal values.  The only coalescing operation."""
-    row, _ = int_row(f.values)
-    bps = [f.breakpoints[0]]
-    vals: list[Fraction] = []
+    """Merge adjacent pieces with equal values.  The only coalescing operation.
+
+    A function with no equal neighbours comes back as itself.
+    """
+    grid = [0]
+    row: list[int] = []
     last = None
-    for v, n, right in zip(f.values, row, f.breakpoints[1:]):
+    for n, right in zip(f._row, f._grid[1:]):
         if n == last:
-            bps[-1] = right
+            grid[-1] = right
         else:
-            vals.append(v)
-            bps.append(right)
+            row.append(n)
+            grid.append(right)
             last = n
-    return StepFunction(tuple(bps), tuple(vals))
+    if len(row) == len(f._row):
+        return f
+    return StepFunction._from_ints(tuple(grid), f._den, tuple(row), f._q)
 
 
 def _measure_where(f: StepFunction, compare, level: Rational) -> Fraction:
@@ -461,8 +534,7 @@ def measure_equal(f: StepFunction, value: Rational) -> Fraction:
 
 def value_range(f: StepFunction) -> tuple[Fraction, Fraction]:
     """Smallest and largest value of f, compared as ints."""
-    row, q = int_row(f.values)
-    return Fraction(min(row), q), Fraction(max(row), q)
+    return Fraction(min(f._row), f._q), Fraction(max(f._row), f._q)
 
 
 # ------------------------------------------------------------------ convex integrands
@@ -549,7 +621,7 @@ def convex_expectation(f: StepFunction, spec: ConvexSpec) -> Fraction | float:
     Divide by domain_length for the expectation under the uniform law.
     """
     _, lengths, d, [(row, q)] = int_grid([f])
-    if spec.exact_value(f.values[0]) is not None:
+    if spec.exact_value(Fraction(row[0], q)) is not None:
         # Phi is evaluated once per distinct value, on the length it covers
         mass: dict[int, int] = {}
         for n, ln in zip(row, lengths):

@@ -99,19 +99,19 @@ def walsh_system(m: int) -> OrthogonalSystem:
     if not 0 <= m <= WALSH_CAP:
         raise TooLarge(f"walsh order must lie in 0..{WALSH_CAP}, got {m}")
     pieces = 1 << m
-    bps = uniform_grid(pieces)
-    plus, minus = Fraction(1), Fraction(-1)
-    reversed_bits = [
-        sum(((i >> b) & 1) << (m - 1 - b) for b in range(m)) for i in range(pieces)
-    ]
-    functions = []
-    for j in range(pieces):
-        vals = tuple(
-            minus if (j & r).bit_count() & 1 else plus for r in reversed_bits
-        )
-        functions.append(StepFunction(bps, vals))
+    grid, den = uniform_grid(pieces)
+    # function 2**b + 1 is the sign function on blocks of 2**(m - 1 - b)
+    # pieces; any other is the product of two with fewer bits
+    rows = [(1,) * pieces]
+    for j in range(1, pieces):
+        low = j & -j
+        if low == j:
+            block = pieces // (2 * j)
+            rows.append(((1,) * block + (-1,) * block) * j)
+        else:
+            rows.append(tuple(map(operator.mul, rows[j ^ low], rows[low])))
     return OrthogonalSystem(
-        functions=tuple(functions),
+        functions=tuple(StepFunction._from_ints(grid, den, row, 1) for row in rows),
         sup_bound=Fraction(1),
         certified_orthogonal=True,
     )
@@ -139,8 +139,8 @@ def parseval_select(
         raise OutOfRange("need at least one target")
     if not assume_orthogonal:
         check_orthogonality(candidates)
-    bps, len_ints, len_den, rows = int_grid(list(candidates) + list(targets))
-    T = bps[-1]
+    _, len_ints, len_den, rows = int_grid(list(candidates) + list(targets))
+    T = candidates[0].domain_length
     cand_rows, targ_rows = rows[: len(candidates)], rows[len(candidates):]
     for i, (cv, cd) in enumerate(cand_rows, start=1):
         norm_num = sum(map(operator.mul, map(operator.mul, len_ints, cv), cv))

@@ -27,7 +27,13 @@ from multsys import (
     verify_domination,
     walsh_cancellation_system,
 )
-from multsys.errors import BadArity, CapacityExceeded, NonZeroMean, NotTwoValued
+from multsys.errors import (
+    BadArity,
+    CapacityExceeded,
+    NonAscendingBreakpoints,
+    NonZeroMean,
+    NotTwoValued,
+)
 
 FULL = IndexFamily.full()
 
@@ -68,6 +74,17 @@ def test_cancellation_size_guards():
         flip_cancellation_system(1)
     with pytest.raises(CapacityExceeded):
         flip_cancellation_system(5)
+
+
+@pytest.mark.parametrize("length", [0, F(-1, 2)])
+def test_uniform_grids_on_an_empty_or_negative_domain_are_refused(length):
+    for build in (
+        lambda: rademacher(1, length),
+        lambda: walsh_cancellation_system(2, length),
+        lambda: flip_cancellation_system(2, length),
+    ):
+        with pytest.raises(NonAscendingBreakpoints):
+            build()
 
 
 def test_extension_leaves_multiplicative_systems_alone():

@@ -131,6 +131,17 @@ def test_restrict_is_identity_at_full_length():
     assert cut.values == (F(1), F(2))
 
 
+def test_restrict_at_an_interior_breakpoint_keeps_the_pieces_before_it():
+    f = make_step([0, "1/2", 1], [1, 2])
+    cut = restrict(f, "1/2")
+    assert cut.breakpoints == (F(0), F(1, 2))
+    assert cut.values == (F(1),)
+    g = make_step([0, "1/3", "2/3", 1], [1, 2, 3])
+    assert restrict(g, "2/3") == make_step([0, "1/3", "2/3"], [1, 2])
+    with pytest.raises(OutOfDomain):
+        restrict(f, 0)
+
+
 def test_normalize_is_the_only_coalescing_step():
     f = make_step([0, "1/4", "1/2", 1], [1, 1, 2])
     assert f.piece_count == 3

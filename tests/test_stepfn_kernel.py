@@ -3,22 +3,31 @@
 The reference functions below are the original piece-by-piece Fraction
 code: refinement by a sorted set of breakpoints and a walk, one Fraction
 multiply-add per refined piece for products and linear combinations,
-Fraction subtractions for piece lengths, and the denominator-clearing
-row scaling selection used for its dot products.  Every comparison is
-exact equality, floats included: the float path sums in the same order.
+Fraction subtractions for piece lengths, the denominator-clearing row
+scaling selection used for its dot products, and the Fraction loops that
+dilated, scaled, concatenated, normalized and binarized before step
+functions stored ints.  Every comparison is exact equality, floats
+included: the float path sums in the same order.
 """
 
+import copy
+import dataclasses
 import math
+import pickle
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from multsys import (
+    BoundedSystem,
     ConvexSpec,
     StepFunction,
+    binarize,
     common_refinement,
+    concat_many,
     convex_expectation,
+    dilate,
     evaluate,
     integral,
     linear_combination,
@@ -26,8 +35,15 @@ from multsys import (
     measure_equal,
     normalize,
     product,
+    scale,
+    tile,
 )
-from multsys.errors import CapacityExceeded, LengthMismatch, NonAscendingBreakpoints
+from multsys.errors import (
+    CapacityExceeded,
+    EmptyDomain,
+    LengthMismatch,
+    NonAscendingBreakpoints,
+)
 from multsys.stepfn import int_grid, value_range
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -112,6 +128,54 @@ def reference_scale_row(row):
     return [int(v * den) for v in row], den
 
 
+def reference_dilate(f, factor):
+    return tuple(b / factor for b in f.breakpoints), f.values
+
+
+def reference_scale(f, c):
+    return f.breakpoints, tuple(c * v for v in f.values)
+
+
+def reference_concat(fs):
+    bps, vals, offset = [F(0)], [], F(0)
+    for f in fs:
+        bps.extend(b + offset for b in f.breakpoints[1:])
+        vals.extend(f.values)
+        offset += f.domain_length
+    return tuple(bps), tuple(vals)
+
+
+def reference_normalize(bps, vals):
+    out_bps, out_vals = [bps[0]], []
+    for v, right in zip(vals, bps[1:]):
+        if out_vals and v == out_vals[-1]:
+            out_bps[-1] = right
+        else:
+            out_vals.append(v)
+            out_bps.append(right)
+    return tuple(out_bps), tuple(out_vals)
+
+
+def reference_binarize(functions, lows, highs):
+    """Each function in turn pushed to {A, B} on every constancy interval of
+    the current system, by the integral-preserving split point c."""
+    current = [(f.breakpoints, f.values) for f in functions]
+    for k, (lo, hi) in enumerate(zip(lows, highs)):
+        refined = reference_refinement([StepFunction(*fv) for fv in current])
+        grid, row = refined[k]
+        bps, vals = [F(0)], []
+        for v, a, b in zip(row, grid, grid[1:]):
+            c = (hi * a - lo * b + v * (b - a)) / (hi - lo)
+            if a < c < b:
+                bps += [c, b]
+                vals += [hi, lo]
+            else:
+                bps.append(b)
+                vals.append(hi if c > a else lo)
+        current[k] = reference_normalize(bps, vals)
+    return current
+
+
 # ------------------------------------------------------------------ strategies
 
 GRID_DENOMINATORS = st.sampled_from([1, 2, 3, 7, 10, 12, 64])
@@ -139,13 +203,20 @@ def step_functions(draw, length=None, grid=None):
 @st.composite
 def systems(draw, max_n=5):
     """1..max_n functions on one domain: each on its own grid, or all on one
-    shared breakpoint tuple object."""
+    shared int grid object."""
     length = draw(LENGTHS)
     n = draw(st.integers(1, max_n))
     if draw(st.booleans()):
-        shared = draw(grids(length))
-        return [draw(step_functions(grid=shared)) for _ in range(n)]
+        first = draw(step_functions(length=length))
+        rows = [draw(step_functions(grid=first.breakpoints)).values for _ in range(n - 1)]
+        return [first] + [on_the_grid_of(first, row) for row in rows]
     return [draw(step_functions(length=length)) for _ in range(n)]
+
+
+def on_the_grid_of(f, values):
+    """A function with these values that keeps f's int grid object."""
+    row, q = reference_scale_row(values)
+    return StepFunction._from_ints(f._grid, f._den, tuple(row), q)
 
 
 SPECS = [
@@ -211,25 +282,25 @@ def test_convex_expectation_matches_the_reference(f, spec):
     assert got == want
 
 
-SHARED_GRID = (F(0), F(1, 3), F(1, 2), F(1))
+ON_SHARED_GRID = StepFunction((F(0), F(1, 3), F(1, 2), F(1)), (F(1), F(-2, 3), F(3, 10)))
 
 
 @PROPERTY
 @given(systems())
-@example([StepFunction(SHARED_GRID, (F(1), F(-2, 3), F(3, 10))),
-          StepFunction(SHARED_GRID, (F(1, 2), F(0), F(-7)))])
+@example([ON_SHARED_GRID, on_the_grid_of(ON_SHARED_GRID, (F(1, 2), F(0), F(-7)))])
 @example([StepFunction((F(0), F(2, 7), F(3, 7)), (F(-1), F(3, 10)))])
 def test_integer_rows_give_the_fraction_dot_products(fs):
-    bps, len_ints, len_den, rows = int_grid(fs)
+    grid, len_ints, len_den, rows = int_grid(fs)
     refined = reference_refinement(fs)
-    assert bps == refined[0][0]
-    inputs = [b for f in fs for b in f.breakpoints]
-    assert all(any(b is c for c in inputs) for b in bps)
-    if all(f.breakpoints is fs[0].breakpoints for f in fs):
-        assert bps is fs[0].breakpoints
+    bps = refined[0][0]
+    assert tuple(F(n, len_den) for n in grid) == bps
+    if all(f._grid is fs[0]._grid and f._den == fs[0]._den for f in fs):
+        assert grid is fs[0]._grid
     lengths = [b - a for a, b in zip(bps, bps[1:])]
     assert (len_ints, len_den) == reference_scale_row(lengths)
-    assert rows == [reference_scale_row(vals) for _, vals in refined]
+    assert [(list(row), q) for row, q in rows] == [
+        reference_scale_row(vals) for _, vals in refined
+    ]
     for i, (a, da) in enumerate(rows):
         for b, db in rows[i:]:
             got = F(sum(ln * x * y for ln, x, y in zip(len_ints, a, b)), len_den * da * db)
@@ -295,3 +366,118 @@ def test_list_breakpoints_are_checked_on_every_construction():
         StepFunction(grid, (F(1), F(2)))
     with pytest.raises(NonAscendingBreakpoints, match="start at 0"):
         StepFunction([F(1, 2), F(1)], (F(1),))
+
+
+# ------------------------------------------------------------------ int-built producers == reference
+
+factors = st.builds(F, st.integers(1, 9), st.sampled_from([1, 2, 3, 7]))
+nonzero_coefficients = coefficients.filter(bool)
+
+
+@PROPERTY
+@given(step_functions(), factors)
+def test_dilate_matches_the_reference_and_inverts(f, factor):
+    g = dilate(f, factor)
+    assert fields(g) == reference_dilate(f, factor)
+    back = dilate(g, 1 / factor)
+    assert back == f and hash(back) == hash(f)
+    assert fields(back) == fields(f)
+
+
+@PROPERTY
+@given(step_functions(), coefficients)
+def test_scale_matches_the_reference_and_inverts(f, c):
+    g = scale(f, c)
+    assert fields(g) == reference_scale(f, c)
+    if c:
+        back = scale(g, 1 / c)
+        assert back == f and hash(back) == hash(f)
+
+
+@PROPERTY
+@given(st.lists(step_functions(), min_size=1, max_size=4), st.integers(1, 4))
+def test_concat_and_tile_match_the_reference(fs, copies):
+    assert fields(concat_many(fs)) == reference_concat(fs)
+    assert fields(tile(fs[0], copies)) == reference_concat([fs[0]] * copies)
+
+
+@PROPERTY
+@given(step_functions(), st.data())
+def test_normalize_matches_the_reference(f, data):
+    # runs of equal values, so that merging has something to do
+    runs = data.draw(st.lists(st.sampled_from(f.values[:2]), min_size=f.piece_count,
+                              max_size=f.piece_count))
+    g = StepFunction(f.breakpoints, tuple(runs))
+    assert fields(normalize(g)) == reference_normalize(*fields(g))
+
+
+@PROPERTY
+@given(systems(max_n=4), st.data())
+def test_binarize_matches_the_reference(fs, data):
+    lows = [min(min(f.values), F(0)) - data.draw(st.sampled_from([1, F(1, 3)])) for f in fs]
+    highs = [max(max(f.values), F(0)) + data.draw(st.sampled_from([1, F(1, 2)])) for f in fs]
+    out = binarize(BoundedSystem(tuple(fs), tuple(lows), tuple(highs)))
+    assert [fields(g) for g in out.functions] == reference_binarize(fs, lows, highs)
+
+
+# ------------------------------------------------------------------ the stored ints
+
+def counting_post_init(monkeypatch):
+    calls = []
+    original = StepFunction.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        original(self)
+
+    monkeypatch.setattr(StepFunction, "__post_init__", counted)
+    return calls
+
+
+def test_each_constructor_validates_once_per_object(monkeypatch):
+    calls = counting_post_init(monkeypatch)
+    f = StepFunction((F(0), F(1, 3), F(1)), (F(2), F(-1, 2)))
+    assert calls == [f]
+    g = StepFunction._from_ints((0, 1, 3), 3, (4, -1), 2)
+    assert calls == [f, g]
+    assert g == f
+    h = scale(f, 3)
+    assert calls == [f, g, h]
+
+
+def test_fields_cannot_be_assigned():
+    f = StepFunction((F(0), F(1, 2), F(1)), (F(1), F(-1)))
+    for name in ("breakpoints", "values", "_grid", "_den", "_row", "_q"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(f, name, ())
+    assert f.values == (F(1), F(-1))
+
+
+@PROPERTY
+@given(step_functions())
+def test_copy_and_pickle_round_trip(f):
+    for back in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert back == f and hash(back) == hash(f)
+        assert fields(back) == fields(f)
+        assert back.to_json() == f.to_json()
+
+
+def test_int_built_objects_are_validated(monkeypatch):
+    with pytest.raises(NonAscendingBreakpoints, match="not strictly ascending at 1/4"):
+        StepFunction._from_ints((0, 2, 1, 4), 4, (1, 2, 3), 1)
+    with pytest.raises(NonAscendingBreakpoints, match="start at 0"):
+        StepFunction._from_ints((1, 2), 2, (1,), 1)
+    with pytest.raises(LengthMismatch):
+        StepFunction._from_ints((0, 1, 2), 2, (1,), 1)
+    with pytest.raises(EmptyDomain):
+        StepFunction._from_ints((0,), 1, (), 1)
+    monkeypatch.setenv("MULTSYS_PIECE_CAP", "2")
+    StepFunction._from_ints((0, 1, 2), 2, (1, 2), 1)
+    with pytest.raises(CapacityExceeded):
+        StepFunction._from_ints((0, 1, 2, 3), 3, (1, 2, 3), 1)
+
+
+def test_the_stored_ints_are_in_lowest_terms():
+    f = StepFunction._from_ints((0, 2, 4), 4, (6, -3), 9)
+    assert (f._grid, f._den, f._row, f._q) == ((0, 1, 2), 2, (2, -1), 3)
+    assert f == StepFunction((F(0), F(1, 2), F(1)), (F(2, 3), F(-1, 3)))
