@@ -213,21 +213,23 @@ def pattern_measure(functions: Sequence[StepFunction]) -> PatternHistogram:
     return mass, den, tuple(q for _, q in rows)
 
 
-def subset_integral(hist: PatternHistogram, subset: Subset) -> Fraction:
-    """Integral of prod_{k in subset} phi_k over the domain, read off the histogram."""
+def subset_moment(hist: PatternHistogram, subset: Subset, T: Fraction) -> tuple[int, int]:
+    """E[prod_{k in subset} phi_k] on [0, T), read off the histogram as one
+    int sum: an int numerator and denominator, unreduced, for the caller's
+    one Fraction."""
     mass, den, dens = hist
     total = 0
     for key, length in mass.items():
         for k in subset:
             length *= key[k - 1]
         total += length
-    return Fraction(total, den * math.prod(dens[k - 1] for k in subset))
+    return total * T.denominator, den * math.prod(dens[k - 1] for k in subset) * T.numerator
 
 
 def mixed_moment(sys: BoundedSystem, subset: Sequence[int]) -> Fraction:
     """E[prod_{k in subset} phi_k] under the uniform law on [0, T)."""
     s = _validate_subset(subset, sys.n)
-    return subset_integral(pattern_measure(sys.functions), s) / sys.domain_length
+    return Fraction(*subset_moment(pattern_measure(sys.functions), s, sys.domain_length))
 
 
 @dataclass(frozen=True)
@@ -258,16 +260,23 @@ class MomentTable:
 
 
 def compute_moment_table(sys: BoundedSystem, fam: IndexFamily) -> MomentTable:
-    """All selected mixed moments from one shared value-pattern histogram."""
+    """All selected mixed moments from one shared value-pattern histogram,
+    with one Fraction per reported moment and normalized magnitude."""
     subsets = tuple(enumerate_family(sys.n, fam))
     hist = pattern_measure(sys.functions)
     T = sys.domain_length
     caps = sys.capacities()
-    moments = tuple(subset_integral(hist, s) / T for s in subsets)
-    normalized = tuple(
-        abs(m) / math.prod(caps[i - 1] for i in s) for s, m in zip(subsets, moments)
-    )
-    return MomentTable(subsets, moments, normalized)
+    moments: list[Fraction] = []
+    normalized: list[Fraction] = []
+    for s in subsets:
+        num, scale = subset_moment(hist, s, T)
+        moments.append(Fraction(num, scale))
+        # capacities are positive, so only the sum carries a sign
+        normalized.append(Fraction(
+            abs(num) * math.prod(caps[i - 1].denominator for i in s),
+            scale * math.prod(caps[i - 1].numerator for i in s),
+        ))
+    return MomentTable(subsets, tuple(moments), tuple(normalized))
 
 
 def multiplicative_error(

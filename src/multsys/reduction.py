@@ -231,25 +231,30 @@ def check_independence(sys: BoundedSystem, fam: IndexFamily) -> IndependenceRepo
     Requires every function to be {A_k, B_k}-valued with zero mean; then
     the marginal law is pinned (P{phi_k == A_k} = B_k / (B_k - A_k)) and
     the check compares each joint pattern measure with the product of
-    marginals, all in exact arithmetic.  Marginals and joint laws are sums
-    over the system's value-pattern histogram.
+    marginals, in ints on the system's value-pattern histogram.  With
+    M = T * den the total mass and L_k the mass where phi_k == A_k, both
+    ints over the histogram's denominator, a pattern over S of joint mass
+    J factors exactly when J * M**(|S| - 1) is the product over k in S of
+    L_k (phi_k low) or M - L_k (phi_k high).  Fractions are built only
+    for the reported marginals L_k / M and for failures.
     """
     T = sys.domain_length
     mass, den, dens = pattern_measure(sys.functions)
+    M = T.numerator * den // T.denominator  # T ends the merged grid, so T * den is an int
     # function k is low where its int value is lows[k], that is A_k * dens[k]
     lows: list[int] = []
-    marginals: list[Fraction] = []
+    low_mass: list[int] = []
     for k, (lo, hi, q) in enumerate(zip(sys.lower_bounds, sys.upper_bounds, dens)):
         seen = {key[k] for key in mass}
         if not seen <= {lo * q, hi * q} or len(seen) != 2:
             values = sorted(Fraction(n, q) for n in seen)
             raise NotTwoValued(f"function {k + 1} takes values {values}, not [{lo}, {hi}]")
         lows.append(int(lo * q))
-        total = Fraction(sum(w for key, w in mass.items() if key[k] == lows[k]), den)
-        mean = (lo * total + hi * (T - total)) / T
-        if mean != 0:
-            raise NonZeroMean(f"function {k + 1} has mean {mean}")
-        marginals.append(total / T)
+        L = sum(w for key, w in mass.items() if key[k] == lows[k])
+        # the mean times M * A_k.den * B_k.den
+        if lo.numerator * hi.denominator * L + hi.numerator * lo.denominator * (M - L):
+            raise NonZeroMean(f"function {k + 1} has mean {(lo * L + hi * (M - L)) / M}")
+        low_mass.append(L)
     failures: list[dict] = []
     subsets = enumerate_family(sys.n, fam)
     for s in subsets:
@@ -257,20 +262,22 @@ def check_independence(sys: BoundedSystem, fam: IndexFamily) -> IndependenceRepo
         for key, w in mass.items():
             pattern = tuple(key[k - 1] == lows[k - 1] for k in s)
             joint[pattern] = joint.get(pattern, 0) + w
+        scale = M ** (len(s) - 1)
         for pattern in iter_product((True, False), repeat=len(s)):
-            expected = Fraction(1)
+            expected = 1
             for flag, k in zip(pattern, s):
-                expected *= marginals[k - 1] if flag else 1 - marginals[k - 1]
-            got = Fraction(joint.get(pattern, 0), den) / T
-            if got != expected:
-                failures.append(
-                    {"subset": s, "pattern": pattern, "measure": got, "expected": expected}
-                )
+                expected *= low_mass[k - 1] if flag else M - low_mass[k - 1]
+            got = joint.get(pattern, 0)
+            if got * scale != expected:
+                failures.append({
+                    "subset": s, "pattern": pattern,
+                    "measure": Fraction(got, M), "expected": Fraction(expected, scale * M),
+                })
     return IndependenceReport(
         independent=not failures,
         subsets_checked=len(subsets),
         failures=tuple(failures),
-        marginals=tuple(marginals),
+        marginals=tuple(Fraction(L, M) for L in low_mass),
     )
 
 
@@ -278,7 +285,11 @@ def check_independence(sys: BoundedSystem, fam: IndexFamily) -> IndependenceRepo
 
 @dataclass(frozen=True)
 class ReductionTrace:
-    """Everything the reduction produced, stage by stage."""
+    """Everything the reduction produced, stage by stage.
+
+    moment_tables["xi"] is the binarized table itself: xi is the binarized
+    system dilated by 1 + mu, and dilation changes no expectation.
+    """
 
     mu: Fraction
     family: tuple[Subset, ...]
@@ -301,7 +312,14 @@ class ReductionTrace:
 
 
 def reduce_to_independent(sys: BoundedSystem, fam: IndexFamily) -> ReductionTrace:
-    """Run extend, binarize, dilate; return all stages with moment tables."""
+    """Run extend, binarize, dilate; return all stages with moment tables.
+
+    The input, extended and binarized tables are each computed from their
+    own system, since they certify the paper's invariants (mu == 0 after
+    extension, moments kept by binarization).  xi's table is the binarized
+    table: dilating back to [0, T) scales every integral and the domain
+    length alike, so no expectation moves.
+    """
     input_table = compute_moment_table(sys, fam)
     mu = input_table.mu()
     extended = _extend(sys, input_table)
@@ -312,11 +330,12 @@ def reduce_to_independent(sys: BoundedSystem, fam: IndexFamily) -> ReductionTrac
         binarized.lower_bounds,
         binarized.upper_bounds,
     )
+    binarized_table = compute_moment_table(binarized, fam)
     tables = {
         "input": input_table,
         "extended": compute_moment_table(extended, fam),
-        "binarized": compute_moment_table(binarized, fam),
-        "xi": compute_moment_table(xi, fam),
+        "binarized": binarized_table,
+        "xi": binarized_table,
     }
     return ReductionTrace(
         mu=mu,

@@ -619,17 +619,19 @@ def convex_expectation(f: StepFunction, spec: ConvexSpec) -> Fraction | float:
     Returns an exact Fraction whenever Phi maps rationals to rationals
     (even powers, hinge squares, absolute value), a float otherwise.
     Divide by domain_length for the expectation under the uniform law.
+    The exact path evaluates Phi once per distinct value, then sums each
+    value's Phi times the length it covers as one int over the lcm of
+    those Phi denominators, and builds one Fraction.
     """
     _, lengths, d, [(row, q)] = int_grid([f])
     if spec.exact_value(Fraction(row[0], q)) is not None:
-        # Phi is evaluated once per distinct value, on the length it covers
         mass: dict[int, int] = {}
         for n, ln in zip(row, lengths):
             mass[n] = mass.get(n, 0) + ln
-        return sum(
-            (spec.exact_value(Fraction(n, q)) * Fraction(ln, d) for n, ln in mass.items()),
-            Fraction(0),
-        )
+        weighted = [(spec.exact_value(Fraction(n, q)), ln) for n, ln in mass.items()]
+        lcm = math.lcm(*(v.denominator for v, _ in weighted))
+        num = sum(v.numerator * (lcm // v.denominator) * ln for v, ln in weighted)
+        return Fraction(num, lcm * d)
     # piece by piece in domain order: the float sum depends on the order
     phi = {n: spec.float_value(n / q) for n in set(row)}
     total = 0.0

@@ -32,7 +32,7 @@ from .errors import (
     TooLarge,
     WindowExhausted,
 )
-from .moments import BoundedSystem, pattern_measure, subset_integral, symmetric_system
+from .moments import BoundedSystem, pattern_measure, subset_moment, symmetric_system
 from .stepfn import (
     StepFunction,
     int_grid,
@@ -271,7 +271,8 @@ def selected_family_mu(sys: OrthogonalSystem, indices: Sequence[int]) -> Fractio
     total = Fraction(0)
     for size in range(2, len(funcs) + 1):
         for sub in combinations(range(1, len(funcs) + 1), size):
-            total += abs(subset_integral(hist, sub) / T)
+            num, scale = subset_moment(hist, sub, T)
+            total += Fraction(abs(num), scale)
     return total
 
 

@@ -1,14 +1,18 @@
-"""CLI output against the benchmark's golden digests.
+"""CLI output and battery results against the benchmark's golden digests.
 
 Every op of the benchmark's startup workload runs in-process with
 --no-meta, and the sha256 of its stdout must equal the digest recorded in
-perfbench/golden.json.  Both benchmark files are only read, so any drift
-in a report shows up here before the benchmark sees it.
+perfbench/golden.json.  A slice of the battery pool runs through the
+benchmark's own run_item, and each item's digest of exact fields must
+equal its recorded one.  The benchmark files are only read, so any drift
+in a report or an exact value shows up here before the benchmark sees it.
 """
 
 import ast
 import hashlib
 import json
+import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -53,3 +57,29 @@ def test_out_file_holds_the_golden_report(capsys, monkeypatch, tmp_path, op):
     assert code == 0
     assert capsys.readouterr().out == ""
     assert _sha256(path.read_bytes()) == GOLDEN[op]
+
+
+def _workloads() -> types.ModuleType:
+    """perfbench/workloads.py as a module, executed from its source text
+    (its dataclasses look their module up in sys.modules)."""
+    path = BENCH / "workloads.py"
+    module = types.ModuleType("perfbench_workloads")
+    module.__file__ = str(path)
+    sys.modules[module.__name__] = module
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
+
+
+WORKLOADS = _workloads()
+BATTERY = json.loads((BENCH / "golden.json").read_text(encoding="utf-8"))["battery"]
+
+
+@pytest.mark.parametrize("kind", WORKLOADS.KINDS)
+@pytest.mark.parametrize("index", range(8))
+def test_battery_items_match_their_golden_digests(monkeypatch, kind, index):
+    monkeypatch.delenv("MULTSYS_PIECE_CAP", raising=False)
+    w = WORKLOADS
+    system = w.build_system(kind, index)
+    for variant in range(w.VARIANTS):
+        item = w.Item(kind, index, variant, system, w.coefficients(kind, index, variant, system.n))
+        assert w.item_digest(w.run_item(item)) == BATTERY[kind][index][variant], item.key

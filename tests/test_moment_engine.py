@@ -217,13 +217,17 @@ def test_selected_family_mu_matches_on_walsh_picks():
 
 # ------------------------------------------------------------------ properties
 
+DOMAIN_LENGTHS = (F(1), F(3, 7), F(5, 2))
+
+
 @st.composite
 def step_systems(draw):
-    """Up to four functions on a 1/16 grid with quarter-integer values."""
+    """Up to four functions on a 1/16 grid of the domain, quarter-integer values."""
+    length = draw(st.sampled_from(DOMAIN_LENGTHS))
     functions, los, his = [], [], []
     for _ in range(draw(st.integers(1, 4))):
         cuts = draw(st.lists(st.integers(1, 15), max_size=5, unique=True))
-        bps = [F(0), *[F(c, 16) for c in sorted(cuts)], F(1)]
+        bps = [F(0), *[length * F(c, 16) for c in sorted(cuts)], length]
         vals = draw(
             st.lists(st.integers(-6, 6), min_size=len(bps) - 1, max_size=len(bps) - 1)
         )
@@ -237,8 +241,9 @@ def step_systems(draw):
 @st.composite
 def two_valued_systems(draw):
     """Mean-zero {A_k, 1}-valued functions on a shared grid, often dependent."""
+    length = draw(st.sampled_from(DOMAIN_LENGTHS))
     pieces = draw(st.sampled_from([2, 3, 4, 6, 8]))
-    grid = tuple(F(i, pieces) for i in range(pieces + 1))
+    grid = tuple(length * F(i, pieces) for i in range(pieces + 1))
     functions, los = [], []
     for _ in range(draw(st.integers(1, 4))):
         lows = draw(st.integers(1, pieces - 1))
