@@ -71,6 +71,10 @@ class NonZeroMean(MultsysError):
     """The operation needs mean-zero functions."""
 
 
+class TraceMismatch(MultsysError):
+    """A reduction trace was passed with a system or family it was not built from."""
+
+
 class NotMultiplicative(MultsysError):
     """The operation needs a certified multiplicative system."""
 

@@ -17,7 +17,7 @@ the family: every selected mixed moment vanishes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
@@ -48,11 +48,21 @@ Subset = tuple[int, ...]
 
 @dataclass(frozen=True)
 class BoundedSystem:
-    """Step functions phi_1..phi_n with certified bounds A_k <= phi_k <= B_k."""
+    """Step functions phi_1..phi_n with certified bounds A_k <= phi_k <= B_k.
+
+    histogram, when not None, is the value-pattern histogram of functions
+    (see pattern_measure), handed on by whoever built both: the xi system
+    of reduce_to_independent carries one.  It takes no part in equality
+    or JSON, and moment tables and the independence check read it instead
+    of building their own.
+    """
 
     functions: tuple[StepFunction, ...]
     lower_bounds: tuple[Fraction, ...]
     upper_bounds: tuple[Fraction, ...]
+    histogram: PatternHistogram | None = field(
+        default=None, repr=False, compare=False, kw_only=True
+    )
 
     def __post_init__(self) -> None:
         n = len(self.functions)
@@ -213,6 +223,13 @@ def pattern_measure(functions: Sequence[StepFunction]) -> PatternHistogram:
     return mass, den, tuple(q for _, q in rows)
 
 
+def histogram_of(sys: BoundedSystem) -> PatternHistogram:
+    """The histogram sys carries, else one built from its functions."""
+    if sys.histogram is not None:
+        return sys.histogram
+    return pattern_measure(sys.functions)
+
+
 def subset_moment(hist: PatternHistogram, subset: Subset, T: Fraction) -> tuple[int, int]:
     """E[prod_{k in subset} phi_k] on [0, T), read off the histogram as one
     int sum: an int numerator and denominator, unreduced, for the caller's
@@ -229,7 +246,7 @@ def subset_moment(hist: PatternHistogram, subset: Subset, T: Fraction) -> tuple[
 def mixed_moment(sys: BoundedSystem, subset: Sequence[int]) -> Fraction:
     """E[prod_{k in subset} phi_k] under the uniform law on [0, T)."""
     s = _validate_subset(subset, sys.n)
-    return Fraction(*subset_moment(pattern_measure(sys.functions), s, sys.domain_length))
+    return Fraction(*subset_moment(histogram_of(sys), s, sys.domain_length))
 
 
 @dataclass(frozen=True)
@@ -259,11 +276,19 @@ class MomentTable:
         ]
 
 
-def compute_moment_table(sys: BoundedSystem, fam: IndexFamily) -> MomentTable:
+def compute_moment_table(
+    sys: BoundedSystem, fam: IndexFamily, hist: PatternHistogram | None = None
+) -> MomentTable:
     """All selected mixed moments from one shared value-pattern histogram,
-    with one Fraction per reported moment and normalized magnitude."""
+    with one Fraction per reported moment and normalized magnitude.
+
+    hist is the histogram of sys when the caller already holds it; else
+    the one sys carries is read, and only a system carrying none has its
+    histogram built here.
+    """
     subsets = tuple(enumerate_family(sys.n, fam))
-    hist = pattern_measure(sys.functions)
+    if hist is None:
+        hist = histogram_of(sys)
     T = sys.domain_length
     caps = sys.capacities()
     moments: list[Fraction] = []

@@ -22,20 +22,22 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product as iter_product
 from typing import Sequence
 
-from .errors import BadArity, NonZeroMean, NotTwoValued
+from .errors import BadArity, LengthMismatch, NonZeroMean, NotTwoValued, TraceMismatch
 from .inequalities import REL_TOL
 from .moments import (
     BoundedSystem,
     IndexFamily,
     MomentTable,
+    PatternHistogram,
     Subset,
     compute_moment_table,
     enumerate_family,
+    histogram_of,
     pattern_measure,
 )
 from .stepfn import (
@@ -48,9 +50,9 @@ from .stepfn import (
     constant,
     convex_expectation,
     dilate,
-    int_grid,
+    exact_phi_integral,
+    int_grid_row,
     linear_combination,
-    normalize,
     scale,
     uniform_grid,
 )
@@ -180,14 +182,20 @@ def binarize(sys: BoundedSystem, k: int | None = None) -> BoundedSystem:
     exactly; integrals of convex functions of linear combinations never
     decrease.  Outputs are normalized (minimal representation), which
     makes the operation idempotent.
+
+    Per index the current system is merged once (stepfn.int_grid_row)
+    and only row k is spread onto the merged pieces.  The normalized row
+    is written as it goes: a piece whose value equals the last one
+    written extends it.  The piece cap applies to the unmerged count,
+    two pieces per split interval and one per other, as if the row were
+    built first and normalized after; no histogram is built here.
     """
     indices = range(1, sys.n + 1) if k is None else [k]
     functions = list(sys.functions)
     for idx in indices:
         lo = sys.lower_bounds[idx - 1]
         hi = sys.upper_bounds[idx - 1]
-        _, lengths, d, rows = int_grid(functions)
-        row, q = rows[idx - 1]
+        merged, d, row, q = int_grid_row(functions, idx - 1)
         # with a / d and b / d the ends of a piece and v == n / q its value,
         # c == num / (q * d * width) where width / (h2 * l2) == B_k - A_k;
         # every output breakpoint is an int over that one denominator
@@ -197,19 +205,32 @@ def binarize(sys: BoundedSystem, k: int | None = None) -> BoundedSystem:
         hi_num, lo_num = h1 * (vq // h2), l1 * (vq // l2)
         grid: list[int] = [0]
         vals: list[int] = []
-        b = 0
-        for n, ln in zip(row, lengths):
-            a, b = b, b + ln
-            num = h1 * l2 * q * a - l1 * h2 * q * b + n * h2 * l2 * ln
+        last = None
+        splits = 0
+        for n, a, b in zip(row, merged, merged[1:]):
+            num = h1 * l2 * q * a - l1 * h2 * q * b + n * h2 * l2 * (b - a)
             low, high = a * q * width, b * q * width
             if low < num < high:
-                grid += [num, high]
-                vals += [hi_num, lo_num]
-            else:
+                # B_k on [a, c), then A_k on [c, b)
+                splits += 1
+                if last == hi_num:
+                    grid[-1] = num
+                else:
+                    grid.append(num)
+                    vals.append(hi_num)
                 grid.append(high)
-                vals.append(hi_num if num > low else lo_num)
-        binary = StepFunction._from_ints(tuple(grid), q * d * width, tuple(vals), vq)
-        functions[idx - 1] = normalize(binary)
+                vals.append(lo_num)
+                last = lo_num
+            else:
+                v = hi_num if num > low else lo_num
+                if v == last:
+                    grid[-1] = high
+                else:
+                    grid.append(high)
+                    vals.append(v)
+                    last = v
+        _guard_pieces(len(row) + splits)
+        functions[idx - 1] = StepFunction._from_ints(tuple(grid), q * d * width, tuple(vals), vq)
     return BoundedSystem(tuple(functions), sys.lower_bounds, sys.upper_bounds)
 
 
@@ -237,9 +258,13 @@ def check_independence(sys: BoundedSystem, fam: IndexFamily) -> IndependenceRepo
     J factors exactly when J * M**(|S| - 1) is the product over k in S of
     L_k (phi_k low) or M - L_k (phi_k high).  Fractions are built only
     for the reported marginals L_k / M and for failures.
+
+    The histogram is the one sys carries, so check_independence(trace.xi,
+    fam) reads the one reduce_to_independent attached to xi; a system
+    carrying none has its histogram built here.
     """
     T = sys.domain_length
-    mass, den, dens = pattern_measure(sys.functions)
+    mass, den, dens = histogram_of(sys)
     M = T.numerator * den // T.denominator  # T ends the merged grid, so T * den is an int
     # function k is low where its int value is lows[k], that is A_k * dens[k]
     lows: list[int] = []
@@ -289,6 +314,14 @@ class ReductionTrace:
 
     moment_tables["xi"] is the binarized table itself: xi is the binarized
     system dilated by 1 + mu, and dilation changes no expectation.
+
+    The reduction builds three value-pattern histograms: the input's, the
+    extended system's and the binarized system's, one each, each read by
+    that stage's moment table.  input_histogram keeps the input's for
+    verify_domination.  xi carries its own without a fourth build: dilate
+    shares the value rows and divides every length by 1 + mu, so xi's
+    histogram is the binarized one with its masses rescaled.  Neither is
+    part of to_json.
     """
 
     mu: Fraction
@@ -298,6 +331,7 @@ class ReductionTrace:
     binarized: BoundedSystem
     xi: BoundedSystem
     moment_tables: dict[str, MomentTable]
+    input_histogram: PatternHistogram = field(repr=False, compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -311,6 +345,16 @@ class ReductionTrace:
         }
 
 
+def _dilated_histogram(hist: PatternHistogram, factor: Fraction) -> PatternHistogram:
+    """The histogram of a system dilated by factor == p / r, from the
+    undilated one: every length scales by r / p, so each mass becomes
+    mass * r over den * p, while the value patterns and their
+    denominators stay, because dilate shares the value rows."""
+    mass, den, dens = hist
+    r = factor.denominator
+    return {key: w * r for key, w in mass.items()}, den * factor.numerator, dens
+
+
 def reduce_to_independent(sys: BoundedSystem, fam: IndexFamily) -> ReductionTrace:
     """Run extend, binarize, dilate; return all stages with moment tables.
 
@@ -318,19 +362,25 @@ def reduce_to_independent(sys: BoundedSystem, fam: IndexFamily) -> ReductionTrac
     own system, since they certify the paper's invariants (mu == 0 after
     extension, moments kept by binarization).  xi's table is the binarized
     table: dilating back to [0, T) scales every integral and the domain
-    length alike, so no expectation moves.
+    length alike, so no expectation moves.  For the same reason xi's
+    histogram is a rescale of the binarized one, and xi carries it.  The
+    input's histogram is read from sys when it carries one, and kept on
+    the trace; nothing is attached to sys itself.
     """
-    input_table = compute_moment_table(sys, fam)
+    input_hist = histogram_of(sys)
+    input_table = compute_moment_table(sys, fam, input_hist)
     mu = input_table.mu()
     extended = _extend(sys, input_table)
     binarized = binarize(extended)
+    binarized_hist = pattern_measure(binarized.functions)
     factor = 1 + mu
     xi = BoundedSystem(
         tuple(dilate(g, factor) for g in binarized.functions),
         binarized.lower_bounds,
         binarized.upper_bounds,
+        histogram=_dilated_histogram(binarized_hist, factor),
     )
-    binarized_table = compute_moment_table(binarized, fam)
+    binarized_table = compute_moment_table(binarized, fam, binarized_hist)
     tables = {
         "input": input_table,
         "extended": compute_moment_table(extended, fam),
@@ -345,6 +395,7 @@ def reduce_to_independent(sys: BoundedSystem, fam: IndexFamily) -> ReductionTrac
         binarized=binarized,
         xi=xi,
         moment_tables=tables,
+        input_histogram=input_hist,
     )
 
 
@@ -386,23 +437,36 @@ def verify_domination(
 
     Exact comparison when Phi keeps rationals rational, otherwise floats
     with relative tolerance 1e-9.  A reduction trace may be passed in to
-    reuse the pipeline output across several integrands.
+    reuse the pipeline output across several integrands; it must come
+    from this system and this family, or TraceMismatch is raised.
+
+    An exact Phi reads the joint laws: the integral is the sum over value
+    patterns of mass * Phi(sum a_k key_k / dens_k), the lhs over the
+    trace's input histogram and the rhs over the histogram xi carries,
+    with no linear combination built.  A float Phi keeps the piece path,
+    linear_combination then convex_expectation in domain order, because
+    a float sum's bits depend on the order of its terms.
     """
     if trace is None:
         trace = reduce_to_independent(sys, fam)
+    elif trace.input_system != sys or trace.family != tuple(enumerate_family(sys.n, fam)):
+        # dataclass equality compares field tuples, whose items short-circuit on identity
+        raise TraceMismatch("the trace was not reduced from this system and family")
     cs = [as_fraction(c) for c in coeffs]
-    lhs_fn = linear_combination(cs, sys.functions)
-    rhs_fn = linear_combination(cs, trace.xi.functions)
-    lhs = convex_expectation(lhs_fn, phi)
-    rhs = convex_expectation(rhs_fn, phi)
+    if len(cs) != sys.n:
+        raise LengthMismatch(f"{len(cs)} coefficients for {sys.n} functions")
     T = sys.domain_length
     factor = 1 + trace.mu
-    exact = isinstance(lhs, Fraction) and isinstance(rhs, Fraction)
+    exact = phi.is_exact
     if exact:
+        lhs = _combination_integral(cs, trace.input_histogram, phi)
+        rhs = _combination_integral(cs, histogram_of(trace.xi), phi)
         lhs_val: Fraction | float = lhs / T
         rhs_val: Fraction | float = factor * rhs / T
         holds = lhs_val <= rhs_val
     else:
+        lhs = convex_expectation(linear_combination(cs, sys.functions), phi)
+        rhs = convex_expectation(linear_combination(cs, trace.xi.functions), phi)
         lhs_val = float(lhs) / float(T)
         rhs_val = float(factor) * float(rhs) / float(T)
         holds = lhs_val <= rhs_val or (lhs_val - rhs_val) <= REL_TOL * max(
@@ -416,3 +480,20 @@ def verify_domination(
         exact=exact,
         phi=phi.describe(),
     )
+
+
+def _combination_integral(
+    cs: Sequence[Fraction], hist: PatternHistogram, phi: ConvexSpec
+) -> Fraction:
+    """Integral of Phi(sum_k cs[k] phi_k) for an exact Phi, read off the
+    histogram of the phi_k: each value pattern gives the combination one
+    int over the lcm q of the cs[k] and value denominators, masses with
+    equal combinations are summed, and exact_phi_integral does the rest."""
+    mass, den, dens = hist
+    q = math.lcm(*(c.denominator * d for c, d in zip(cs, dens)))
+    factors = [c.numerator * (q // (c.denominator * d)) for c, d in zip(cs, dens)]
+    law: dict[int, int] = {}
+    for key, w in mass.items():
+        v = sum(map(operator.mul, factors, key))
+        law[v] = law.get(v, 0) + w
+    return exact_phi_integral(law, q, den, phi)

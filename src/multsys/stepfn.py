@@ -314,6 +314,11 @@ def _align(fs: Sequence[StepFunction]) -> tuple[tuple[int, ...], int, list[Seque
     return tuple(merged), den, [at[id(f._grid), f._den] for f in fs]
 
 
+def _on_grid(f: StepFunction, at: Sequence[int], grid: tuple[int, ...]) -> Sequence[int]:
+    """f's value row on the merged grid, given where its breakpoints sit."""
+    return f._row if len(at) == len(grid) else _spread(f._row, at)
+
+
 def int_grid(
     fs: Sequence[StepFunction],
 ) -> tuple[tuple[int, ...], list[int], int, list[tuple[Sequence[int], int]]]:
@@ -327,11 +332,18 @@ def int_grid(
     """
     grid, den, where = _align(fs)
     lengths = list(map(operator.sub, grid[1:], grid))
-    rows = [
-        (f._row if len(at) == len(grid) else _spread(f._row, at), f._q)
-        for f, at in zip(fs, where)
-    ]
-    return grid, lengths, den, rows
+    return grid, lengths, den, [(_on_grid(f, at, grid), f._q) for f, at in zip(fs, where)]
+
+
+def int_grid_row(
+    fs: Sequence[StepFunction], k: int
+) -> tuple[tuple[int, ...], int, Sequence[int], int]:
+    """One row of int_grid: (grid, den, row, q), the merged grid of fs as
+    ints over den and fs[k]'s values on its pieces as ints over q.  The
+    other functions' rows are not spread."""
+    grid, den, where = _align(fs)
+    f = fs[k]
+    return grid, den, _on_grid(f, where[k], grid), f._q
 
 
 def common_refinement(fs: Sequence[StepFunction]) -> list[StepFunction]:
@@ -602,6 +614,12 @@ class ConvexSpec:
             return gap * gap if gap > 0 else Fraction(0)
         return abs(v)
 
+    @property
+    def is_exact(self) -> bool:
+        """Whether Phi maps rationals to rationals; it depends on the kind
+        and parameter alone, never on the argument."""
+        return self.exact_value(Fraction(0)) is not None
+
     def float_value(self, t: float) -> float:
         if self.kind == "power":
             return abs(t) ** float(self.param)  # type: ignore[arg-type]
@@ -619,19 +637,15 @@ def convex_expectation(f: StepFunction, spec: ConvexSpec) -> Fraction | float:
     Returns an exact Fraction whenever Phi maps rationals to rationals
     (even powers, hinge squares, absolute value), a float otherwise.
     Divide by domain_length for the expectation under the uniform law.
-    The exact path evaluates Phi once per distinct value, then sums each
-    value's Phi times the length it covers as one int over the lcm of
-    those Phi denominators, and builds one Fraction.
+    The exact path collects the length each distinct value covers and
+    hands that law to exact_phi_integral.
     """
     _, lengths, d, [(row, q)] = int_grid([f])
-    if spec.exact_value(Fraction(row[0], q)) is not None:
+    if spec.is_exact:
         mass: dict[int, int] = {}
         for n, ln in zip(row, lengths):
             mass[n] = mass.get(n, 0) + ln
-        weighted = [(spec.exact_value(Fraction(n, q)), ln) for n, ln in mass.items()]
-        lcm = math.lcm(*(v.denominator for v, _ in weighted))
-        num = sum(v.numerator * (lcm // v.denominator) * ln for v, ln in weighted)
-        return Fraction(num, lcm * d)
+        return exact_phi_integral(mass, q, d, spec)
     # piece by piece in domain order: the float sum depends on the order
     phi = {n: spec.float_value(n / q) for n in set(row)}
     total = 0.0
@@ -640,6 +654,20 @@ def convex_expectation(f: StepFunction, spec: ConvexSpec) -> Fraction | float:
     if not math.isfinite(total):
         raise OutOfRange(f"the integral of {spec.describe()} overflows a float")
     return total
+
+
+def exact_phi_integral(mass: dict[int, int], q: int, d: int, spec: ConvexSpec) -> Fraction:
+    """Integral of Phi(g) for an exact spec, given the law of g: value n / q
+    covers length mass[n] / d.
+
+    Phi is evaluated once per distinct value, then each value's Phi times
+    its length is summed as one int over the lcm of those Phi
+    denominators, and one Fraction is built.
+    """
+    weighted = [(spec.exact_value(Fraction(n, q)), ln) for n, ln in mass.items()]
+    lcm = math.lcm(*(v.denominator for v, _ in weighted))
+    num = sum(v.numerator * (lcm // v.denominator) * ln for v, ln in weighted)
+    return Fraction(num, lcm * d)
 
 
 # ------------------------------------------------------------------ sampling

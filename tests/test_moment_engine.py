@@ -9,21 +9,25 @@ import random
 from fractions import Fraction as F
 from itertools import combinations, product as iter_product
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from multsys import (
     BoundedSystem,
+    ConvexSpec,
     IndexFamily,
     build_phi,
     check_independence,
     common_refinement,
     compute_moment_table,
+    convex_expectation,
     dilated_system,
     enumerate_family,
+    linear_combination,
     make_step,
     mixed_moment,
     reduce_to_independent,
     selected_family_mu,
+    verify_domination,
     walsh_system,
 )
 from multsys.errors import MultsysError, NonZeroMean, NotTwoValued
@@ -271,3 +275,35 @@ def test_independence_check_matches_the_piece_loop(sys_obj, cap):
     fam = IndexFamily.cardinality_cap(min(cap, sys_obj.n))
     report = check_independence(sys_obj, fam)
     assert report == reference_independence(sys_obj, fam)
+
+
+EXACT_SPECS = (
+    ConvexSpec.power(4),
+    ConvexSpec.power(3),
+    ConvexSpec.hinge_square(F(1, 3)),
+    ConvexSpec.abs(),
+)
+
+
+@PROPERTY
+@given(step_systems(), st.sampled_from(EXACT_SPECS), st.data())
+def test_histograms_handed_on_off_the_unit_domain_match_fresh_builds(sys_obj, phi, data):
+    """xi's histogram is the binarized one rescaled by 1 + mu == p / r, and
+    exact domination reads histograms: on domains other than [0, 1) and
+    with mu != 0, both must give what the piece path and a fresh build give."""
+    trace = reduce_to_independent(sys_obj, FULL)
+    assume(trace.mu != 0)
+    coeffs = data.draw(st.lists(st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3])),
+                                min_size=sys_obj.n, max_size=sys_obj.n))
+    report = verify_domination(sys_obj, FULL, coeffs, phi, trace=trace)
+    T = sys_obj.domain_length
+    assert report.exact
+    assert report.lhs == convex_expectation(linear_combination(coeffs, sys_obj.functions), phi) / T
+    assert report.rhs == (1 + trace.mu) * convex_expectation(
+        linear_combination(coeffs, trace.xi.functions), phi
+    ) / T
+    xi = trace.xi
+    fresh = BoundedSystem(xi.functions, xi.lower_bounds, xi.upper_bounds)
+    assert xi.histogram is not None and fresh.histogram is None
+    assert check_independence(xi, FULL) == check_independence(fresh, FULL)
+    assert compute_moment_table(xi, FULL) == compute_moment_table(fresh, FULL)

@@ -1,6 +1,7 @@
 """Cancellation blocks, extension, binarization, independence, domination."""
 
 import random
+import sys
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -27,12 +28,15 @@ from multsys import (
     verify_domination,
     walsh_cancellation_system,
 )
+from multsys import moments, stepfn
 from multsys.errors import (
     BadArity,
     CapacityExceeded,
+    LengthMismatch,
     NonAscendingBreakpoints,
     NonZeroMean,
     NotTwoValued,
+    TraceMismatch,
 )
 
 FULL = IndexFamily.full()
@@ -198,3 +202,97 @@ def test_trace_serialization_shape():
     obj = trace.to_json()
     assert obj["mu"] == "0"
     assert set(obj["moment_tables"]) == {"input", "extended", "binarized", "xi"}
+
+
+# ------------------------------------------------------------------ one histogram per stage
+
+def battery_shaped_system():
+    """Three criterion-2-shaped steps on 1/64 grids, with mu != 0."""
+    return BoundedSystem(
+        (
+            make_step([0, "5/64", "23/64", "41/64", 1], ["3/4", -1, "1/2", "-1/4"]),
+            make_step([0, "17/64", "1/2", 1], [-2, "5/4", "1/4"]),
+            make_step([0, "9/64", "33/64", "59/64", 1], ["1/2", "-3/2", 1, "-1/4"]),
+        ),
+        (F(-1), F(-2), F(-3, 2)),
+        (F(3, 4), F(5, 4), F(1)),
+    )
+
+
+def count_calls(monkeypatch, module, name):
+    """Count calls of module.name from every multsys namespace that holds it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "multsys" or mod_name.startswith("multsys."):
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, counted)
+    return calls
+
+
+def test_a_battery_op_builds_three_histograms_and_two_combinations(monkeypatch):
+    sys_obj = battery_shaped_system()
+    coeffs = [F(3, 4), F(-1, 2), 2]
+    histograms = count_calls(monkeypatch, moments, "pattern_measure")
+    combinations_built = count_calls(monkeypatch, stepfn, "linear_combination")
+    trace = reduce_to_independent(sys_obj, FULL)
+    assert trace.mu != 0
+    assert len(histograms) == 3  # input, extended, binarized
+    power4 = verify_domination(sys_obj, FULL, coeffs, ConvexSpec.power(4), trace=trace)
+    assert power4.exact and power4.holds
+    assert len(combinations_built) == 0
+    exp1 = verify_domination(sys_obj, FULL, coeffs, ConvexSpec.exp(1.0), trace=trace)
+    assert not exp1.exact and exp1.holds
+    assert check_independence(trace.xi, FULL).independent
+    assert compute_moment_table(trace.xi, FULL) == trace.moment_tables["xi"]
+    assert len(histograms) == 3
+    assert len(combinations_built) == 2  # exp:1 only, one per side
+
+
+def law(hist):
+    """A value-pattern histogram as pattern -> length, whatever its denominator."""
+    mass, den, dens = hist
+    return {key: F(w, den) for key, w in mass.items()}, dens
+
+
+def test_only_the_reduced_system_carries_a_histogram():
+    sys_obj = battery_shaped_system()
+    trace = reduce_to_independent(sys_obj, FULL)
+    assert sys_obj.histogram is None
+    assert law(trace.input_histogram) == law(moments.pattern_measure(sys_obj.functions))
+    assert law(trace.xi.histogram) == law(moments.pattern_measure(trace.xi.functions))
+    assert "input_histogram" not in trace.to_json()
+    plain = BoundedSystem(trace.xi.functions, trace.xi.lower_bounds, trace.xi.upper_bounds)
+    assert plain.histogram is None
+    assert plain == trace.xi and hash(plain) == hash(trace.xi)
+    assert plain.to_json() == trace.xi.to_json()
+
+
+def test_a_trace_of_another_system_or_family_is_refused():
+    sys_obj = battery_shaped_system()
+    trace = reduce_to_independent(sys_obj, FULL)
+    other = symmetric_system([rademacher(1), rademacher(2), rademacher(1)])
+    phi = ConvexSpec.power(4)
+    with pytest.raises(TraceMismatch):
+        verify_domination(other, FULL, [1, 1, 1], phi, trace=trace)
+    with pytest.raises(TraceMismatch):
+        verify_domination(sys_obj, IndexFamily.cardinality_cap(2), [1, 1, 1], phi, trace=trace)
+    # an equal system and an equal family, given another way, are the same reduction
+    twin = BoundedSystem(sys_obj.functions, sys_obj.lower_bounds, sys_obj.upper_bounds)
+    explicit = IndexFamily.explicit([[1, 2, 3], [1], [2, 3], [2], [1, 3], [3], [1, 2]])
+    again = verify_domination(twin, explicit, [1, 1, 1], phi, trace=trace)
+    assert again == verify_domination(sys_obj, FULL, [1, 1, 1], phi)
+
+
+@pytest.mark.parametrize("phi", [ConvexSpec.power(4), ConvexSpec.exp(1.0)])
+def test_a_wrong_coefficient_count_is_still_a_length_mismatch(phi):
+    sys_obj = battery_shaped_system()
+    trace = reduce_to_independent(sys_obj, FULL)
+    with pytest.raises(LengthMismatch, match="^2 coefficients for 3 functions$"):
+        verify_domination(sys_obj, FULL, [1, 1], phi, trace=trace)

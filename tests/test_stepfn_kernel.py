@@ -411,13 +411,54 @@ def test_normalize_matches_the_reference(f, data):
     assert fields(normalize(g)) == reference_normalize(*fields(g))
 
 
+@st.composite
+def runs_on_one_grid(draw):
+    """1..3 functions on one shared int grid, each with values drawn from
+    its own bounds and one value between them: adjacent pieces often repeat
+    a value, some breakpoints are redundant for every function, and many
+    pieces sit on A_k or B_k, where binarize does not split."""
+    first = draw(step_functions())
+    fs, lows, highs = [], [], []
+    for _ in range(draw(st.integers(1, 3))):
+        lo = -draw(st.sampled_from([F(1), F(1, 3), F(2)]))
+        hi = draw(st.sampled_from([F(1), F(1, 2), F(3, 7)]))
+        inside = draw(st.sampled_from([F(0), lo / 2, hi / 3]))
+        row = draw(st.lists(st.sampled_from([lo, hi, inside]), min_size=first.piece_count,
+                            max_size=first.piece_count))
+        fs.append(on_the_grid_of(first, row))
+        lows.append(lo)
+        highs.append(hi)
+    return fs, lows, highs
+
+
+@st.composite
+def bounded_by_offsets(draw):
+    """Random systems with bounds the extreme values moved out by 0, 1 or a
+    fraction: offset 0 puts values on A_k or B_k."""
+    fs = draw(systems(max_n=4))
+    lows = [min(min(f.values), F(-1, 3)) - draw(st.sampled_from([0, 1, F(1, 3)])) for f in fs]
+    highs = [max(max(f.values), F(1, 2)) + draw(st.sampled_from([0, 1, F(1, 2)])) for f in fs]
+    return fs, lows, highs
+
+
 @PROPERTY
-@given(systems(max_n=4), st.data())
-def test_binarize_matches_the_reference(fs, data):
-    lows = [min(min(f.values), F(0)) - data.draw(st.sampled_from([1, F(1, 3)])) for f in fs]
-    highs = [max(max(f.values), F(0)) + data.draw(st.sampled_from([1, F(1, 2)])) for f in fs]
+@given(st.one_of(bounded_by_offsets(), runs_on_one_grid()))
+def test_binarize_matches_the_reference(case):
+    fs, lows, highs = case
     out = binarize(BoundedSystem(tuple(fs), tuple(lows), tuple(highs)))
     assert [fields(g) for g in out.functions] == reference_binarize(fs, lows, highs)
+
+
+def test_binarize_caps_the_unmerged_piece_count(monkeypatch):
+    # pieces 1-3 sit on B and merge; piece 4 splits: 5 pieces before merging, 2 after
+    f = StepFunction((F(0), F(1, 4), F(1, 2), F(3, 4), F(1)), (F(1), F(1), F(1), F(0)))
+    sys_obj = BoundedSystem((f,), (F(-1),), (F(1),))
+    assert [g.piece_count for g in binarize(sys_obj).functions] == [2]
+    monkeypatch.setenv("MULTSYS_PIECE_CAP", "4")
+    with pytest.raises(CapacityExceeded, match="^5 pieces exceed the cap of 4$"):
+        binarize(sys_obj)
+    monkeypatch.setenv("MULTSYS_PIECE_CAP", "5")
+    assert [g.piece_count for g in binarize(sys_obj).functions] == [2]
 
 
 # ------------------------------------------------------------------ the stored ints
