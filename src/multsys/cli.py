@@ -132,7 +132,8 @@ def parse_system(text: str) -> BoundedSystem:
             raise ParseError(f"bad size in {text!r}") from exc
         if n < 1:
             raise ParseError(f"need at least one function, got {n}")
-        if 1 << n > piece_cap():
+        # 2**n > cap exactly when n >= cap.bit_length(), with no 2**n built
+        if n >= piece_cap().bit_length():
             raise UnknownBuiltin(
                 f"rademacher:{n} needs 2**{n} pieces, beyond the cap of {piece_cap()}"
             )

@@ -28,7 +28,7 @@ from .errors import (
     OutOfRange,
     TooLarge,
 )
-from .moments import BoundedSystem, IndexFamily, is_multiplicative
+from .moments import BoundedSystem, IndexFamily, combination_expectation, is_multiplicative
 from .stepfn import (
     ConvexSpec,
     Rational,
@@ -170,9 +170,11 @@ def verify_khintchine(
 
     mode "even_integer" needs an even integer p and a system certified
     multiplicative over subsets of size up to min(p, n); the comparison
-    is then exact on p-th powers with K(p)^p = (p-1)!!.  mode "general"
-    compares floats with relative tolerance 1e-9.  Both modes require
-    sup norms at most 1.
+    is then exact on p-th powers with K(p)^p = (p-1)!!, and the p-th
+    moment is read off the histogram the multiplicativity check built.
+    mode "general" compares floats with relative tolerance 1e-9, on the
+    linear combination in domain order.  Both modes require sup norms
+    at most 1.
     """
     cs = [as_fraction(c) for c in coeffs]
     if len(cs) != sys.n:
@@ -181,8 +183,6 @@ def verify_khintchine(
         if lo < -1 or hi > 1:
             raise BoundViolation(f"sup norms must be at most 1, got bounds [{lo}, {hi}]")
     sum_sq = sum((c * c for c in cs), Fraction(0))
-    sum_fn = linear_combination(cs, sys.functions)
-    T = sys.domain_length
     variants = khintchine_constant_variants(float(p))
     if mode == "even_integer":
         if not isinstance(p, int) or p % 2 != 0 or p <= 2:
@@ -192,8 +192,7 @@ def verify_khintchine(
             raise NotMultiplicative(
                 f"system is not multiplicative over subsets of size <= {min(p, sys.n)}"
             )
-        lhs_pow = convex_expectation(sum_fn, ConvexSpec.power(p)) / T
-        assert isinstance(lhs_pow, Fraction)
+        lhs_pow = combination_expectation(sys, cs, ConvexSpec.power(p))
         rhs_pow = double_factorial(p - 1) * sum_sq ** (p // 2)
         holds = lhs_pow <= rhs_pow
         return KhintchineReport(
@@ -211,8 +210,8 @@ def verify_khintchine(
     if mode != "general":
         raise OutOfRange(f"unknown mode {mode!r}")
     pf = float(p)
-    moment = convex_expectation(sum_fn, ConvexSpec.power(pf))
-    lhs = (float(moment) / float(T)) ** (1.0 / pf)
+    moment = convex_expectation(linear_combination(cs, sys.functions), ConvexSpec.power(pf))
+    lhs = (float(moment) / float(sys.domain_length)) ** (1.0 / pf)
     rhs = variants["corrected"] * math.sqrt(float(sum_sq))
     holds = lhs <= rhs or (lhs - rhs) <= REL_TOL * max(abs(lhs), abs(rhs), 1.0)
     return KhintchineReport(

@@ -70,6 +70,9 @@ def geometric_spec(lam: float, tau1: float, n: int) -> LacunarySpec:
         raise TauTooSmall(f"frequencies must start at 1 or above, got {tau1}")
     if not lam > 1:
         raise NotLacunary(f"growth factor must exceed 1, got {lam}")
+    # each frequency is a subset of its own, so truncated_mu would refuse more
+    if n > SUBSET_CAP:
+        raise CapacityExceeded(f"{n} frequencies exceed the subset cap of {SUBSET_CAP}")
     tau = tuple(tau1 * lam ** (k - 1) for k in range(1, n + 1))
     certified = min(
         (b / a for a, b in zip(tau, tau[1:])), default=lam

@@ -17,10 +17,13 @@ the family: every selected mixed moment vanishes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .errors import (
     BadBounds,
@@ -33,9 +36,12 @@ from .errors import (
     ValueOutOfBounds,
 )
 from .stepfn import (
+    ConvexSpec,
     Rational,
     StepFunction,
     as_fraction,
+    dilate,
+    exact_phi_integral,
     int_grid,
     json_list,
     value_range,
@@ -50,19 +56,18 @@ Subset = tuple[int, ...]
 class BoundedSystem:
     """Step functions phi_1..phi_n with certified bounds A_k <= phi_k <= B_k.
 
-    histogram, when not None, is the value-pattern histogram of functions
-    (see pattern_measure), handed on by whoever built both: the xi system
-    of reduce_to_independent carries one.  It takes no part in equality
-    or JSON, and moment tables and the independence check read it instead
-    of building their own.
+    histogram is the joint law of (phi_1, ..., phi_n) as a value-pattern
+    histogram (see pattern_measure).  It is derived from functions alone,
+    built on first access and then kept for as long as the system lives,
+    so every moment table, independence check and exact combination
+    integral on one system reads one histogram, with read-only masses.
+    Like the Fraction views of a StepFunction it is a cache, not a field:
+    it takes no part in equality, hashing, repr, JSON or pickling.
     """
 
     functions: tuple[StepFunction, ...]
     lower_bounds: tuple[Fraction, ...]
     upper_bounds: tuple[Fraction, ...]
-    histogram: PatternHistogram | None = field(
-        default=None, repr=False, compare=False, kw_only=True
-    )
 
     def __post_init__(self) -> None:
         n = len(self.functions)
@@ -83,6 +88,15 @@ class BoundedSystem:
             if low < lo or high > hi:
                 v = next(v for v in f.values if v < lo or v > hi)
                 raise ValueOutOfBounds(f"function {k}: value {v} outside [{lo}, {hi}]")
+
+    @cached_property
+    def histogram(self) -> PatternHistogram:
+        mass, den, dens = pattern_measure(self.functions)
+        # read-only: every later reader of this system shares it
+        return MappingProxyType(mass), den, dens
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in vars(self).items() if k != "histogram"}
 
     @property
     def n(self) -> int:
@@ -123,12 +137,36 @@ def symmetric_system(functions: Sequence[StepFunction], bound: Rational = 1) -> 
     return BoundedSystem(tuple(functions), (-b,) * n, (b,) * n)
 
 
+def dilate_system(sys: BoundedSystem, factor: Rational) -> BoundedSystem:
+    """Every function dilated by factor == p / r, on [0, T / factor).
+
+    The result is given its histogram from the one of sys, with no rebuild:
+    dilate shares the value rows and scales every length by r / p, so
+    each mass becomes mass * r over den * p while the value patterns and
+    their denominators stay.
+    """
+    factor = as_fraction(factor)
+    out = BoundedSystem(
+        tuple(dilate(f, factor) for f in sys.functions), sys.lower_bounds, sys.upper_bounds
+    )
+    mass, den, dens = sys.histogram
+    r = factor.denominator
+    # seeds the cache that BoundedSystem.histogram would otherwise fill
+    vars(out)["histogram"] = (
+        MappingProxyType({key: w * r for key, w in mass.items()}), den * factor.numerator, dens
+    )
+    return out
+
+
 # ------------------------------------------------------------------ index families
 
 @dataclass(frozen=True)
 class IndexFamily:
     """Either all subsets up to a cardinality cap, or an explicit list.
 
+    With neither a cap nor a list the family is full: every nonempty
+    subset, the cap resolving to n at enumeration time.  Every int cap is
+    checked against 1..n there, so no int stands for "full".
     Enumeration order is always ascending by (cardinality, lexicographic),
     which makes every downstream report deterministic.
     """
@@ -148,13 +186,12 @@ class IndexFamily:
 
     @classmethod
     def full(cls) -> "IndexFamily":
-        """All nonempty subsets; the cap resolves to n at enumeration time."""
-        return cls(cap=-1, subsets=None)
+        return cls(cap=None, subsets=None)
 
     def describe(self) -> str:
         if self.subsets is not None:
             return f"explicit({len(self.subsets)} subsets)"
-        if self.cap == -1:
+        if self.cap is None:
             return "full"
         return f"l={self.cap}"
 
@@ -183,8 +220,8 @@ def enumerate_family(n: int, fam: IndexFamily) -> list[Subset]:
         if len(validated) != len(fam.subsets):
             raise BadSubset("explicit family contains duplicate subsets")
         return validated
-    l = fam.cap if fam.cap != -1 else n
-    if l is None or not 1 <= l <= n:
+    l = n if fam.cap is None else fam.cap
+    if not 1 <= l <= n:
         raise CapTooLarge(f"cardinality cap must lie in 1..{n}, got {l}")
     count = sum(math.comb(n, v) for v in range(1, l + 1))
     if count > FAMILY_CAP:
@@ -200,7 +237,7 @@ def enumerate_family(n: int, fam: IndexFamily) -> list[Subset]:
 # (mass, den, dens): each value pattern, as one int per function with
 # function k's value key[k] / dens[k], mapped to the length it covers
 # as an int over den.
-PatternHistogram = tuple[dict[tuple[int, ...], int], int, tuple[int, ...]]
+PatternHistogram = tuple[Mapping[tuple[int, ...], int], int, tuple[int, ...]]
 
 
 def pattern_measure(functions: Sequence[StepFunction]) -> PatternHistogram:
@@ -223,13 +260,6 @@ def pattern_measure(functions: Sequence[StepFunction]) -> PatternHistogram:
     return mass, den, tuple(q for _, q in rows)
 
 
-def histogram_of(sys: BoundedSystem) -> PatternHistogram:
-    """The histogram sys carries, else one built from its functions."""
-    if sys.histogram is not None:
-        return sys.histogram
-    return pattern_measure(sys.functions)
-
-
 def subset_moment(hist: PatternHistogram, subset: Subset, T: Fraction) -> tuple[int, int]:
     """E[prod_{k in subset} phi_k] on [0, T), read off the histogram as one
     int sum: an int numerator and denominator, unreduced, for the caller's
@@ -246,7 +276,7 @@ def subset_moment(hist: PatternHistogram, subset: Subset, T: Fraction) -> tuple[
 def mixed_moment(sys: BoundedSystem, subset: Sequence[int]) -> Fraction:
     """E[prod_{k in subset} phi_k] under the uniform law on [0, T)."""
     s = _validate_subset(subset, sys.n)
-    return Fraction(*subset_moment(histogram_of(sys), s, sys.domain_length))
+    return Fraction(*subset_moment(sys.histogram, s, sys.domain_length))
 
 
 @dataclass(frozen=True)
@@ -276,19 +306,11 @@ class MomentTable:
         ]
 
 
-def compute_moment_table(
-    sys: BoundedSystem, fam: IndexFamily, hist: PatternHistogram | None = None
-) -> MomentTable:
-    """All selected mixed moments from one shared value-pattern histogram,
-    with one Fraction per reported moment and normalized magnitude.
-
-    hist is the histogram of sys when the caller already holds it; else
-    the one sys carries is read, and only a system carrying none has its
-    histogram built here.
-    """
+def compute_moment_table(sys: BoundedSystem, fam: IndexFamily) -> MomentTable:
+    """All selected mixed moments from the histogram of sys, with one
+    Fraction per reported moment and normalized magnitude."""
     subsets = tuple(enumerate_family(sys.n, fam))
-    if hist is None:
-        hist = histogram_of(sys)
+    hist = sys.histogram
     T = sys.domain_length
     caps = sys.capacities()
     moments: list[Fraction] = []
@@ -316,3 +338,21 @@ def is_multiplicative(sys: BoundedSystem, fam: IndexFamily) -> bool:
     """True when every selected mixed moment vanishes exactly."""
     mu, _ = multiplicative_error(sys, fam)
     return mu == 0
+
+
+def combination_expectation(
+    sys: BoundedSystem, cs: Sequence[Fraction], phi: ConvexSpec
+) -> Fraction:
+    """E[Phi(sum_k cs[k] phi_k)] under the uniform law on [0, T), for an
+    exact Phi, read off the histogram of sys with no linear combination
+    built: each value pattern gives the combination one int over the lcm
+    q of the cs[k] and value denominators, masses with equal combinations
+    are summed, and exact_phi_integral does the rest."""
+    mass, den, dens = sys.histogram
+    q = math.lcm(*(c.denominator * d for c, d in zip(cs, dens)))
+    factors = [c.numerator * (q // (c.denominator * d)) for c, d in zip(cs, dens)]
+    law: dict[int, int] = {}
+    for key, w in mass.items():
+        v = sum(map(operator.mul, factors, key))
+        law[v] = law.get(v, 0) + w
+    return exact_phi_integral(law, q, den, phi) / sys.domain_length

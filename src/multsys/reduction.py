@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product as iter_product
 from typing import Sequence
@@ -33,12 +33,11 @@ from .moments import (
     BoundedSystem,
     IndexFamily,
     MomentTable,
-    PatternHistogram,
     Subset,
+    combination_expectation,
     compute_moment_table,
+    dilate_system,
     enumerate_family,
-    histogram_of,
-    pattern_measure,
 )
 from .stepfn import (
     ConvexSpec,
@@ -49,8 +48,6 @@ from .stepfn import (
     concat_many,
     constant,
     convex_expectation,
-    dilate,
-    exact_phi_integral,
     int_grid_row,
     linear_combination,
     scale,
@@ -252,19 +249,15 @@ def check_independence(sys: BoundedSystem, fam: IndexFamily) -> IndependenceRepo
     Requires every function to be {A_k, B_k}-valued with zero mean; then
     the marginal law is pinned (P{phi_k == A_k} = B_k / (B_k - A_k)) and
     the check compares each joint pattern measure with the product of
-    marginals, in ints on the system's value-pattern histogram.  With
+    marginals, in ints on the system's histogram.  With
     M = T * den the total mass and L_k the mass where phi_k == A_k, both
     ints over the histogram's denominator, a pattern over S of joint mass
     J factors exactly when J * M**(|S| - 1) is the product over k in S of
     L_k (phi_k low) or M - L_k (phi_k high).  Fractions are built only
     for the reported marginals L_k / M and for failures.
-
-    The histogram is the one sys carries, so check_independence(trace.xi,
-    fam) reads the one reduce_to_independent attached to xi; a system
-    carrying none has its histogram built here.
     """
     T = sys.domain_length
-    mass, den, dens = histogram_of(sys)
+    mass, den, dens = sys.histogram
     M = T.numerator * den // T.denominator  # T ends the merged grid, so T * den is an int
     # function k is low where its int value is lows[k], that is A_k * dens[k]
     lows: list[int] = []
@@ -314,14 +307,6 @@ class ReductionTrace:
 
     moment_tables["xi"] is the binarized table itself: xi is the binarized
     system dilated by 1 + mu, and dilation changes no expectation.
-
-    The reduction builds three value-pattern histograms: the input's, the
-    extended system's and the binarized system's, one each, each read by
-    that stage's moment table.  input_histogram keeps the input's for
-    verify_domination.  xi carries its own without a fourth build: dilate
-    shares the value rows and divides every length by 1 + mu, so xi's
-    histogram is the binarized one with its masses rescaled.  Neither is
-    part of to_json.
     """
 
     mu: Fraction
@@ -331,7 +316,6 @@ class ReductionTrace:
     binarized: BoundedSystem
     xi: BoundedSystem
     moment_tables: dict[str, MomentTable]
-    input_histogram: PatternHistogram = field(repr=False, compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -345,16 +329,6 @@ class ReductionTrace:
         }
 
 
-def _dilated_histogram(hist: PatternHistogram, factor: Fraction) -> PatternHistogram:
-    """The histogram of a system dilated by factor == p / r, from the
-    undilated one: every length scales by r / p, so each mass becomes
-    mass * r over den * p, while the value patterns and their
-    denominators stay, because dilate shares the value rows."""
-    mass, den, dens = hist
-    r = factor.denominator
-    return {key: w * r for key, w in mass.items()}, den * factor.numerator, dens
-
-
 def reduce_to_independent(sys: BoundedSystem, fam: IndexFamily) -> ReductionTrace:
     """Run extend, binarize, dilate; return all stages with moment tables.
 
@@ -362,25 +336,17 @@ def reduce_to_independent(sys: BoundedSystem, fam: IndexFamily) -> ReductionTrac
     own system, since they certify the paper's invariants (mu == 0 after
     extension, moments kept by binarization).  xi's table is the binarized
     table: dilating back to [0, T) scales every integral and the domain
-    length alike, so no expectation moves.  For the same reason xi's
-    histogram is a rescale of the binarized one, and xi carries it.  The
-    input's histogram is read from sys when it carries one, and kept on
-    the trace; nothing is attached to sys itself.
+    length alike, so no expectation moves.  Each stage's table reads that
+    system's histogram, and xi's histogram is the binarized one rescaled
+    (dilate_system), so the reduction builds at most three: the input's,
+    the extended system's (none when mu == 0 returns the input itself)
+    and the binarized system's.
     """
-    input_hist = histogram_of(sys)
-    input_table = compute_moment_table(sys, fam, input_hist)
+    input_table = compute_moment_table(sys, fam)
     mu = input_table.mu()
     extended = _extend(sys, input_table)
     binarized = binarize(extended)
-    binarized_hist = pattern_measure(binarized.functions)
-    factor = 1 + mu
-    xi = BoundedSystem(
-        tuple(dilate(g, factor) for g in binarized.functions),
-        binarized.lower_bounds,
-        binarized.upper_bounds,
-        histogram=_dilated_histogram(binarized_hist, factor),
-    )
-    binarized_table = compute_moment_table(binarized, fam, binarized_hist)
+    binarized_table = compute_moment_table(binarized, fam)
     tables = {
         "input": input_table,
         "extended": compute_moment_table(extended, fam),
@@ -393,9 +359,8 @@ def reduce_to_independent(sys: BoundedSystem, fam: IndexFamily) -> ReductionTrac
         input_system=sys,
         extended=extended,
         binarized=binarized,
-        xi=xi,
+        xi=dilate_system(binarized, 1 + mu),
         moment_tables=tables,
-        input_histogram=input_hist,
     )
 
 
@@ -440,9 +405,8 @@ def verify_domination(
     reuse the pipeline output across several integrands; it must come
     from this system and this family, or TraceMismatch is raised.
 
-    An exact Phi reads the joint laws: the integral is the sum over value
-    patterns of mass * Phi(sum a_k key_k / dens_k), the lhs over the
-    trace's input histogram and the rhs over the histogram xi carries,
+    An exact Phi reads the joint laws through combination_expectation,
+    the lhs on the histogram of sys and the rhs on the one xi carries,
     with no linear combination built.  A float Phi keeps the piece path,
     linear_combination then convex_expectation in domain order, because
     a float sum's bits depend on the order of its terms.
@@ -455,16 +419,14 @@ def verify_domination(
     cs = [as_fraction(c) for c in coeffs]
     if len(cs) != sys.n:
         raise LengthMismatch(f"{len(cs)} coefficients for {sys.n} functions")
-    T = sys.domain_length
     factor = 1 + trace.mu
     exact = phi.is_exact
     if exact:
-        lhs = _combination_integral(cs, trace.input_histogram, phi)
-        rhs = _combination_integral(cs, histogram_of(trace.xi), phi)
-        lhs_val: Fraction | float = lhs / T
-        rhs_val: Fraction | float = factor * rhs / T
+        lhs_val: Fraction | float = combination_expectation(sys, cs, phi)
+        rhs_val: Fraction | float = factor * combination_expectation(trace.xi, cs, phi)
         holds = lhs_val <= rhs_val
     else:
+        T = sys.domain_length
         lhs = convex_expectation(linear_combination(cs, sys.functions), phi)
         rhs = convex_expectation(linear_combination(cs, trace.xi.functions), phi)
         lhs_val = float(lhs) / float(T)
@@ -480,20 +442,3 @@ def verify_domination(
         exact=exact,
         phi=phi.describe(),
     )
-
-
-def _combination_integral(
-    cs: Sequence[Fraction], hist: PatternHistogram, phi: ConvexSpec
-) -> Fraction:
-    """Integral of Phi(sum_k cs[k] phi_k) for an exact Phi, read off the
-    histogram of the phi_k: each value pattern gives the combination one
-    int over the lcm q of the cs[k] and value denominators, masses with
-    equal combinations are summed, and exact_phi_integral does the rest."""
-    mass, den, dens = hist
-    q = math.lcm(*(c.denominator * d for c, d in zip(cs, dens)))
-    factors = [c.numerator * (q // (c.denominator * d)) for c, d in zip(cs, dens)]
-    law: dict[int, int] = {}
-    for key, w in mass.items():
-        v = sum(map(operator.mul, factors, key))
-        law[v] = law.get(v, 0) + w
-    return exact_phi_integral(law, q, den, phi)

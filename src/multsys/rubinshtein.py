@@ -23,14 +23,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import OutOfRange, TooLarge, WrongDomain
-from .moments import (
-    BoundedSystem,
-    IndexFamily,
-    MomentTable,
-    multiplicative_error,
-    symmetric_system,
-)
-from .reduction import DominationReport, verify_domination
+from .moments import BoundedSystem, IndexFamily, MomentTable, symmetric_system
+from .reduction import DominationReport, reduce_to_independent, verify_domination
 from .inequalities import TailReport, hoeffding_tail
 from .stepfn import ConvexSpec, StepFunction, concat_many, dilate, scale, tile
 
@@ -133,24 +127,26 @@ def verify_rubinshtein(
 
     Checks that mu vanishes over the requested family, that the convex
     domination inequality holds against the reduced independent system,
-    and that the sum obeys the concentration tail at level lam.
+    and that the sum obeys the concentration tail at level lam.  One
+    reduction serves all three: mu and the moment table are its input
+    stage, and verify_domination is handed its trace.
     """
     if n < 1:
         raise OutOfRange(f"need at least one dilate, got {n}")
     gen = build_phi(seed)
     sys = dilated_system(gen, n)
     fam = IndexFamily.full() if l is None else IndexFamily.cardinality_cap(l)
-    mu, table = multiplicative_error(sys, fam)
+    trace = reduce_to_independent(sys, fam)
     if coeffs is None:
         coeffs = [Fraction(1)] * n
     spec = phi_spec if phi_spec is not None else ConvexSpec.power(4)
-    domination = verify_domination(sys, fam, coeffs, spec)
-    tail = hoeffding_tail(sys, lam, fam=fam, mu=mu)
+    domination = verify_domination(sys, fam, coeffs, spec, trace=trace)
+    tail = hoeffding_tail(sys, lam, fam=fam, mu=trace.mu)
     return RubinshteinReport(
         n=n,
-        mu=mu,
-        multiplicative=(mu == 0),
-        moments=table,
+        mu=trace.mu,
+        multiplicative=(trace.mu == 0),
+        moments=trace.moment_tables["input"],
         domination=domination,
         tail=tail,
     )

@@ -272,8 +272,11 @@ def rademacher(k: int, length: Rational = 1) -> StepFunction:
     """k-th dyadic sign function: +1 then -1 alternating on 2**k equal pieces."""
     if k < 1:
         raise OutOfRange("rademacher index must be >= 1")
+    cap = piece_cap()
+    # 2**k > cap exactly when k >= cap.bit_length(), with no 2**k built
+    if k >= cap.bit_length():
+        raise CapacityExceeded(f"2**{k} pieces exceed the cap of {cap}")
     pieces = 1 << k
-    _guard_pieces(pieces)
     grid, den = uniform_grid(pieces, length)
     return StepFunction._from_ints(grid, den, (1, -1) * (pieces // 2), 1)
 

@@ -312,6 +312,39 @@ def test_malformed_inputs_exit_two(capsys, argv):
     assert captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--system", "rademacher:2", "--family", "l={cap}"],
+        ["rubinshtein", "--seed", "step:1,-1/2", "--n", "2", "--l", "{cap}"],
+    ],
+)
+def test_a_cap_below_one_is_refused_not_read_as_full(capsys, argv, cap):
+    code = main([a.format(cap=cap) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: cardinality cap must lie in 1..2, got {cap}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, cap",
+    [
+        (["analyze", "--system", "rademacher:100000000000"], "1048576"),
+        (["lacunary", "--lam", "1.0000001", "--tau1", "1", "--n", "100000000"], "4194304"),
+    ],
+)
+def test_oversized_builtins_are_refused_before_allocating(capsys, monkeypatch, argv, cap):
+    monkeypatch.delenv("MULTSYS_PIECE_CAP", raising=False)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and cap in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("family", ["[[true]]", "[1, 2]", "[[1], [false, 2]]"])
 def test_malformed_family_file_is_a_bad_subset(capsys, tmp_path, family):
     fam_path = tmp_path / "fam.json"

@@ -304,6 +304,7 @@ def test_histograms_handed_on_off_the_unit_domain_match_fresh_builds(sys_obj, ph
     ) / T
     xi = trace.xi
     fresh = BoundedSystem(xi.functions, xi.lower_bounds, xi.upper_bounds)
-    assert xi.histogram is not None and fresh.histogram is None
+    # xi's histogram is seeded by the dilation; fresh builds its own on first read
+    assert "histogram" in vars(xi) and "histogram" not in vars(fresh)
     assert check_independence(xi, FULL) == check_independence(fresh, FULL)
     assert compute_moment_table(xi, FULL) == compute_moment_table(fresh, FULL)

@@ -54,8 +54,10 @@ def test_family_enumeration_order_and_caps():
     assert enumerate_family(3, IndexFamily.full())[-1] == (1, 2, 3)
     with pytest.raises(CapTooLarge):
         enumerate_family(3, IndexFamily.cardinality_cap(4))
-    with pytest.raises(CapTooLarge):
-        enumerate_family(3, IndexFamily.cardinality_cap(0))
+    for cap in (0, -1):
+        with pytest.raises(CapTooLarge, match=f"^cardinality cap must lie in 1..3, got {cap}$"):
+            enumerate_family(3, IndexFamily.cardinality_cap(cap))
+    assert IndexFamily.cardinality_cap(-1) != IndexFamily.full()
 
 
 def test_explicit_family_is_validated_and_sorted():

@@ -1,0 +1,63 @@
+"""CLI outputs the benchmark cannot see, pinned by their --no-meta digests.
+
+Every system of the benchmark's battery pool lives on [0, 1), so its
+golden digests cannot tell whether a moment, an independence check or a
+domination side scales correctly by the domain length T.  These commands
+run on two systems under tests/data on [0, 5/2): off_unit_system.json
+(mu == 122/75 over the full family) and off_unit_multiplicative.json
+(mu == 0, sup norms at most 1).  They cover reduce with every integrand
+kind and with --full-trace, khintchine in even mode, rubinshtein, tail and
+analyze.  The digests were recorded from the code before the value-pattern
+histogram became a cached attribute of BoundedSystem; a change that moves
+any exact number or its rendering fails here.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from multsys.cli import main
+
+DATA = Path(__file__).resolve().parent / "data"
+
+PINNED = (
+    ("analyze --system off_unit_system.json",
+     "36747940fe4e60e2517f04a9bdcce0d0dd38e188ed6023e73ef2b670f75981c1"),
+    ("analyze --system off_unit_system.json --family l=2",
+     "5e5e5aea89010c63bdaedcf48da267b52894727fbc7e893ab7ae0741ef5b8e8a"),
+    ("reduce --system off_unit_system.json",
+     "682642ae0b0a2f088778b8b288880b61ed128ebe4d566141633625343faec581"),
+    ("reduce --system off_unit_system.json --phi exp:1",
+     "b4d18fc74088b101926d8ddbd3c203bfdb5f97f9c437b612cfc2655785086787"),
+    ("reduce --system off_unit_system.json --full-trace",
+     "d19302e051dcd363e63accab9971d327f0c2e9282e03900d0fc1dbbe546eac7f"),
+    ("reduce --system off_unit_system.json --phi exp:1 --full-trace --coeffs 3/4,-1/2,2",
+     "c2ca9975074552dfaefdf0653793e84e21c7675ca318e02e55efc41686820d74"),
+    ("reduce --system off_unit_system.json --family l=2 --phi hinge:1/3 --coeffs 1,-2,1/3",
+     "6c8293e76d569528eeeb9be27a953835e9ae0f3fc79a07726bf893e58e6b7232"),
+    ("reduce --system off_unit_system.json --phi power:3 --coeffs 2,1,-1",
+     "8bc19017bf595c501595a168ceb908ab2e7c70f75d3246e8c4fb1beb4c10811f"),
+    ("reduce --system off_unit_system.json --phi abs",
+     "be0fec52a75581d84a0f39ac90df32b963f9f2858a96ca767c2f9ec40bab15ea"),
+    ("khintchine --system off_unit_multiplicative.json -p 4 --mode even_integer --coeffs 1,2,-3,1/2",
+     "72daa515140809ea4fe47051dc03493ab5859ad5a62779ab58c25ecb8378ea13"),
+    ("khintchine --system off_unit_multiplicative.json -p 6 --mode even_integer",
+     "77ab5745ce7d7eb062da4b73a1b5f84e1e49587ba079402be6d181737c088b0a"),
+    ("rubinshtein --seed step:1,-1/2,3/4 --n 4",
+     "55c155c4942b6f6f532988e2a48336eb2276bf65b605058254f30138eee28cfa"),
+    ("rubinshtein --seed step:1,-1/2 --n 3 --l 2 --phi exp:1",
+     "b5df1ab3799d08266efce5db3c12d086e0ec66781595aa9adf37a1dd67685597"),
+    ("tail --system off_unit_system.json --level 1/2",
+     "a14c37c4b418e3ccef4cea5ba5aad2d3415c6bda9bf063a1496ac9f11d463dc1"),
+)
+
+
+@pytest.mark.parametrize("op, digest", PINNED, ids=[op for op, _ in PINNED])
+def test_pinned_command_output(capsys, monkeypatch, op, digest):
+    monkeypatch.delenv("MULTSYS_PIECE_CAP", raising=False)
+    monkeypatch.chdir(DATA)
+    code = main(op.split() + ["--no-meta"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

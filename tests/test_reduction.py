@@ -1,5 +1,6 @@
 """Cancellation blocks, extension, binarization, independence, domination."""
 
+import pickle
 import random
 import sys
 from fractions import Fraction as F
@@ -16,9 +17,12 @@ from multsys import (
     check_independence,
     compute_moment_table,
     constant,
+    convex_expectation,
+    dilate,
     extend_system,
     flip_cancellation_system,
     integral,
+    linear_combination,
     make_step,
     mixed_moment,
     product,
@@ -26,6 +30,8 @@ from multsys import (
     reduce_to_independent,
     symmetric_system,
     verify_domination,
+    verify_khintchine,
+    verify_rubinshtein,
     walsh_cancellation_system,
 )
 from multsys import moments, stepfn
@@ -261,17 +267,46 @@ def law(hist):
     return {key: F(w, den) for key, w in mass.items()}, dens
 
 
-def test_only_the_reduced_system_carries_a_histogram():
+def test_every_stage_histogram_is_a_cached_law_outside_identity(monkeypatch):
     sys_obj = battery_shaped_system()
     trace = reduce_to_independent(sys_obj, FULL)
-    assert sys_obj.histogram is None
-    assert law(trace.input_histogram) == law(moments.pattern_measure(sys_obj.functions))
-    assert law(trace.xi.histogram) == law(moments.pattern_measure(trace.xi.functions))
-    assert "input_histogram" not in trace.to_json()
-    plain = BoundedSystem(trace.xi.functions, trace.xi.lower_bounds, trace.xi.upper_bounds)
-    assert plain.histogram is None
-    assert plain == trace.xi and hash(plain) == hash(trace.xi)
-    assert plain.to_json() == trace.xi.to_json()
+    stages = (sys_obj, trace.extended, trace.binarized, trace.xi)
+    fresh = [law(moments.pattern_measure(stage.functions)) for stage in stages]
+    builds = count_calls(monkeypatch, moments, "pattern_measure")
+    for stage, want in zip(stages, fresh):
+        assert law(stage.histogram) == want
+        assert stage.histogram is stage.histogram
+        with pytest.raises(TypeError):
+            stage.histogram[0][next(iter(stage.histogram[0]))] = 0
+    assert builds == []  # the reduction built or seeded every one of them
+    for stage in stages:
+        plain = BoundedSystem(stage.functions, stage.lower_bounds, stage.upper_bounds)
+        assert "histogram" not in vars(plain)
+        assert plain == stage and hash(plain) == hash(stage)
+        assert repr(plain) == repr(stage) and "histogram" not in repr(stage)
+        assert plain.to_json() == stage.to_json()
+        assert pickle.dumps(stage) == pickle.dumps(plain)
+        copy = pickle.loads(pickle.dumps(stage))
+        assert copy == stage and "histogram" not in vars(copy)
+    assert builds == []
+    assert law(copy.histogram) == fresh[-1] and len(builds) == 1
+
+
+def test_a_histogram_cannot_be_handed_to_a_system():
+    s = symmetric_system([rademacher(1)] * 2)
+    with pytest.raises(TypeError):
+        BoundedSystem(s.functions, s.lower_bounds, s.upper_bounds,
+                      histogram=moments.pattern_measure([rademacher(1), rademacher(2)]))
+
+
+def test_a_multiplicative_input_shares_its_histogram_with_the_extended_stage(monkeypatch):
+    sys_obj = symmetric_system([rademacher(1), rademacher(2)])
+    builds = count_calls(monkeypatch, moments, "pattern_measure")
+    tables = count_calls(monkeypatch, moments, "compute_moment_table")
+    trace = reduce_to_independent(sys_obj, FULL)
+    assert trace.mu == 0 and trace.extended is sys_obj
+    assert len(builds) == 2  # input (also the extended stage), binarized
+    assert len(tables) == 3
 
 
 def test_a_trace_of_another_system_or_family_is_refused():
@@ -296,3 +331,29 @@ def test_a_wrong_coefficient_count_is_still_a_length_mismatch(phi):
     trace = reduce_to_independent(sys_obj, FULL)
     with pytest.raises(LengthMismatch, match="^2 coefficients for 3 functions$"):
         verify_domination(sys_obj, FULL, [1, 1], phi, trace=trace)
+
+
+def test_even_mode_khintchine_reads_the_histogram_of_the_multiplicativity_check(monkeypatch):
+    sys_obj = BoundedSystem(
+        tuple(dilate(rademacher(k), F(2, 5)) for k in (1, 2, 3)),
+        (F(-1),) * 3,
+        (F(1),) * 3,
+    )
+    coeffs = [F(1), F(-2), F(3, 4)]
+    oracle = convex_expectation(linear_combination(coeffs, sys_obj.functions),
+                                ConvexSpec.power(6)) / sys_obj.domain_length
+    builds = count_calls(monkeypatch, moments, "pattern_measure")
+    combinations_built = count_calls(monkeypatch, stepfn, "linear_combination")
+    report = verify_khintchine(sys_obj, coeffs, 6, mode="even_integer")
+    assert report.exact and report.holds
+    assert report.lhs_pth_power == oracle
+    assert len(builds) == 1 and combinations_built == []
+
+
+def test_rubinshtein_runs_one_reduction(monkeypatch):
+    seed = make_step([0, "1/12", "1/6", "1/4"], [1, "-1/2", "3/4"])
+    builds = count_calls(monkeypatch, moments, "pattern_measure")
+    tables = count_calls(monkeypatch, moments, "compute_moment_table")
+    report = verify_rubinshtein(seed, 3)
+    assert report.multiplicative and report.domination.holds and report.tail.holds
+    assert len(builds) <= 2 and len(tables) <= 3

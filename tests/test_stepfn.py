@@ -29,6 +29,7 @@ from multsys import (
     tile,
 )
 from multsys.errors import (
+    CapacityExceeded,
     EmptyDomain,
     LengthMismatch,
     NonAscendingBreakpoints,
@@ -78,6 +79,16 @@ def test_rademacher_alternates_starting_positive():
     assert mean(r2) == 0
     with pytest.raises(OutOfRange):
         rademacher(0)
+
+
+def test_rademacher_compares_exponents_before_building_any_piece(monkeypatch):
+    monkeypatch.setenv("MULTSYS_PIECE_CAP", "4")
+    assert rademacher(2).piece_count == 4
+    with pytest.raises(CapacityExceeded, match=r"^2\*\*3 pieces exceed the cap of 4$"):
+        rademacher(3)
+    monkeypatch.delenv("MULTSYS_PIECE_CAP")
+    with pytest.raises(CapacityExceeded, match=r"^2\*\*100000000000 pieces exceed the cap of 1048576$"):
+        rademacher(10**11)
 
 
 def test_refinement_preserves_values_pointwise():
