@@ -10,6 +10,10 @@ Exit codes: 0 when every requested check holds, 1 when some inequality or
 consistency check fails (the report says which), 2 on malformed input,
 capacity errors or input too large for float arithmetic, 3 on an
 internal error (a bug, never a verdict).
+
+Each handler imports the modules it runs when it runs, so a call loads
+only what its subcommand needs: analyze on rademacher:N never loads the
+reduction, the inequalities, the lacunary or selection code.
 """
 
 from __future__ import annotations
@@ -19,28 +23,15 @@ import json
 import math
 import sys
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import __version__
 from .errors import MultsysError, ParseError, UnknownBuiltin
-from .inequalities import hoeffding_tail, verify_khintchine
-from .lacunary import (
-    analytic_tail_bound,
-    explicit_spec,
-    geometric_spec,
-    split_for_growth,
-    truncated_mu,
-)
-from .moments import BoundedSystem, IndexFamily, multiplicative_error, symmetric_system
-from .reduction import check_independence, reduce_to_independent, verify_domination
-from .rubinshtein import build_phi, dilated_system, verify_rubinshtein
-from .stepfn import ConvexSpec, StepFunction, make_step, piece_cap, rademacher
-from .subseq import (
-    OrthogonalSystem,
-    greedy_subsequence,
-    selected_family_mu,
-    walsh_system,
-)
+
+if TYPE_CHECKING:
+    from .moments import BoundedSystem, IndexFamily
+    from .stepfn import ConvexSpec, StepFunction
+    from .subseq import OrthogonalSystem
 
 
 # ------------------------------------------------------------------ parsing helpers
@@ -71,6 +62,8 @@ def parse_float(text: str, what: str) -> float:
 
 
 def parse_family(text: str) -> IndexFamily:
+    from .moments import IndexFamily
+
     if text == "full":
         return IndexFamily.full()
     if text.startswith("l="):
@@ -85,6 +78,8 @@ def parse_family(text: str) -> IndexFamily:
 
 
 def parse_phi(text: str) -> ConvexSpec:
+    from .stepfn import ConvexSpec
+
     if text == "abs":
         return ConvexSpec.abs()
     kind, _, arg = text.partition(":")
@@ -111,6 +106,8 @@ def _load_json(path: str) -> object:
 
 def parse_seed(text: str) -> StepFunction:
     """A seed on [0, 1/4): either step:v1,v2,... on equal pieces or a JSON path."""
+    from .stepfn import StepFunction, make_step
+
     if text.startswith("step:"):
         vals = text[5:].split(",")
         k = len(vals)
@@ -124,8 +121,12 @@ def parse_seed(text: str) -> StepFunction:
 
 def parse_system(text: str) -> BoundedSystem:
     """A builtin spec (rademacher:N, walsh:M, rubinshtein:N:SEED) or a JSON path."""
+    from .moments import BoundedSystem, symmetric_system
+
     kind, _, rest = text.partition(":")
     if kind == "rademacher" and rest:
+        from .stepfn import piece_cap, rademacher
+
         try:
             n = int(rest)
         except ValueError as exc:
@@ -139,6 +140,8 @@ def parse_system(text: str) -> BoundedSystem:
             )
         return symmetric_system([rademacher(k) for k in range(1, n + 1)])
     if kind == "walsh" and rest:
+        from .subseq import walsh_system
+
         try:
             m = int(rest)
         except ValueError as exc:
@@ -146,6 +149,8 @@ def parse_system(text: str) -> BoundedSystem:
         pool = walsh_system(m)
         return symmetric_system(pool.functions, pool.sup_bound)
     if kind == "rubinshtein" and rest:
+        from .rubinshtein import build_phi, dilated_system
+
         count, _, seed_spec = rest.partition(":")
         if not seed_spec:
             raise ParseError(
@@ -155,6 +160,8 @@ def parse_system(text: str) -> BoundedSystem:
             n = int(count)
         except ValueError as exc:
             raise ParseError(f"bad dilate count in {text!r}") from exc
+        if n < 1:
+            raise ParseError(f"need at least one dilate, got {n}")
         return dilated_system(build_phi(parse_seed(seed_spec)), n)
     if kind in ("rademacher", "walsh", "rubinshtein"):
         raise UnknownBuiltin(f"builtin spec {text!r} is incomplete")
@@ -166,6 +173,8 @@ def parse_system(text: str) -> BoundedSystem:
 
 def parse_pool(text: str) -> OrthogonalSystem:
     """Candidate pool for selection: walsh:M, or any system parse_system accepts."""
+    from .subseq import OrthogonalSystem, walsh_system
+
     kind, _, rest = text.partition(":")
     if kind == "walsh" and rest:
         try:
@@ -215,6 +224,8 @@ Outcome = tuple[dict, list[bool]]
 
 
 def cmd_analyze(args: argparse.Namespace) -> Outcome:
+    from .moments import multiplicative_error
+
     sys_obj = parse_system(args.system)
     fam = parse_family(args.family)
     mu, table = multiplicative_error(sys_obj, fam)
@@ -230,6 +241,8 @@ def cmd_analyze(args: argparse.Namespace) -> Outcome:
 
 
 def cmd_reduce(args: argparse.Namespace) -> Outcome:
+    from .reduction import check_independence, reduce_to_independent, verify_domination
+
     sys_obj = parse_system(args.system)
     fam = parse_family(args.family)
     coeffs = parse_coeffs(args.coeffs, sys_obj.n)
@@ -263,6 +276,8 @@ def cmd_reduce(args: argparse.Namespace) -> Outcome:
 
 
 def cmd_khintchine(args: argparse.Namespace) -> Outcome:
+    from .inequalities import verify_khintchine
+
     sys_obj = parse_system(args.system)
     coeffs = parse_coeffs(args.coeffs, sys_obj.n)
     order = parse_float(args.p, "moment order")
@@ -277,6 +292,8 @@ def cmd_khintchine(args: argparse.Namespace) -> Outcome:
 
 
 def cmd_tail(args: argparse.Namespace) -> Outcome:
+    from .inequalities import hoeffding_tail
+
     sys_obj = parse_system(args.system)
     fam = parse_family(args.family)
     mu = parse_fraction(args.mu) if args.mu is not None else None
@@ -291,6 +308,10 @@ def cmd_tail(args: argparse.Namespace) -> Outcome:
 
 
 def cmd_lacunary(args: argparse.Namespace) -> Outcome:
+    from .lacunary import (
+        analytic_tail_bound, explicit_spec, geometric_spec, split_for_growth, truncated_mu,
+    )
+
     lam = parse_float(args.lam, "growth factor")
     if args.tau:
         taus = [parse_float(t, "frequency") for t in args.tau.split(",")]
@@ -313,6 +334,8 @@ def cmd_lacunary(args: argparse.Namespace) -> Outcome:
 
 
 def cmd_select(args: argparse.Namespace) -> Outcome:
+    from .subseq import greedy_subsequence, selected_family_mu
+
     pool = parse_pool(args.system)
     cert = greedy_subsequence(pool, rho=args.rho, steps=args.steps)
     recomputed = selected_family_mu(pool, cert.chosen_indices)
@@ -328,6 +351,8 @@ def cmd_select(args: argparse.Namespace) -> Outcome:
 
 
 def cmd_rubinshtein(args: argparse.Namespace) -> Outcome:
+    from .rubinshtein import verify_rubinshtein
+
     seed = parse_seed(args.seed)
     # without --coeffs the library sizes the all-ones default once --n is validated
     coeffs = parse_coeffs(args.coeffs, args.n) if args.coeffs else None

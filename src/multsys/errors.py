@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the index-subset check.
 
 Every validation failure raises a named exception so callers can tell
 bad input apart from a genuine inequality violation.  Violations of the
@@ -57,6 +57,20 @@ class ValueOutOfBounds(MultsysError):
 
 class BadSubset(MultsysError):
     """Index subsets must be nonempty, strictly ascending and within 1..n."""
+
+
+def _validate_subset(s: object, n: int) -> tuple[int, ...]:
+    if not isinstance(s, (list, tuple)):
+        raise BadSubset(f"subset {s!r} is not a list of indices")
+    t = tuple(s)
+    if not t:
+        raise BadSubset("subsets must be nonempty")
+    for i in t:
+        if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= n:
+            raise BadSubset(f"index {i} outside 1..{n}")
+    if any(not b > a for a, b in zip(t, t[1:])):
+        raise BadSubset(f"subset {t} not strictly ascending")
+    return t
 
 
 class CapTooLarge(MultsysError):

@@ -30,6 +30,7 @@ from .errors import (
 )
 from .moments import BoundedSystem, IndexFamily, combination_expectation, is_multiplicative
 from .stepfn import (
+    REL_TOL,
     ConvexSpec,
     Rational,
     as_fraction,
@@ -40,7 +41,6 @@ from .stepfn import (
 
 TAIL_TOL = 1e-12
 MGF_TOL = 1e-12
-REL_TOL = 1e-9
 
 
 # ------------------------------------------------------------------ constants
@@ -264,6 +264,8 @@ def hoeffding_tail(
         raise NonPositiveLambda(f"tail threshold must be positive, got {level}")
     if sys.n == 0:
         raise OutOfRange("tail of an empty system")
+    if mu is not None and mu < 0:
+        raise OutOfRange(f"mu must be nonnegative, got {mu}")
     if mu is None:
         from .moments import multiplicative_error
 

@@ -30,8 +30,8 @@ from .errors import (
     NotLacunary,
     OutOfRange,
     TauTooSmall,
+    _validate_subset,
 )
-from .moments import _validate_subset
 
 ZERO_FREQ_TOL = 1e-12
 SUBSET_CAP = 1 << 22

@@ -34,6 +34,7 @@ from .errors import (
     LengthMismatch,
     ParseError,
     ValueOutOfBounds,
+    _validate_subset,
 )
 from .stepfn import (
     ConvexSpec,
@@ -194,21 +195,6 @@ class IndexFamily:
         if self.cap is None:
             return "full"
         return f"l={self.cap}"
-
-
-def _validate_subset(s: Sequence[int], n: int) -> Subset:
-    if not isinstance(s, (list, tuple)):
-        raise BadSubset(f"subset {s!r} is not a list of indices")
-    t = tuple(s)
-    if not t:
-        raise BadSubset("subsets must be nonempty")
-    for i in t:
-        if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= n:
-            raise BadSubset(f"index {i} outside 1..{n}")
-    for a, b in zip(t, t[1:]):
-        if not b > a:
-            raise BadSubset(f"subset {t} not strictly ascending")
-    return t
 
 
 def enumerate_family(n: int, fam: IndexFamily) -> list[Subset]:

@@ -28,7 +28,6 @@ from itertools import combinations, product as iter_product
 from typing import Sequence
 
 from .errors import BadArity, LengthMismatch, NonZeroMean, NotTwoValued, TraceMismatch
-from .inequalities import REL_TOL
 from .moments import (
     BoundedSystem,
     IndexFamily,
@@ -40,6 +39,7 @@ from .moments import (
     enumerate_family,
 )
 from .stepfn import (
+    REL_TOL,
     ConvexSpec,
     Rational,
     StepFunction,

@@ -48,6 +48,8 @@ from .errors import (
 
 DEFAULT_PIECE_CAP = 1 << 20
 POWER_CAP = 1024
+# relative slack of a float comparison of two convex expectations
+REL_TOL = 1e-9
 
 Rational = Fraction | int | str
 
@@ -663,14 +665,17 @@ def exact_phi_integral(mass: dict[int, int], q: int, d: int, spec: ConvexSpec) -
     """Integral of Phi(g) for an exact spec, given the law of g: value n / q
     covers length mass[n] / d.
 
-    Phi is evaluated once per distinct value, then each value's Phi times
-    its length is summed as one int over the lcm of those Phi
-    denominators, and one Fraction is built.
+    Phi of every value is an int over one denominator, |n|**p over q**p
+    for a power (abs is p == 1) and max(n*b - a*q, 0)**2 over (q*b)**2
+    for a hinge at a / b, so the integral is one int sum and one Fraction.
     """
-    weighted = [(spec.exact_value(Fraction(n, q)), ln) for n, ln in mass.items()]
-    lcm = math.lcm(*(v.denominator for v, _ in weighted))
-    num = sum(v.numerator * (lcm // v.denominator) * ln for v, ln in weighted)
-    return Fraction(num, lcm * d)
+    if spec.kind == "hinge_square":
+        a, b = spec.param.numerator, spec.param.denominator  # type: ignore[union-attr]
+        num = sum(max(n * b - a * q, 0) ** 2 * ln for n, ln in mass.items())
+        return Fraction(num, (q * b) ** 2 * d)
+    p = 1 if spec.kind == "abs" else spec.param
+    num = sum(abs(n) ** p * ln for n, ln in mass.items())  # type: ignore[operator]
+    return Fraction(num, q**p * d)  # type: ignore[operator]
 
 
 # ------------------------------------------------------------------ sampling

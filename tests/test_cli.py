@@ -1,5 +1,6 @@
 """End-to-end runs of the command line front end."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -8,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
+import multsys
 from multsys import __version__, rademacher, symmetric_system
-from multsys import cli
+from multsys import cli, moments
 from multsys.cli import build_parser, emit, main
 from multsys.errors import OutOfRange
 from multsys.stepfn import POWER_CAP, ConvexSpec
@@ -171,6 +173,14 @@ def test_tail_flags_a_lying_mu(capsys, dup_system):
     assert report["exact_measure"] == "1/2"
 
 
+def test_tail_refuses_a_negative_mu(capsys):
+    code = main(["tail", "--system", "rademacher:3", "--level", "1", "--mu", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: mu must be nonnegative, got -1\n"
+
+
 def test_lacunary_geometric(capsys):
     code, report = run(
         capsys,
@@ -329,6 +339,25 @@ def test_a_cap_below_one_is_refused_not_read_as_full(capsys, argv, cap):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze"],
+        ["reduce"],
+        ["khintchine", "-p", "4"],
+        ["khintchine", "-p", "4", "--mode", "even_integer"],
+        ["tail", "--level", "1"],
+    ],
+)
+def test_a_rubinshtein_system_of_no_dilates_names_the_count(capsys, argv):
+    # the same message as rubinshtein --n 0, not an empty-family or empty-system error
+    code = main([*argv, "--system", "rubinshtein:0:step:1,-1/2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: need at least one dilate, got 0\n"
+
+
+@pytest.mark.parametrize(
     "argv, cap",
     [
         (["analyze", "--system", "rademacher:100000000000"], "1048576"),
@@ -441,6 +470,79 @@ def test_importing_the_cli_does_not_load_numpy():
     assert out.stdout.strip() == "False"
 
 
+# the multsys modules a fresh interpreter holds after one statement: the
+# package alone, the CLI module, or one CLI call of each subcommand
+LOADED = {
+    "import multsys": set(),
+    "import multsys.cli": {"cli", "errors"},
+    "--version": {"cli", "errors"},
+    "analyze --system rademacher:4": {"cli", "errors", "stepfn", "moments"},
+    "analyze --system walsh:3": {"cli", "errors", "stepfn", "moments", "subseq"},
+    "analyze --system rubinshtein:2:step:1,-1/2": {
+        "cli", "errors", "stepfn", "moments", "reduction", "inequalities", "rubinshtein",
+    },
+    "reduce --system rademacher:3": {"cli", "errors", "stepfn", "moments", "reduction"},
+    "khintchine --system rademacher:4 -p 4": {
+        "cli", "errors", "stepfn", "moments", "inequalities",
+    },
+    "tail --system rademacher:4 --level 1": {
+        "cli", "errors", "stepfn", "moments", "inequalities",
+    },
+    "lacunary --lam 3 --tau1 1 --n 4": {"cli", "errors", "lacunary"},
+    "select --system walsh:4 --steps 1": {"cli", "errors", "stepfn", "moments", "subseq"},
+    "rubinshtein --seed step:1,-1/2 --n 2": {
+        "cli", "errors", "stepfn", "moments", "reduction", "inequalities", "rubinshtein",
+    },
+}
+
+
+@pytest.mark.parametrize("statement", list(LOADED))
+def test_each_call_loads_only_the_modules_it_runs(statement):
+    if statement.startswith("import"):
+        run_it = f"{statement}; code = 0"
+    else:
+        run_it = f"from multsys.cli import main; code = main({statement.split()!r})"
+    probe = (
+        "import contextlib, io, sys\n"
+        "try:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"        {run_it}\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(code, *sorted(m for m in sys.modules if m.startswith('multsys.')))"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    code, *loaded = out.stdout.split()
+    assert code == "0"
+    assert set(loaded) == {f"multsys.{m}" for m in LOADED[statement]}
+
+
+def test_the_package_resolves_its_exports_on_first_access():
+    assert "__version__" in vars(multsys)
+    for name in multsys.__all__:
+        obj = getattr(multsys, name)
+        if name != "__version__":
+            assert obj.__module__.startswith("multsys."), name
+            assert getattr(importlib.import_module(obj.__module__), name) is obj, name
+    assert set(multsys.__all__) <= set(dir(multsys))
+    namespace: dict = {}
+    exec("from multsys import *", namespace)
+    assert {k: v for k, v in namespace.items() if k != "__builtins__"} == {
+        name: getattr(multsys, name) for name in multsys.__all__
+    }
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        multsys.no_such_name  # noqa: B018
+    with pytest.raises(ImportError):
+        exec("from multsys import no_such_name", {})
+
+
 def test_reports_are_strict_json(capsys):
     args = build_parser().parse_args(["analyze", "--system", "rademacher:1", "--no-meta"])
     with pytest.raises(ValueError):
@@ -452,7 +554,7 @@ def test_internal_error_exits_three(capsys, monkeypatch):
     def broken(*args):
         raise ZeroDivisionError("boom\nsecond line")
 
-    monkeypatch.setattr(cli, "multiplicative_error", broken)
+    monkeypatch.setattr(moments, "multiplicative_error", broken)
     code = main(["analyze", "--system", "rademacher:2"])
     captured = capsys.readouterr()
     assert code == 3

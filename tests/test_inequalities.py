@@ -123,6 +123,13 @@ def test_hoeffding_tail_computes_mu_when_missing():
         hoeffding_tail(symmetric_system([r1]), 0)
 
 
+def test_hoeffding_tail_refuses_a_negative_mu():
+    sys_obj = rademacher_system(3)
+    with pytest.raises(OutOfRange, match="mu must be nonnegative, got -1"):
+        hoeffding_tail(sys_obj, 1, mu=F(-1))
+    assert hoeffding_tail(sys_obj, 1, mu=F(0)).mu == 0
+
+
 def test_mgf_factor_is_below_the_envelope():
     report = mgf_factor_check(-2, 1, 0.5)
     expected_lhs = (math.exp(-1.0) + 2 * math.exp(0.5)) / 3

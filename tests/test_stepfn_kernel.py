@@ -225,7 +225,9 @@ SPECS = [
     ConvexSpec.power(4),
     ConvexSpec.power(2.5),
     ConvexSpec.exp(0.75),
+    ConvexSpec.power(5),
     ConvexSpec.hinge_square(F(1, 3)),
+    ConvexSpec.hinge_square(F(-5, 4)),
     ConvexSpec.abs(),
 ]
 
