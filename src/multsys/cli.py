@@ -168,7 +168,11 @@ def parse_system(text: str) -> BoundedSystem:
     obj = _load_json(text)
     if not isinstance(obj, dict):
         raise ParseError("system file must hold a system object")
-    return BoundedSystem.from_json(obj)
+    sys_obj = BoundedSystem.from_json(obj)
+    if not sys_obj.n:
+        # every subcommand needs a function; the library keeps the empty system legal
+        raise ParseError("system file holds no functions")
+    return sys_obj
 
 
 def parse_pool(text: str) -> OrthogonalSystem:
@@ -182,11 +186,7 @@ def parse_pool(text: str) -> OrthogonalSystem:
         except ValueError as exc:
             raise ParseError(f"bad order in {text!r}") from exc
     sys_obj = parse_system(text)
-    # an empty system gets sup 0; the selector rejects it with EmptyCandidates
-    sup = max(
-        (max(-lo, hi) for lo, hi in zip(sys_obj.lower_bounds, sys_obj.upper_bounds)),
-        default=Fraction(0),
-    )
+    sup = max(max(-lo, hi) for lo, hi in zip(sys_obj.lower_bounds, sys_obj.upper_bounds))
     return OrthogonalSystem(
         functions=sys_obj.functions, sup_bound=sup, certified_orthogonal=False
     )

@@ -28,7 +28,13 @@ from .errors import (
     OutOfRange,
     TooLarge,
 )
-from .moments import BoundedSystem, IndexFamily, combination_expectation, is_multiplicative
+from .moments import (
+    BoundedSystem,
+    IndexFamily,
+    combination_expectation,
+    is_multiplicative,
+    multiplicative_error,
+)
 from .stepfn import (
     REL_TOL,
     ConvexSpec,
@@ -184,6 +190,7 @@ def verify_khintchine(
             raise BoundViolation(f"sup norms must be at most 1, got bounds [{lo}, {hi}]")
     sum_sq = sum((c * c for c in cs), Fraction(0))
     variants = khintchine_constant_variants(float(p))
+    lhs_pow = rhs_pow = None
     if mode == "even_integer":
         if not isinstance(p, int) or p % 2 != 0 or p <= 2:
             raise OutOfRange(f"even_integer mode needs an even integer p > 2, got {p}")
@@ -194,35 +201,27 @@ def verify_khintchine(
             )
         lhs_pow = combination_expectation(sys, cs, ConvexSpec.power(p))
         rhs_pow = double_factorial(p - 1) * sum_sq ** (p // 2)
+        lhs = float(lhs_pow) ** (1.0 / p)
+        rhs = float(rhs_pow) ** (1.0 / p)
         holds = lhs_pow <= rhs_pow
-        return KhintchineReport(
-            p=float(p),
-            mode=mode,
-            constant=variants["corrected"],
-            constant_as_printed=variants["as_printed"],
-            lhs_norm=float(lhs_pow) ** (1.0 / p),
-            rhs=float(rhs_pow) ** (1.0 / p),
-            holds=holds,
-            exact=True,
-            lhs_pth_power=lhs_pow,
-            rhs_pth_power=rhs_pow,
-        )
-    if mode != "general":
+    elif mode == "general":
+        moment = convex_expectation(linear_combination(cs, sys.functions), ConvexSpec.power(p))
+        lhs = (float(moment) / float(sys.domain_length)) ** (1.0 / p)
+        rhs = variants["corrected"] * math.sqrt(float(sum_sq))
+        holds = lhs <= rhs or (lhs - rhs) <= REL_TOL * max(abs(lhs), abs(rhs), 1.0)
+    else:
         raise OutOfRange(f"unknown mode {mode!r}")
-    pf = float(p)
-    moment = convex_expectation(linear_combination(cs, sys.functions), ConvexSpec.power(pf))
-    lhs = (float(moment) / float(sys.domain_length)) ** (1.0 / pf)
-    rhs = variants["corrected"] * math.sqrt(float(sum_sq))
-    holds = lhs <= rhs or (lhs - rhs) <= REL_TOL * max(abs(lhs), abs(rhs), 1.0)
     return KhintchineReport(
-        p=pf,
+        p=float(p),
         mode=mode,
         constant=variants["corrected"],
         constant_as_printed=variants["as_printed"],
         lhs_norm=lhs,
         rhs=rhs,
         holds=holds,
-        exact=False,
+        exact=lhs_pow is not None,
+        lhs_pth_power=lhs_pow,
+        rhs_pth_power=rhs_pow,
     )
 
 
@@ -267,8 +266,6 @@ def hoeffding_tail(
     if mu is not None and mu < 0:
         raise OutOfRange(f"mu must be nonnegative, got {mu}")
     if mu is None:
-        from .moments import multiplicative_error
-
         mu, _ = multiplicative_error(sys, fam if fam is not None else IndexFamily.full())
     sum_fn = linear_combination([1] * sys.n, sys.functions)
     exact_measure = measure_above(sum_fn, level) / sys.domain_length

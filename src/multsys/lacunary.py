@@ -35,6 +35,8 @@ from .errors import (
 
 ZERO_FREQ_TOL = 1e-12
 SUBSET_CAP = 1 << 22
+QUAD_ORDER = 32  # Gauss-Legendre nodes per quadrature panel
+QUAD_TOL = 1e-12  # quadrature refining stops once two estimates agree within this
 
 
 @dataclass(frozen=True)
@@ -337,35 +339,34 @@ def split_for_growth(spec: LacunarySpec, target: float = 3.0) -> list[LacunarySp
 
 # ------------------------------------------------------------------ quadrature oracle
 
-@lru_cache(maxsize=4)
-def _gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=1)
+def _gauss_nodes() -> tuple[np.ndarray, np.ndarray]:
     import numpy as np  # the quadrature oracle alone needs numpy; the CLI never loads it
 
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = np.polynomial.legendre.leggauss(QUAD_ORDER)
     return x, w
 
 
 def quadrature_product_integral(
     spec: LacunarySpec,
     subset: Sequence[int],
-    tol: float = 1e-12,
     max_panels: int = 10**6,
-    order: int = 32,
 ) -> float:
     """Numerically integrate the sine product over [0, 1), independent of
     the expansion path.
 
-    Composite Gauss-Legendre on a uniform panel grid seeded from the total
-    frequency (at least eight nodes per oscillation), refined by doubling
-    until two successive estimates agree within tol.  Raises
-    CapacityExceeded if the panel cap is hit before convergence.
+    Composite Gauss-Legendre of QUAD_ORDER nodes on a uniform panel grid
+    seeded from the total frequency (at least eight nodes per
+    oscillation), refined by doubling until two successive estimates
+    agree within QUAD_TOL.  Raises CapacityExceeded if the panel cap is
+    hit before convergence.
     """
     import numpy as np
 
     s = _validate_subset(subset, spec.n)
     freqs = np.array([spec.tau[i - 1] for i in s], dtype=float)
     total_freq = float(freqs.sum())
-    nodes, weights = _gauss_nodes(order)
+    nodes, weights = _gauss_nodes()
     panels = max(16, math.ceil(total_freq / 4.0))
     if panels > max_panels:
         raise CapacityExceeded(
@@ -375,7 +376,7 @@ def quadrature_product_integral(
     def estimate(p: int) -> float:
         h = 1.0 / p
         total = 0.0
-        chunk = max(1, (1 << 21) // order)
+        chunk = (1 << 21) // QUAD_ORDER
         for start in range(0, p, chunk):
             stop = min(start + chunk, p)
             left = (np.arange(start, stop, dtype=float) * h)[:, None]
@@ -390,7 +391,7 @@ def quadrature_product_integral(
     while panels * 2 <= max_panels:
         panels *= 2
         cur = estimate(panels)
-        if abs(cur - prev) < tol:
+        if abs(cur - prev) < QUAD_TOL:
             return cur
         prev = cur
     raise CapacityExceeded(

@@ -165,9 +165,9 @@ def _extend(sys: BoundedSystem, table: MomentTable) -> BoundedSystem:
 
 # ------------------------------------------------------------------ binarization
 
-def binarize(sys: BoundedSystem, k: int | None = None) -> BoundedSystem:
-    """Push every value of function k (or of all functions, in index order)
-    to the boundary pair {A_k, B_k}.
+def binarize(sys: BoundedSystem) -> BoundedSystem:
+    """Push every value of every function, in index order, to its boundary
+    pair {A_k, B_k}.
 
     On each constancy interval [a, b) of the whole system where phi_k == v,
     the replacement takes B_k on [a, c) and A_k on [c, b) with
@@ -187,12 +187,9 @@ def binarize(sys: BoundedSystem, k: int | None = None) -> BoundedSystem:
     two pieces per split interval and one per other, as if the row were
     built first and normalized after; no histogram is built here.
     """
-    indices = range(1, sys.n + 1) if k is None else [k]
     functions = list(sys.functions)
-    for idx in indices:
-        lo = sys.lower_bounds[idx - 1]
-        hi = sys.upper_bounds[idx - 1]
-        merged, d, row, q = int_grid_row(functions, idx - 1)
+    for k, (lo, hi) in enumerate(zip(sys.lower_bounds, sys.upper_bounds)):
+        merged, d, row, q = int_grid_row(functions, k)
         # with a / d and b / d the ends of a piece and v == n / q its value,
         # c == num / (q * d * width) where width / (h2 * l2) == B_k - A_k;
         # every output breakpoint is an int over that one denominator
@@ -227,7 +224,7 @@ def binarize(sys: BoundedSystem, k: int | None = None) -> BoundedSystem:
                     vals.append(v)
                     last = v
         _guard_pieces(len(row) + splits)
-        functions[idx - 1] = StepFunction._from_ints(tuple(grid), q * d * width, tuple(vals), vq)
+        functions[k] = StepFunction._from_ints(tuple(grid), q * d * width, tuple(vals), vq)
     return BoundedSystem(tuple(functions), sys.lower_bounds, sys.upper_bounds)
 
 
@@ -334,13 +331,13 @@ def reduce_to_independent(sys: BoundedSystem, fam: IndexFamily) -> ReductionTrac
 
     The input, extended and binarized tables are each computed from their
     own system, since they certify the paper's invariants (mu == 0 after
-    extension, moments kept by binarization).  xi's table is the binarized
-    table: dilating back to [0, T) scales every integral and the domain
-    length alike, so no expectation moves.  Each stage's table reads that
-    system's histogram, and xi's histogram is the binarized one rescaled
-    (dilate_system), so the reduction builds at most three: the input's,
-    the extended system's (none when mu == 0 returns the input itself)
-    and the binarized system's.
+    extension, moments kept by binarization); a multiplicative input is
+    its own extension, so its table is the extended table too.  xi's
+    table is the binarized table: dilating back to [0, T) scales every
+    integral and the domain length alike, so no expectation moves.  Each
+    table reads its system's histogram, and xi's histogram is the
+    binarized one rescaled (dilate_system), so the reduction builds at
+    most three tables and three histograms, two of each when mu == 0.
     """
     input_table = compute_moment_table(sys, fam)
     mu = input_table.mu()
@@ -349,13 +346,13 @@ def reduce_to_independent(sys: BoundedSystem, fam: IndexFamily) -> ReductionTrac
     binarized_table = compute_moment_table(binarized, fam)
     tables = {
         "input": input_table,
-        "extended": compute_moment_table(extended, fam),
+        "extended": input_table if extended is sys else compute_moment_table(extended, fam),
         "binarized": binarized_table,
         "xi": binarized_table,
     }
     return ReductionTrace(
         mu=mu,
-        family=tuple(enumerate_family(sys.n, fam)),
+        family=input_table.subsets,
         input_system=sys,
         extended=extended,
         binarized=binarized,

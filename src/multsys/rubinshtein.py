@@ -20,13 +20,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import OutOfRange, TooLarge, WrongDomain
 from .moments import BoundedSystem, IndexFamily, MomentTable, symmetric_system
-from .reduction import DominationReport, reduce_to_independent, verify_domination
-from .inequalities import TailReport, hoeffding_tail
 from .stepfn import ConvexSpec, StepFunction, concat_many, dilate, scale, tile
+
+if TYPE_CHECKING:
+    from .inequalities import TailReport
+    from .reduction import DominationReport
 
 DILATE_CAP = 12
 
@@ -131,6 +133,9 @@ def verify_rubinshtein(
     reduction serves all three: mu and the moment table are its input
     stage, and verify_domination is handed its trace.
     """
+    from .inequalities import hoeffding_tail
+    from .reduction import reduce_to_independent, verify_domination
+
     if n < 1:
         raise OutOfRange(f"need at least one dilate, got {n}")
     gen = build_phi(seed)

@@ -306,17 +306,11 @@ def _align(fs: Sequence[StepFunction]) -> tuple[tuple[int, ...], int, list[Seque
         return first, den, [range(len(first))] * len(fs)
     _check_same_domain(fs)
     den = math.lcm(*{f._den for f in fs})
-    ints: dict[tuple[int, int], Sequence[int]] = {}
-    for f in fs:
-        key = (id(f._grid), f._den)
-        if key not in ints:
-            m = den // f._den
-            ints[key] = f._grid if m == 1 else [n * m for n in f._grid]
-    merged = sorted(set().union(*ints.values()))
+    scaled = [f._grid if f._den == den else [n * (den // f._den) for n in f._grid] for f in fs]
+    merged = sorted(set().union(*scaled))
     _guard_pieces(len(merged) - 1)
     index = {n: i for i, n in enumerate(merged)}.__getitem__
-    at = {key: list(map(index, row)) for key, row in ints.items()}
-    return tuple(merged), den, [at[id(f._grid), f._den] for f in fs]
+    return tuple(merged), den, [list(map(index, row)) for row in scaled]
 
 
 def _on_grid(f: StepFunction, at: Sequence[int], grid: tuple[int, ...]) -> Sequence[int]:

@@ -20,7 +20,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Sequence
 
 from .errors import (
@@ -32,7 +31,7 @@ from .errors import (
     TooLarge,
     WindowExhausted,
 )
-from .moments import BoundedSystem, pattern_measure, subset_moment, symmetric_system
+from .moments import BoundedSystem, IndexFamily, compute_moment_table, symmetric_system
 from .stepfn import (
     StepFunction,
     int_grid,
@@ -218,6 +217,10 @@ def greedy_subsequence(
         raise BoundViolation("sup bound must be positive")
     funcs = _unit_sup(sys, sys.functions)
     chosen = [1]
+    # the products of every nonempty subset of the chosen functions, and
+    # the sum of their squared norms; each pick extends both
+    targets = [funcs[0]]
+    norm_mass = _l2_sq(funcs[0])
     sums: list[Fraction] = []
     bounds_sq: list[Fraction] = []
     windows: list[tuple[int, int]] = []
@@ -228,22 +231,20 @@ def greedy_subsequence(
             raise WindowExhausted(
                 f"step {m} window starts at {lo}, past the last index {sys.n}"
             )
-        window = range(lo, hi)
-        targets = [
-            product([funcs[i - 1] for i in sub])
-            for size in range(1, len(chosen) + 1)
-            for sub in combinations(chosen, size)
-        ]
-        candidates = [funcs[i - 1] for i in window]
+        candidates = funcs[lo - 1 : hi - 1]
         pos, achieved = parseval_select(
             candidates, targets, assume_orthogonal=sys.certified_orthogonal
         )
-        norm_mass = sum((_l2_sq(t) for t in targets), Fraction(0))
         bound_sq = Fraction(len(targets)) * norm_mass / len(candidates)
         chosen.append(lo + pos)
         sums.append(achieved)
         bounds_sq.append(bound_sq)
         windows.append((lo, hi))
+        if m < steps:
+            pick = candidates[pos]
+            new = [pick] + [product([t, pick]) for t in targets]
+            targets += new
+            norm_mass += sum(map(_l2_sq, new), Fraction(0))
     return SelectionCertificate(
         chosen_indices=tuple(chosen),
         per_step_sum=tuple(sums),
@@ -263,17 +264,14 @@ def selected_family_mu(sys: OrthogonalSystem, indices: Sequence[int]) -> Fractio
 
     This is the quantity the greedy certificate bounds: singletons are
     excluded because the selection controls product moments, not means.
-    Functions are scaled by the sup bound, matching the selection run.
+    Functions are scaled by the sup bound, matching the selection run, so
+    every capacity is 1 and each normalized moment is |E[prod]|; a pool
+    whose functions exceed its sup bound is refused (ValueOutOfBounds).
     """
     funcs = _unit_sup(sys, [sys.functions[i - 1] for i in indices])
-    hist = pattern_measure(funcs)
-    T = funcs[0].domain_length
-    total = Fraction(0)
-    for size in range(2, len(funcs) + 1):
-        for sub in combinations(range(1, len(funcs) + 1), size):
-            num, scale = subset_moment(hist, sub, T)
-            total += Fraction(abs(num), scale)
-    return total
+    table = compute_moment_table(symmetric_system(funcs), IndexFamily.full())
+    # the family lists the len(funcs) singletons first
+    return sum(table.normalized[len(funcs):], Fraction(0))
 
 
 def merge_selections(

@@ -385,12 +385,27 @@ def test_malformed_family_file_is_a_bad_subset(capsys, tmp_path, family):
     assert captured.err.startswith("error:")
 
 
-def test_select_from_an_empty_system_file_exits_two(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze"],
+        ["reduce"],
+        ["khintchine", "-p", "4"],
+        ["tail", "--level", "1"],
+        ["select"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_an_empty_system_file_exits_two_with_one_message(capsys, tmp_path, argv):
     path = tmp_path / "empty.json"
     path.write_text('{"functions": [], "lower_bounds": [], "upper_bounds": []}')
-    code = main(["select", "--system", str(path)])
+    code = main([argv[0], "--system", str(path), *argv[1:]])
+    captured = capsys.readouterr()
     assert code == 2
-    assert capsys.readouterr().err.startswith("error:")
+    assert captured.out == ""
+    assert captured.err == "error: system file holds no functions\n"
+    # the library keeps an empty system legal
+    assert moments.BoundedSystem((), (), ()).n == 0
 
 
 @pytest.mark.parametrize("raw", ["abc", "-5"])
@@ -479,9 +494,12 @@ LOADED = {
     "analyze --system rademacher:4": {"cli", "errors", "stepfn", "moments"},
     "analyze --system walsh:3": {"cli", "errors", "stepfn", "moments", "subseq"},
     "analyze --system rubinshtein:2:step:1,-1/2": {
-        "cli", "errors", "stepfn", "moments", "reduction", "inequalities", "rubinshtein",
+        "cli", "errors", "stepfn", "moments", "rubinshtein",
     },
     "reduce --system rademacher:3": {"cli", "errors", "stepfn", "moments", "reduction"},
+    "reduce --system rubinshtein:2:step:1,-1/2": {
+        "cli", "errors", "stepfn", "moments", "reduction", "rubinshtein",
+    },
     "khintchine --system rademacher:4 -p 4": {
         "cli", "errors", "stepfn", "moments", "inequalities",
     },

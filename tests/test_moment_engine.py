@@ -32,7 +32,7 @@ from multsys import (
 )
 from multsys.errors import MultsysError, NonZeroMean, NotTwoValued
 from multsys.reduction import IndependenceReport
-from multsys.stepfn import StepFunction, scale
+from multsys.stepfn import StepFunction, dilate, scale
 from multsys.subseq import OrthogonalSystem
 
 FULL = IndexFamily.full()
@@ -213,9 +213,25 @@ def test_selected_family_mu_matches_on_walsh_picks():
         sup_bound=F(2),
         certified_orthogonal=True,
     )
+    # on [0, 5/2), so that every moment divides by a domain length other than 1
+    dilated = OrthogonalSystem(
+        functions=tuple(dilate(f, F(2, 5)) for f in pool.functions),
+        sup_bound=F(1),
+        certified_orthogonal=True,
+    )
+    # values 3 and -1 under the sup bound 3: after scaling the values are 1
+    # and -1/3, and the capacities stay those of the bounds [-1, 1]
+    lopsided = OrthogonalSystem(
+        functions=tuple(
+            make_step(f.breakpoints, [3 if v > 0 else -1 for v in f.values])
+            for f in pool.functions
+        ),
+        sup_bound=F(3),
+        certified_orthogonal=False,
+    )
     for _ in range(20):
         picks = sorted(rng.sample(range(1, pool.n + 1), rng.randint(2, 6)))
-        for p in (pool, signed):
+        for p in (pool, signed, dilated, lopsided):
             assert selected_family_mu(p, picks) == reference_selected_family_mu(p, picks)
 
 

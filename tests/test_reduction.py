@@ -306,7 +306,8 @@ def test_a_multiplicative_input_shares_its_histogram_with_the_extended_stage(mon
     trace = reduce_to_independent(sys_obj, FULL)
     assert trace.mu == 0 and trace.extended is sys_obj
     assert len(builds) == 2  # input (also the extended stage), binarized
-    assert len(tables) == 3
+    assert len(tables) == 2  # input (also the extended stage), binarized
+    assert trace.moment_tables["extended"] is trace.moment_tables["input"]
 
 
 def test_a_trace_of_another_system_or_family_is_refused():

@@ -1,6 +1,8 @@
 """Walsh pools, the averaging selector and the greedy certificate."""
 
+import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
@@ -9,6 +11,7 @@ from multsys import (
     as_bounded_system,
     check_orthogonality,
     greedy_subsequence,
+    make_step,
     merge_selections,
     parseval_select,
     product,
@@ -25,8 +28,10 @@ from multsys.errors import (
     NotOrthogonal,
     OutOfRange,
     TooLarge,
+    ValueOutOfBounds,
     WindowExhausted,
 )
+from multsys import subseq
 from multsys.subseq import _l2_sq
 
 
@@ -98,6 +103,52 @@ def test_greedy_respects_step_bounds():
         assert s * s <= b_sq
 
 
+def test_greedy_extends_its_targets_from_step_to_step(monkeypatch):
+    calls = []
+
+    def counted(fs):
+        calls.append(len(fs))
+        return product(fs)
+
+    monkeypatch.setattr(subseq, "product", counted)
+    greedy_subsequence(walsh_system(6), rho=2, steps=3)
+    # a squared norm for each of the 7 targets, and the 4 products of two or more
+    assert len(calls) == 11
+
+
+def test_greedy_matches_a_rebuild_of_every_target_on_random_pools():
+    rng = random.Random(2001)
+    grid = [F(i, 8) for i in range(9)]
+    values = [F(v, 2) for v in range(-4, 5)]
+    nonzero = 0
+    for _ in range(10):
+        pool = OrthogonalSystem(
+            functions=tuple(
+                make_step(grid, [rng.choice(values) for _ in range(8)]) for _ in range(15)
+            ),
+            sup_bound=F(2),
+            # random functions are not orthogonal; trusting the flag skips that
+            # check, and the step sums come out nonzero
+            certified_orthogonal=True,
+        )
+        cert = greedy_subsequence(pool, rho=2, steps=3)
+        funcs = [scale(f, F(1, 2)) for f in pool.functions]
+        for m, (lo, hi) in enumerate(cert.windows, start=1):
+            targets = [
+                product([funcs[i - 1] for i in sub])
+                for size in range(1, m + 1)
+                for sub in combinations(cert.chosen_indices[:m], size)
+            ]
+            candidates = funcs[lo - 1 : hi - 1]
+            pos, achieved = parseval_select(candidates, targets, assume_orthogonal=True)
+            nonzero += achieved != 0
+            assert cert.chosen_indices[m] == lo + pos
+            assert cert.per_step_sum[m - 1] == achieved
+            norm_mass = sum(map(_l2_sq, targets), F(0))
+            assert cert.per_step_bound_sq[m - 1] == len(targets) * norm_mass / len(candidates)
+    assert nonzero >= 20
+
+
 def test_greedy_scales_by_the_sup_bound():
     pool = OrthogonalSystem(
         functions=tuple(scale(rademacher(k), 2) for k in range(1, 5)),
@@ -148,6 +199,17 @@ def test_merge_recomputes_cross_products():
     # functions 2, 3, 4 multiply to the constant, with or without function 1
     assert merged["mu"] == 2
     assert merged["mu"] == selected_family_mu(sys_obj, merged["indices"])
+
+
+def test_a_pool_above_its_own_sup_bound_is_refused():
+    pool = walsh_system(2)
+    loose = OrthogonalSystem(
+        functions=tuple(scale(f, 2) for f in pool.functions),
+        sup_bound=F(1),
+        certified_orthogonal=True,
+    )
+    with pytest.raises(ValueOutOfBounds):
+        selected_family_mu(loose, [1, 2, 3])
 
 
 def test_rademacher_pool_and_bounded_view():
