@@ -100,8 +100,9 @@ def _load_json(path: str) -> object:
             return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # malformed JSON, bytes that are not UTF-8, or nesting deeper than the parser goes
+        raise ParseError(f"{path} is not readable JSON: {exc}") from exc
 
 
 def parse_seed(text: str) -> StepFunction:

@@ -1,10 +1,59 @@
-"""Exception types shared across the package, and the index-subset check.
+"""Exception types shared across the package, the index-subset check, and
+the frozen record decorator every result and input type is built with.
 
 Every validation failure raises a named exception so callers can tell
 bad input apart from a genuine inequality violation.  Violations of the
 inequalities under test are never exceptions: they are reported as data
 in the result objects.
 """
+
+from operator import attrgetter
+
+# the two methods records run often, compiled once per class
+_RECORD = """
+def __init__(self, {params}):
+{stores}
+def __eq__(self, other):
+    if other.__class__ is self.__class__:
+        return ({mine}) == ({theirs})
+    return NotImplemented
+"""
+
+
+def frozen(cls: type) -> type:
+    """Make cls an immutable record of its annotated fields, in order, a
+    class value being that field's default: an __init__ (which then calls
+    __post_init__, if cls has one), __eq__ and __hash__ on the field tuple,
+    a Name(field=value, ...) repr, and a __setattr__ and __delattr__ that
+    raise dataclasses.FrozenInstanceError.  A method cls defines is kept,
+    and so is the instance __dict__, for cached_property, pickle and copy."""
+    names = tuple(vars(cls).get("__annotations__", ()))
+    key = attrgetter(*names)
+    defaults = {f"_{n}": vars(cls)[n] for n in names if n in vars(cls)}
+    scope = {"__set": object.__setattr__, **defaults}
+    post = "    self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""
+    exec(_RECORD.format(
+        params=", ".join(f"{n}=_{n}" if f"_{n}" in defaults else n for n in names),
+        # object.__setattr__ keeps the attributes in the fast inline layout
+        stores="".join(f"    __set(self, {n!r}, {n})\n" for n in names) + post,
+        mine="".join(f"self.{n}, " for n in names),
+        theirs="".join(f"other.{n}, " for n in names),
+    ), scope)
+
+    def __repr__(self) -> str:
+        return f"{cls.__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in names)})"
+
+    def refuse(self, name: str, *value: object) -> None:
+        from dataclasses import FrozenInstanceError  # loaded on this error path only
+
+        raise FrozenInstanceError(f"{cls.__name__} is frozen: cannot set or delete {name!r}")
+
+    scope.update(__hash__=lambda self: hash(key(self)), __repr__=__repr__,
+                 __setattr__=refuse, __delattr__=refuse)
+    for attr in ("__init__", "__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__"):
+        if attr not in vars(cls):
+            setattr(cls, attr, scope[attr])
+    return cls
 
 
 class MultsysError(ValueError):

@@ -16,7 +16,6 @@ a report object with a holds flag.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -27,6 +26,7 @@ from .errors import (
     NotMultiplicative,
     OutOfRange,
     TooLarge,
+    frozen,
 )
 from .moments import (
     BoundedSystem,
@@ -136,7 +136,7 @@ def rademacher_tail_oracle(n: int, level: Rational) -> Fraction:
 
 # ------------------------------------------------------------------ p-norm verification
 
-@dataclass(frozen=True)
+@frozen
 class KhintchineReport:
     p: float
     mode: str
@@ -227,7 +227,7 @@ def verify_khintchine(
 
 # ------------------------------------------------------------------ tails
 
-@dataclass(frozen=True)
+@frozen
 class TailReport:
     level: Fraction
     exact_measure: Fraction
@@ -280,7 +280,7 @@ def hoeffding_tail(
     )
 
 
-@dataclass(frozen=True)
+@frozen
 class MgfReport:
     lhs: float
     rhs: float

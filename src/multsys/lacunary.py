@@ -19,7 +19,6 @@ the test suite against an oscillation-aware quadrature oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product as iter_product
 from typing import Sequence
@@ -31,6 +30,7 @@ from .errors import (
     OutOfRange,
     TauTooSmall,
     _validate_subset,
+    frozen,
 )
 
 ZERO_FREQ_TOL = 1e-12
@@ -39,7 +39,7 @@ QUAD_ORDER = 32  # Gauss-Legendre nodes per quadrature panel
 QUAD_TOL = 1e-12  # quadrature refining stops once two estimates agree within this
 
 
-@dataclass(frozen=True)
+@frozen
 class LacunarySpec:
     """Frequencies tau(1) < ... < tau(n) with certified growth factor.
 
@@ -104,7 +104,7 @@ def explicit_spec(tau: Sequence[float], lam_claim: float) -> LacunarySpec:
 
 # ------------------------------------------------------------------ expansion
 
-@dataclass(frozen=True)
+@frozen
 class FrequencyTerm:
     """One summand coef * sin(2 pi freq x) or coef * cos(2 pi freq x)."""
 
@@ -113,7 +113,7 @@ class FrequencyTerm:
     coef: float
 
 
-@dataclass(frozen=True)
+@frozen
 class ProductExpansion:
     """Product of sines rewritten as a sum of 2**(v-1) single harmonics."""
 
@@ -225,7 +225,7 @@ def _denominator(value: float, lam: float) -> float:
 
 # ------------------------------------------------------------------ truncated mu
 
-@dataclass(frozen=True)
+@frozen
 class CollectionEntry:
     subset: tuple[int, ...]
     integral: float
@@ -233,7 +233,7 @@ class CollectionEntry:
     within: bool
 
 
-@dataclass(frozen=True)
+@frozen
 class TruncatedMuReport:
     mu_truncated: float
     global_bound: float

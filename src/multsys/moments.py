@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -35,6 +34,7 @@ from .errors import (
     ParseError,
     ValueOutOfBounds,
     _validate_subset,
+    frozen,
 )
 from .stepfn import (
     ConvexSpec,
@@ -53,7 +53,7 @@ FAMILY_CAP = 1 << 22
 Subset = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@frozen
 class BoundedSystem:
     """Step functions phi_1..phi_n with certified bounds A_k <= phi_k <= B_k.
 
@@ -89,6 +89,17 @@ class BoundedSystem:
             if low < lo or high > hi:
                 v = next(v for v in f.values if v < lo or v > hi)
                 raise ValueOutOfBounds(f"function {k}: value {v} outside [{lo}, {hi}]")
+
+    @classmethod
+    def _from_parts(
+        cls, functions: tuple[StepFunction, ...], lower: tuple[Fraction, ...],
+        upper: tuple[Fraction, ...],
+    ) -> BoundedSystem:
+        """The system of parts known to form a valid one, such as a reduction
+        stage built from a valid system: nothing is checked again."""
+        self = object.__new__(cls)
+        vars(self).update(functions=functions, lower_bounds=lower, upper_bounds=upper)
+        return self
 
     @cached_property
     def histogram(self) -> PatternHistogram:
@@ -141,13 +152,15 @@ def symmetric_system(functions: Sequence[StepFunction], bound: Rational = 1) -> 
 def dilate_system(sys: BoundedSystem, factor: Rational) -> BoundedSystem:
     """Every function dilated by factor == p / r, on [0, T / factor).
 
-    The result is given its histogram from the one of sys, with no rebuild:
-    dilate shares the value rows and scales every length by r / p, so
-    each mass becomes mass * r over den * p while the value patterns and
-    their denominators stay.
+    The result is valid because sys is (same values and bounds, every
+    domain scaled alike), so it is not validated again.  It is given its
+    histogram from the one of sys, with no rebuild: dilate shares the
+    value rows and scales every length by r / p, so each mass becomes
+    mass * r over den * p while the value patterns and their
+    denominators stay.
     """
     factor = as_fraction(factor)
-    out = BoundedSystem(
+    out = BoundedSystem._from_parts(
         tuple(dilate(f, factor) for f in sys.functions), sys.lower_bounds, sys.upper_bounds
     )
     mass, den, dens = sys.histogram
@@ -161,7 +174,7 @@ def dilate_system(sys: BoundedSystem, factor: Rational) -> BoundedSystem:
 
 # ------------------------------------------------------------------ index families
 
-@dataclass(frozen=True)
+@frozen
 class IndexFamily:
     """Either all subsets up to a cardinality cap, or an explicit list.
 
@@ -265,7 +278,7 @@ def mixed_moment(sys: BoundedSystem, subset: Sequence[int]) -> Fraction:
     return Fraction(*subset_moment(sys.histogram, s, sys.domain_length))
 
 
-@dataclass(frozen=True)
+@frozen
 class MomentTable:
     """Moments E[prod phi] and their capacity-normalized magnitudes per subset."""
 

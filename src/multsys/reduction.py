@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product as iter_product
 from typing import Sequence
 
-from .errors import BadArity, LengthMismatch, NonZeroMean, NotTwoValued, TraceMismatch
+from .errors import BadArity, LengthMismatch, NonZeroMean, NotTwoValued, TraceMismatch, frozen
 from .moments import (
     BoundedSystem,
     IndexFamily,
@@ -160,7 +159,8 @@ def _extend(sys: BoundedSystem, table: MomentTable) -> BoundedSystem:
     new_functions = tuple(
         concat_many([sys.functions[k]] + extensions[k]) for k in range(sys.n)
     )
-    return BoundedSystem(new_functions, sys.lower_bounds, sys.upper_bounds)
+    # every block value is 0 or +-C_k, inside [A_k, B_k], and every function grows alike
+    return BoundedSystem._from_parts(new_functions, sys.lower_bounds, sys.upper_bounds)
 
 
 # ------------------------------------------------------------------ binarization
@@ -225,12 +225,13 @@ def binarize(sys: BoundedSystem) -> BoundedSystem:
                     last = v
         _guard_pieces(len(row) + splits)
         functions[k] = StepFunction._from_ints(tuple(grid), q * d * width, tuple(vals), vq)
-    return BoundedSystem(tuple(functions), sys.lower_bounds, sys.upper_bounds)
+    # every value is A_k or B_k, and every domain stays [0, T)
+    return BoundedSystem._from_parts(tuple(functions), sys.lower_bounds, sys.upper_bounds)
 
 
 # ------------------------------------------------------------------ independence
 
-@dataclass(frozen=True)
+@frozen
 class IndependenceReport:
     """Outcome of the exact product-measure check over a family."""
 
@@ -298,7 +299,7 @@ def check_independence(sys: BoundedSystem, fam: IndexFamily) -> IndependenceRepo
 
 # ------------------------------------------------------------------ the pipeline
 
-@dataclass(frozen=True)
+@frozen
 class ReductionTrace:
     """Everything the reduction produced, stage by stage.
 
@@ -361,7 +362,7 @@ def reduce_to_independent(sys: BoundedSystem, fam: IndexFamily) -> ReductionTrac
     )
 
 
-@dataclass(frozen=True)
+@frozen
 class DominationReport:
     """E[Phi(sum a_k phi_k)] against (1 + mu) E[Phi(sum a_k xi_k)]."""
 
@@ -411,7 +412,7 @@ def verify_domination(
     if trace is None:
         trace = reduce_to_independent(sys, fam)
     elif trace.input_system != sys or trace.family != tuple(enumerate_family(sys.n, fam)):
-        # dataclass equality compares field tuples, whose items short-circuit on identity
+        # record equality compares field tuples, whose items short-circuit on identity
         raise TraceMismatch("the trace was not reduced from this system and family")
     cs = [as_fraction(c) for c in coeffs]
     if len(cs) != sys.n:

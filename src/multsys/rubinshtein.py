@@ -18,11 +18,10 @@ multiplicative system, with mu = 0 over every index family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import OutOfRange, TooLarge, WrongDomain
+from .errors import OutOfRange, TooLarge, WrongDomain, frozen
 from .moments import BoundedSystem, IndexFamily, MomentTable, symmetric_system
 from .stepfn import ConvexSpec, StepFunction, concat_many, dilate, scale, tile
 
@@ -47,7 +46,7 @@ def reflect(f: StepFunction) -> StepFunction:
     return StepFunction._from_ints(mirrored, f._den, f._row[::-1], f._q)
 
 
-@dataclass(frozen=True)
+@frozen
 class ReflectionGenerator:
     """A seed on [0, 1/4) together with its antiperiodic extension."""
 
@@ -95,7 +94,7 @@ def dilated_system(gen: ReflectionGenerator, n: int) -> BoundedSystem:
     return symmetric_system(functions, bound)
 
 
-@dataclass(frozen=True)
+@frozen
 class RubinshteinReport:
     """Bundle of checks for one generator: exact mu, domination, tail."""
 

@@ -27,7 +27,6 @@ import math
 import operator
 import os
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -44,6 +43,7 @@ from .errors import (
     OutOfRange,
     ParseError,
     UnsortedSamples,
+    frozen,
 )
 
 DEFAULT_PIECE_CAP = 1 << 20
@@ -159,7 +159,7 @@ def _check_breakpoints(grid: tuple[int, ...], den: int) -> None:
     _valid_grid = grid
 
 
-@dataclass(frozen=True, init=False, repr=False)
+@frozen
 class StepFunction:
     """Piecewise-constant function on [0, breakpoints[-1]).
 
@@ -550,7 +550,7 @@ def value_range(f: StepFunction) -> tuple[Fraction, Fraction]:
 
 # ------------------------------------------------------------------ convex integrands
 
-@dataclass(frozen=True)
+@frozen
 class ConvexSpec:
     """Nonnegative convex integrand t -> Phi(t).
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -30,6 +29,7 @@ from .errors import (
     OutOfRange,
     TooLarge,
     WindowExhausted,
+    frozen,
 )
 from .moments import BoundedSystem, IndexFamily, compute_moment_table, symmetric_system
 from .stepfn import (
@@ -46,7 +46,7 @@ PRODUCT_STEP_CAP = 16
 WALSH_CAP = 12
 
 
-@dataclass(frozen=True)
+@frozen
 class OrthogonalSystem:
     """Candidate pool phi_1..phi_n with a shared sup bound.
 
@@ -160,7 +160,7 @@ def parseval_select(
     return best_pos, best_sum / T
 
 
-@dataclass(frozen=True)
+@frozen
 class SelectionCertificate:
     """Greedy run record; all sums are exact rationals.
 

@@ -23,6 +23,28 @@ def acceptance() -> AcceptanceLog:
     return AcceptanceLog()
 
 
+@pytest.fixture(scope="module")
+def validated_stages():
+    """Rebuild every system made with no re-validation, the reduction
+    stages that BoundedSystem._from_parts builds, through the public
+    constructor, which validates, and require an equal system.  Yields the
+    list of systems checked so far."""
+    from multsys.moments import BoundedSystem
+
+    trusted = BoundedSystem._from_parts.__func__
+    checked = []
+
+    def checking(cls, *parts):
+        out = trusted(cls, *parts)
+        assert BoundedSystem(*parts) == out
+        checked.append(out)
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(BoundedSystem, "_from_parts", classmethod(checking))
+        yield checked
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if not _VERDICTS:
         return

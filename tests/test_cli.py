@@ -385,6 +385,33 @@ def test_malformed_family_file_is_a_bad_subset(capsys, tmp_path, family):
     assert captured.err.startswith("error:")
 
 
+UNREADABLE_JSON = {
+    "not_utf8": b"\xff\xfe",
+    "nested_too_deep": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("content", list(UNREADABLE_JSON.values()), ids=list(UNREADABLE_JSON))
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--system", "{path}"],
+        ["analyze", "--system", "rademacher:2", "--family", "{path}"],
+        ["rubinshtein", "--n", "2", "--seed", "{path}"],
+    ],
+    ids=["system", "family", "seed"],
+)
+def test_unreadable_json_file_exits_two(capsys, tmp_path, content, argv):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    code = main([arg.format(path=path) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path} is not readable JSON:")
+    assert len(captured.err.splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -540,6 +567,35 @@ def test_each_call_loads_only_the_modules_it_runs(statement):
     code, *loaded = out.stdout.split()
     assert code == "0"
     assert set(loaded) == {f"multsys.{m}" for m in LOADED[statement]}
+
+
+def test_no_call_loads_dataclasses_or_inspect():
+    """The records need neither module.  One fresh interpreter makes every
+    call of LOADED in turn and names the first that loads one of them."""
+    calls = [s.split() for s in LOADED if not s.startswith("import")]
+    probe = (
+        "import contextlib, io, sys\n"
+        "heavy = {'dataclasses', 'inspect'} - set(sys.modules)\n"
+        "import multsys.cli\n"
+        "print('import', *sorted(heavy & set(sys.modules)))\n"
+        f"for argv in {calls!r}:\n"
+        "    try:\n"
+        "        with contextlib.redirect_stdout(io.StringIO()):\n"
+        "            multsys.cli.main(argv)\n"
+        "    except SystemExit:\n"
+        "        pass\n"
+        "    print(*argv, '->', *sorted(heavy & set(sys.modules)))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    lines = out.stdout.splitlines()
+    assert lines == ["import"] + [" ".join(argv) + " ->" for argv in calls]
 
 
 def test_the_package_resolves_its_exports_on_first_access():

@@ -74,6 +74,7 @@ WORKLOADS = _workloads()
 BATTERY = json.loads((BENCH / "golden.json").read_text(encoding="utf-8"))["battery"]
 
 
+@pytest.mark.usefixtures("validated_stages")
 @pytest.mark.parametrize("kind", WORKLOADS.KINDS)
 @pytest.mark.parametrize("index", range(8))
 def test_battery_items_match_their_golden_digests(monkeypatch, kind, index):

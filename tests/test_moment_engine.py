@@ -9,6 +9,7 @@ import random
 from fractions import Fraction as F
 from itertools import combinations, product as iter_product
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from multsys import (
@@ -38,6 +39,8 @@ from multsys.subseq import OrthogonalSystem
 FULL = IndexFamily.full()
 STAGES = ("input", "extended", "binarized", "xi")
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+# every stage built with no re-validation is rebuilt through the validating constructor
+pytestmark = pytest.mark.usefixtures("validated_stages")
 
 
 # ------------------------------------------------------------------ reference loops

@@ -46,6 +46,8 @@ from multsys.errors import (
 )
 
 FULL = IndexFamily.full()
+# every stage built with no re-validation is rebuilt through the validating constructor
+pytestmark = pytest.mark.usefixtures("validated_stages")
 
 
 def assert_cancellation_invariants(fns):
@@ -223,6 +225,14 @@ def battery_shaped_system():
         (F(-1), F(-2), F(-3, 2)),
         (F(3, 4), F(5, 4), F(1)),
     )
+
+
+def test_the_stage_oracle_sees_every_trusted_stage(validated_stages):
+    before = len(validated_stages)
+    trace = reduce_to_independent(battery_shaped_system(), FULL)
+    stages = (trace.extended, trace.binarized, trace.xi)
+    assert len(validated_stages) == before + len(stages)
+    assert all(s is t for s, t in zip(validated_stages[before:], stages))
 
 
 def count_calls(monkeypatch, module, name):
