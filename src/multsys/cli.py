@@ -183,9 +183,10 @@ def parse_pool(text: str) -> OrthogonalSystem:
     kind, _, rest = text.partition(":")
     if kind == "walsh" and rest:
         try:
-            return walsh_system(int(rest))
+            m = int(rest)
         except ValueError as exc:
             raise ParseError(f"bad order in {text!r}") from exc
+        return walsh_system(m)
     sys_obj = parse_system(text)
     sup = max(max(-lo, hi) for lo, hi in zip(sys_obj.lower_bounds, sys_obj.upper_bounds))
     return OrthogonalSystem(

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 from .errors import (
     BadBounds,
@@ -259,23 +259,123 @@ def pattern_measure(functions: Sequence[StepFunction]) -> PatternHistogram:
     return mass, den, tuple(q for _, q in rows)
 
 
-def subset_moment(hist: PatternHistogram, subset: Subset, T: Fraction) -> tuple[int, int]:
-    """E[prod_{k in subset} phi_k] on [0, T), read off the histogram as one
-    int sum: an int numerator and denominator, unreduced, for the caller's
-    one Fraction."""
-    mass, den, dens = hist
-    total = 0
-    for key, length in mass.items():
-        for k in subset:
-            length *= key[k - 1]
-        total += length
-    return total * T.denominator, den * math.prod(dens[k - 1] for k in subset) * T.numerator
+def mask_of(subset: Subset) -> int:
+    """The subset as a bit mask: bit k - 1 stands for function k."""
+    return sum(1 << (k - 1) for k in subset)
+
+
+def lattice_sums(
+    hist: PatternHistogram, members: Collection[int] | None = None, cap: int | None = None
+) -> dict[int, int]:
+    """For every member mask S, or with no members every mask S of at most
+    cap functions (any number with no cap), the int sum over value
+    patterns of mass * prod_{k in S} key[k]: the numerator of E[prod_S phi].
+
+    One fold over the subset lattice, Yates's algorithm for factorial
+    experiments, which is the fast zeta transform of Bjorklund, Husfeldt,
+    Kaski and Koivisto: a state maps the unfolded suffix of a pattern to a
+    vector of sums, one per mask of the folded coordinates, and folding
+    coordinate k doubles each vector, keeping every sum for masks without
+    k and multiplying it by the coordinate's value for masks with k.
+    States whose suffixes agree are added up, so the cost is about the
+    number of distinct suffixes times the vector length per coordinate,
+    n * 2**n for the full family where a loop per subset and pattern pays
+    4**n.  Only masks that can still grow into a wanted one are carried:
+    those of at most cap functions, or the restrictions of the members to
+    the folded coordinates, so one large member costs one sum, not
+    2**|S|.  Key 0 of the result, the empty mask, is the total mass.
+    """
+    mass, _, dens = hist
+    n = len(dens)
+    masks: Sequence[int] = [0]
+    # per coordinate: the entries kept and the entries multiplied, None for all
+    plan: list[tuple[list[int] | None, list[int] | None]] = []
+    if members is None and (cap is None or cap >= n):
+        # every mask: entry i of the final vector is mask i
+        plan, masks = [(None, None)] * n, range(1 << n)
+    for k in range(len(plan), n):
+        bit = 1 << k
+        if members is None:
+            keep = None
+            mult = [i for i, m in enumerate(masks) if m.bit_count() < cap]
+        else:
+            wanted = {m & (2 * bit - 1) for m in members}
+            keep = [i for i, m in enumerate(masks) if m in wanted]
+            mult = [i for i, m in enumerate(masks) if m | bit in wanted]
+            if len(keep) == len(masks):
+                keep = None
+        if len(mult) == len(masks):
+            mult = None
+        plan.append((keep, mult))
+        masks = (masks if keep is None else [masks[i] for i in keep]) + [
+            masks[i] | bit for i in (range(len(masks)) if mult is None else mult)
+        ]
+    if not plan:
+        return {0: sum(mass.values())}
+    # coordinate 0 folds straight off the histogram: a pattern's vector is
+    # [w, w * v] before the plan drops an entry
+    keep, mult = plan[0]
+    state: dict[tuple[int, ...], list[int]] = {}
+    for key, w in mass.items():
+        rest = key[1:]
+        old = state.get(rest)
+        if old is None:
+            state[rest] = ([w] if keep is None else []) + ([w * key[0]] if mult is None else [])
+        elif keep is None:
+            old[0] += w
+            if mult is None:
+                old[1] += w * key[0]
+        elif mult is None:
+            old[0] += w * key[0]
+    for keep, mult in plan[1:]:
+        folded: dict[tuple[int, ...], list[int]] = {}
+        for suffix, sums in state.items():
+            v = suffix[0]
+            new = (sums if keep is None else [sums[i] for i in keep]) + (
+                [x * v for x in sums] if mult is None else [sums[i] * v for i in mult]
+            )
+            rest = suffix[1:]
+            old = folded.get(rest)
+            folded[rest] = new if old is None else list(map(operator.add, old, new))
+        state = folded
+    return dict(zip(masks, state[()]))
+
+
+def family_sums(hist: PatternHistogram, fam: IndexFamily, subsets: Sequence[Subset]) -> list[int]:
+    """lattice_sums of every subset of fam, in the order of subsets, which
+    enumerate_family gave."""
+    if fam.subsets is not None:
+        masks = [mask_of(s) for s in subsets]
+        sums = lattice_sums(hist, masks)
+    else:
+        n = len(hist[2])
+        cap = n if fam.cap is None else fam.cap
+        sums = lattice_sums(hist, cap=cap)
+        # the masks in enumerate_family's order, by cardinality and then lexicographic
+        bits = [1 << k for k in range(n)]
+        masks = [m for v in range(1, cap + 1) for m in map(sum, combinations(bits, v))]
+    return list(map(sums.__getitem__, masks))
+
+
+# every vanishing moment and normalized magnitude is this one object
+ZERO = Fraction(0)
+
+
+def _moment(num: int, subset: Subset, den: int, dens: Sequence[int], T: Fraction) -> Fraction:
+    """The moment whose lattice sum over the subset is num."""
+    if not num:
+        return ZERO
+    return Fraction(
+        num * T.denominator, den * math.prod(dens[k - 1] for k in subset) * T.numerator
+    )
 
 
 def mixed_moment(sys: BoundedSystem, subset: Sequence[int]) -> Fraction:
     """E[prod_{k in subset} phi_k] under the uniform law on [0, T)."""
     s = _validate_subset(subset, sys.n)
-    return Fraction(*subset_moment(sys.histogram, s, sys.domain_length))
+    hist = sys.histogram
+    mask = mask_of(s)
+    return _moment(lattice_sums(hist, (mask,))[mask], s, hist[1], hist[2], sys.domain_length)
 
 
 @frozen
@@ -306,21 +406,24 @@ class MomentTable:
 
 
 def compute_moment_table(sys: BoundedSystem, fam: IndexFamily) -> MomentTable:
-    """All selected mixed moments from the histogram of sys, with one
-    Fraction per reported moment and normalized magnitude."""
+    """All selected mixed moments from one lattice fold of the histogram of
+    sys, with one Fraction per nonzero reported moment and normalized
+    magnitude and the shared ZERO for every other."""
     subsets = tuple(enumerate_family(sys.n, fam))
     hist = sys.histogram
+    _, den, dens = hist
     T = sys.domain_length
-    caps = sys.capacities()
+    nums = family_sums(hist, fam, subsets)
+    caps = sys.capacities() if any(nums) else ()
     moments: list[Fraction] = []
     normalized: list[Fraction] = []
-    for s in subsets:
-        num, scale = subset_moment(hist, s, T)
-        moments.append(Fraction(num, scale))
-        # capacities are positive, so only the sum carries a sign
-        normalized.append(Fraction(
-            abs(num) * math.prod(caps[i - 1].denominator for i in s),
-            scale * math.prod(caps[i - 1].numerator for i in s),
+    for s, num in zip(subsets, nums):
+        m = _moment(num, s, den, dens, T)
+        moments.append(m)
+        # capacities are positive, so only the moment carries a sign
+        normalized.append(m if not num else Fraction(
+            abs(m.numerator) * math.prod(caps[i - 1].denominator for i in s),
+            m.denominator * math.prod(caps[i - 1].numerator for i in s),
         ))
     return MomentTable(subsets, tuple(moments), tuple(normalized))
 
@@ -334,9 +437,10 @@ def multiplicative_error(
 
 
 def is_multiplicative(sys: BoundedSystem, fam: IndexFamily) -> bool:
-    """True when every selected mixed moment vanishes exactly."""
-    mu, _ = multiplicative_error(sys, fam)
-    return mu == 0
+    """True when every selected mixed moment vanishes exactly: a lattice sum
+    read until the first nonzero one, with no table built."""
+    subsets = enumerate_family(sys.n, fam)
+    return not any(family_sums(sys.histogram, fam, subsets))
 
 
 def combination_expectation(

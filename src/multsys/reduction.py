@@ -24,7 +24,7 @@ import math
 import operator
 from fractions import Fraction
 from itertools import combinations, product as iter_product
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .errors import BadArity, LengthMismatch, NonZeroMean, NotTwoValued, TraceMismatch, frozen
 from .moments import (
@@ -36,6 +36,8 @@ from .moments import (
     compute_moment_table,
     dilate_system,
     enumerate_family,
+    lattice_sums,
+    mask_of,
 )
 from .stepfn import (
     REL_TOL,
@@ -245,17 +247,27 @@ def check_independence(sys: BoundedSystem, fam: IndexFamily) -> IndependenceRepo
     """Verify that selected joint value distributions factor exactly.
 
     Requires every function to be {A_k, B_k}-valued with zero mean; then
-    the marginal law is pinned (P{phi_k == A_k} = B_k / (B_k - A_k)) and
-    the check compares each joint pattern measure with the product of
-    marginals, in ints on the system's histogram.  With
-    M = T * den the total mass and L_k the mass where phi_k == A_k, both
-    ints over the histogram's denominator, a pattern over S of joint mass
-    J factors exactly when J * M**(|S| - 1) is the product over k in S of
-    L_k (phi_k low) or M - L_k (phi_k high).  Fractions are built only
-    for the reported marginals L_k / M and for failures.
+    the marginal law is pinned (P{phi_k == A_k} = B_k / (B_k - A_k)).
+    With M = T * den the total mass and L_k the mass where phi_k == A_k,
+    both ints over the histogram's denominator, these checks and the
+    reported marginals L_k / M read the system's histogram.
+
+    The verdict on a subset S is read from moments.  The indicator of
+    {phi_k == A_k} is (B_k - phi_k) / (B_k - A_k), affine in phi_k, so
+    the joint law over S is a linear image of the moments E[prod_T phi]
+    over T within S, and it is the product of the marginals, whose
+    moments all vanish with the means, exactly when every such moment
+    with |T| >= 2 vanishes.  One lattice fold gives those moments over
+    the downward closure of the family, and one OR pass over the closure
+    marks each subset containing a nonzero one.  A member S with 2**|S|
+    above the histogram's pattern count fails at once, since the product
+    law charges all 2**|S| patterns, and its closure is never built.
+    Only failing subsets run the joint-pattern comparison that reports
+    them (_pattern_failures).
     """
     T = sys.domain_length
-    mass, den, dens = sys.histogram
+    hist = sys.histogram
+    mass, den, dens = hist
     M = T.numerator * den // T.denominator  # T ends the merged grid, so T * den is an int
     # function k is low where its int value is lows[k], that is A_k * dens[k]
     lows: list[int] = []
@@ -269,32 +281,72 @@ def check_independence(sys: BoundedSystem, fam: IndexFamily) -> IndependenceRepo
         L = sum(w for key, w in mass.items() if key[k] == lows[k])
         # the mean times M * A_k.den * B_k.den
         if lo.numerator * hi.denominator * L + hi.numerator * lo.denominator * (M - L):
-            raise NonZeroMean(f"function {k + 1} has mean {(lo * L + hi * (M - L)) / M}")
+            message = f"function {k + 1} has mean {(lo * L + hi * (M - L)) / M}"
+            if fam.subsets is not None and (k + 1,) not in fam.subsets:
+                message += (
+                    f"; the family holds no ({k + 1},), and the singletons are what"
+                    " cancel the means in the reduction"
+                )
+            raise NonZeroMean(message)
         low_mass.append(L)
-    failures: list[dict] = []
     subsets = enumerate_family(sys.n, fam)
-    for s in subsets:
-        joint: dict[tuple[bool, ...], int] = {}
-        for key, w in mass.items():
-            pattern = tuple(key[k - 1] == lows[k - 1] for k in s)
-            joint[pattern] = joint.get(pattern, 0) + w
-        scale = M ** (len(s) - 1)
-        for pattern in iter_product((True, False), repeat=len(s)):
-            expected = 1
-            for flag, k in zip(pattern, s):
-                expected *= low_mass[k - 1] if flag else M - low_mass[k - 1]
-            got = joint.get(pattern, 0)
-            if got * scale != expected:
-                failures.append({
-                    "subset": s, "pattern": pattern,
-                    "measure": Fraction(got, M), "expected": Fraction(expected, scale * M),
-                })
+    masks = [mask_of(s) for s in subsets]
+    if fam.subsets is None:
+        # every subset of at most cap functions: its own downward closure
+        sums = lattice_sums(hist, cap=fam.cap)
+    else:
+        closure = {0}
+        for m, s in zip(masks, subsets):
+            if 1 << len(s) <= len(mass):
+                sub = m
+                while sub:  # every nonempty submask of m, in falling order
+                    closure.add(sub)
+                    sub = (sub - 1) & m
+        sums = lattice_sums(hist, closure)
+    failing = {m: bool(v) for m, v in sums.items()}
+    # the empty mask sums the total mass; every singleton sum is 0 by the mean check
+    failing[0] = False
+    for k in range(sys.n):
+        bit = 1 << k
+        for m in failing:
+            if m & bit and failing[m ^ bit]:
+                failing[m] = True
+    failures: list[dict] = []
+    for s, m in zip(subsets, masks):
+        if failing.get(m, True):
+            failures += _pattern_failures(mass, M, lows, low_mass, s)
     return IndependenceReport(
         independent=not failures,
         subsets_checked=len(subsets),
         failures=tuple(failures),
         marginals=tuple(Fraction(L, M) for L in low_mass),
     )
+
+
+def _pattern_failures(
+    mass: Mapping[tuple[int, ...], int], M: int, lows: Sequence[int], low_mass: Sequence[int],
+    s: Subset,
+) -> list[dict]:
+    """Every pattern over s whose joint mass J is not the product of its
+    marginals: J * M**(|s| - 1) against the product over k in s of L_k
+    (phi_k low) or M - L_k (phi_k high), all ints."""
+    joint: dict[tuple[bool, ...], int] = {}
+    for key, w in mass.items():
+        pattern = tuple(key[k - 1] == lows[k - 1] for k in s)
+        joint[pattern] = joint.get(pattern, 0) + w
+    scale = M ** (len(s) - 1)
+    failures: list[dict] = []
+    for pattern in iter_product((True, False), repeat=len(s)):
+        expected = 1
+        for flag, k in zip(pattern, s):
+            expected *= low_mass[k - 1] if flag else M - low_mass[k - 1]
+        got = joint.get(pattern, 0)
+        if got * scale != expected:
+            failures.append({
+                "subset": s, "pattern": pattern,
+                "measure": Fraction(got, M), "expected": Fraction(expected, scale * M),
+            })
+    return failures
 
 
 # ------------------------------------------------------------------ the pipeline

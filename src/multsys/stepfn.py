@@ -181,12 +181,18 @@ class StepFunction:
         grid, den = int_row(breakpoints)
         row, q = int_row(values)
         self._set(tuple(grid), den, tuple(row), q)
+        _guard_pieces(len(self._row))
 
     @classmethod
     def _from_ints(
         cls, grid: tuple[int, ...], den: int, row: tuple[int, ...], q: int
     ) -> "StepFunction":
-        """The function with breakpoints grid[i] / den and values row[i] / q."""
+        """The function with breakpoints grid[i] / den and values row[i] / q.
+
+        The piece count is not checked against the cap here: every kernel
+        that makes more pieces than an input had guards the count it makes
+        (_guard_pieces), so a result no larger than a guarded input reads
+        no cap again."""
         self = object.__new__(cls)
         self._set(grid, den, row, q)
         return self
@@ -207,7 +213,6 @@ class StepFunction:
         if len(self._row) == 0:
             raise EmptyDomain("a step function needs at least one piece")
         _check_breakpoints(self._grid, self._den)
-        _guard_pieces(len(self._row))
 
     @cached_property
     def breakpoints(self) -> tuple[Fraction, ...]:
@@ -302,13 +307,13 @@ def _align(fs: Sequence[StepFunction]) -> tuple[tuple[int, ...], int, list[Seque
     """
     first, den = fs[0]._grid, fs[0]._den
     if all(f._grid is first and f._den == den for f in fs):
-        _guard_pieces(len(first) - 1)
         return first, den, [range(len(first))] * len(fs)
     _check_same_domain(fs)
     den = math.lcm(*{f._den for f in fs})
     scaled = [f._grid if f._den == den else [n * (den // f._den) for n in f._grid] for f in fs]
     merged = sorted(set().union(*scaled))
-    _guard_pieces(len(merged) - 1)
+    if len(merged) > max(map(len, scaled)):  # else no larger than a guarded input
+        _guard_pieces(len(merged) - 1)
     index = {n: i for i, n in enumerate(merged)}.__getitem__
     return tuple(merged), den, [list(map(index, row)) for row in scaled]
 

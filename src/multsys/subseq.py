@@ -34,6 +34,7 @@ from .errors import (
 from .moments import BoundedSystem, IndexFamily, compute_moment_table, symmetric_system
 from .stepfn import (
     StepFunction,
+    _guard_pieces,
     int_grid,
     integral,
     product,
@@ -98,6 +99,7 @@ def walsh_system(m: int) -> OrthogonalSystem:
     if not 0 <= m <= WALSH_CAP:
         raise TooLarge(f"walsh order must lie in 0..{WALSH_CAP}, got {m}")
     pieces = 1 << m
+    _guard_pieces(pieces)
     grid, den = uniform_grid(pieces)
     # function 2**b + 1 is the sign function on blocks of 2**(m - 1 - b)
     # pieces; any other is the product of two with fewer bits

@@ -642,3 +642,39 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.strip() == f"multsys {__version__}"
+
+
+@pytest.mark.parametrize(
+    "cap, argv, message",
+    [
+        (None, ["select", "--system", "walsh:13"], "walsh order must lie in 0..12, got 13"),
+        ("4", ["select", "--system", "walsh:3"], "8 pieces exceed the cap of 4"),
+        ("4", ["analyze", "--system", "walsh:3"], "8 pieces exceed the cap of 4"),
+        (None, ["select", "--system", "walsh:x"], "bad order in 'walsh:x'"),
+    ],
+)
+def test_a_walsh_pool_error_keeps_its_cause(capsys, monkeypatch, cap, argv, message):
+    if cap is None:
+        monkeypatch.delenv("MULTSYS_PIECE_CAP", raising=False)
+    else:
+        monkeypatch.setenv("MULTSYS_PIECE_CAP", cap)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_a_family_with_no_singletons_says_why_xi_keeps_a_mean(capsys, monkeypatch, tmp_path):
+    monkeypatch.delenv("MULTSYS_PIECE_CAP", raising=False)
+    fam = tmp_path / "pairs.json"
+    fam.write_text("[[1, 2]]")
+    system = Path(__file__).resolve().parent / "data" / "off_unit_system.json"
+    code = main(["reduce", "--system", str(system), "--family", str(fam)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: function 1 has mean -12/47; the family holds no (1,), and the singletons"
+        " are what cancel the means in the reduction\n"
+    )

@@ -1,8 +1,10 @@
-"""The value-pattern moment engine against the piece-by-piece loops it replaced.
+"""The value-pattern moment engine against the loops it replaced.
 
-The reference functions below are the original Fraction loops: one product
-per refined piece and subset, and a joint law accumulated piece by piece.
-Every comparison is exact equality, at every stage of the reduction.
+The reference functions below are the original loops: one Fraction product
+per refined piece and subset, a joint law accumulated piece by piece, and
+the int loop per subset and value pattern that the subset-lattice fold
+(moments.lattice_sums) replaced.  Every comparison is exact equality, at
+every stage of the reduction.
 """
 
 import random
@@ -31,9 +33,11 @@ from multsys import (
     verify_domination,
     walsh_system,
 )
+from multsys import moments, reduction
 from multsys.errors import MultsysError, NonZeroMean, NotTwoValued
+from multsys.moments import family_sums, lattice_sums, mask_of
 from multsys.reduction import IndependenceReport
-from multsys.stepfn import StepFunction, dilate, scale
+from multsys.stepfn import StepFunction, dilate, product, rademacher, scale
 from multsys.subseq import OrthogonalSystem
 
 FULL = IndexFamily.full()
@@ -44,6 +48,18 @@ pytestmark = pytest.mark.usefixtures("validated_stages")
 
 
 # ------------------------------------------------------------------ reference loops
+
+def reference_subset_sum(hist, subset):
+    """The int loop the fold replaced: sum over value patterns of
+    mass * prod_{k in subset} key[k - 1]."""
+    mass, _, _ = hist
+    total = 0
+    for key, length in mass.items():
+        for k in subset:
+            length *= key[k - 1]
+        total += length
+    return total
+
 
 def reference_moment_table(sys_obj, fam):
     subsets = enumerate_family(sys_obj.n, fam)
@@ -277,6 +293,21 @@ def two_valued_systems(draw):
     return BoundedSystem(tuple(functions), tuple(los), (F(1),) * len(functions))
 
 
+@st.composite
+def families(draw, n):
+    """The full family, a cardinality cap, or an explicit list that always
+    holds the largest subset."""
+    kind = draw(st.sampled_from(["full", "cap", "explicit"]))
+    if kind == "full":
+        return FULL
+    if kind == "cap":
+        return IndexFamily.cardinality_cap(draw(st.integers(1, n)))
+    every = [s for v in range(1, n + 1) for s in combinations(range(1, n + 1), v)]
+    picked = draw(st.lists(st.sampled_from(every), max_size=6, unique=True))
+    top = tuple(range(1, n + 1))
+    return IndexFamily.explicit([*(s for s in picked if s != top), top])
+
+
 @PROPERTY
 @given(step_systems())
 def test_moment_table_matches_the_piece_loop(sys_obj):
@@ -289,11 +320,12 @@ def test_moment_table_matches_the_piece_loop(sys_obj):
 
 
 @PROPERTY
-@given(two_valued_systems(), st.integers(1, 4))
-def test_independence_check_matches_the_piece_loop(sys_obj, cap):
-    fam = IndexFamily.cardinality_cap(min(cap, sys_obj.n))
-    report = check_independence(sys_obj, fam)
-    assert report == reference_independence(sys_obj, fam)
+@given(two_valued_systems(), st.data())
+def test_independence_check_matches_the_piece_loop(sys_obj, data):
+    fam = data.draw(families(sys_obj.n))
+    assert outcome(check_independence, sys_obj, fam) == outcome(
+        reference_independence, sys_obj, fam
+    )
 
 
 EXACT_SPECS = (
@@ -327,3 +359,241 @@ def test_histograms_handed_on_off_the_unit_domain_match_fresh_builds(sys_obj, ph
     assert "histogram" in vars(xi) and "histogram" not in vars(fresh)
     assert check_independence(xi, FULL) == check_independence(fresh, FULL)
     assert compute_moment_table(xi, FULL) == compute_moment_table(fresh, FULL)
+
+
+# ------------------------------------------------------------------ the lattice fold
+
+@st.composite
+def asymmetric_systems(draw):
+    """Up to five functions on a 1/12 grid of [0, T), T in DOMAIN_LENGTHS,
+    with values thirds in [-4, 4]: no symmetry between the functions, their
+    values or their signs for a reversed mask bit to hide behind."""
+    length = draw(st.sampled_from(DOMAIN_LENGTHS))
+    functions, los, his = [], [], []
+    for _ in range(draw(st.integers(1, 5))):
+        cuts = draw(st.lists(st.integers(1, 11), max_size=4, unique=True))
+        bps = [F(0), *[length * F(c, 12) for c in sorted(cuts)], length]
+        vals = draw(
+            st.lists(st.integers(-12, 12), min_size=len(bps) - 1, max_size=len(bps) - 1)
+        )
+        vals = [F(v, 3) for v in vals]
+        functions.append(make_step(bps, vals))
+        los.append(min(min(vals), F(-1, 3)))
+        his.append(max(max(vals), F(1, 3)))
+    return BoundedSystem(tuple(functions), tuple(los), tuple(his))
+
+
+def assert_fold_matches(sys_obj, fam):
+    subsets = enumerate_family(sys_obj.n, fam)
+    hist = sys_obj.histogram
+    assert family_sums(hist, fam, subsets) == [reference_subset_sum(hist, s) for s in subsets]
+    table = compute_moment_table(sys_obj, fam)
+    assert (table.subsets, table.moments, table.normalized) == reference_moment_table(sys_obj, fam)
+    for s, m in zip(table.subsets, table.moments):
+        assert mixed_moment(sys_obj, s) == m
+
+
+@PROPERTY
+@given(asymmetric_systems(), st.data())
+def test_the_fold_matches_the_subset_loop_and_the_piece_loop(sys_obj, data):
+    assert_fold_matches(sys_obj, data.draw(families(sys_obj.n)))
+
+
+def test_one_explicit_member_above_the_pattern_count_is_summed_exactly():
+    # five functions on three shared pieces of [0, 5/2): three value patterns
+    grid = (F(0), F(1, 2), F(3, 2), F(5, 2))
+    rows = ([3, -1, F(1, 2)], [-4, 2, 1], [F(2, 3), 0, -2], [1, 1, -3], [F(-5, 2), 4, 1])
+    sys_obj = BoundedSystem(
+        tuple(make_step(grid, row) for row in rows), (F(-5),) * 5, (F(5),) * 5
+    )
+    assert 1 << 5 > len(sys_obj.histogram[0]) == 3
+    for fam in (
+        IndexFamily.explicit([[1, 2, 3, 4, 5]]),
+        IndexFamily.explicit([[2, 5], [1, 2, 3, 4, 5], [1, 3, 4]]),
+        IndexFamily.cardinality_cap(4),
+        FULL,
+    ):
+        assert_fold_matches(sys_obj, fam)
+
+
+def test_a_mask_sets_bit_k_minus_1_for_function_k():
+    # a reversed bit order passes every symmetric system: pin it on a lopsided one
+    assert [mask_of(s) for s in [(1,), (2,), (1, 3), (2, 3, 5)]] == [1, 2, 5, 22]
+    f1 = make_step([0, F(1, 2), 1], [2, 0])
+    f2 = make_step([0, F(1, 4), 1], [3, 1])
+    hist = BoundedSystem((f1, f2), (F(-1), F(-1)), (F(3), F(3))).histogram
+    sums = lattice_sums(hist)
+    den = hist[1]
+    assert F(sums[0], den) == 1
+    assert F(sums[1], den * hist[2][0]) == 1  # E[f1]
+    assert F(sums[2], den * hist[2][1]) == F(3, 2)  # E[f2]
+    assert F(sums[3], den * hist[2][0] * hist[2][1]) == F(2)  # E[f1 f2]
+
+
+def test_every_vanishing_entry_of_a_table_is_one_shared_zero():
+    sys_obj = BoundedSystem(
+        (rademacher(1), rademacher(2), product([rademacher(1), rademacher(2)])),
+        (F(-1),) * 3, (F(1),) * 3,
+    )
+    table = compute_moment_table(sys_obj, FULL)
+    assert table.moment((1, 2, 3)) == 1
+    zeros = [m for m in table.moments + table.normalized if m == 0]
+    assert len(zeros) == 12 and all(z is moments.ZERO for z in zeros)
+
+
+# ------------------------------------------------------------------ the verdict from moments
+
+def dependent_system():
+    """{r1, r2, r1 r2, r3, r1 r2 r3}: pairwise independent, with dependent triples."""
+    r1, r2, r3 = rademacher(1), rademacher(2), rademacher(3)
+    functions = (r1, r2, product([r1, r2]), r3, product([r1, r2, r3]))
+    return BoundedSystem(functions, (F(-1),) * 5, (F(1),) * 5)
+
+
+@pytest.mark.parametrize(
+    "fam, failing, entries",
+    [
+        (FULL, 8, 128),
+        (IndexFamily.cardinality_cap(2), 0, 0),
+        (IndexFamily.cardinality_cap(3), 2, 16),
+        (IndexFamily.explicit([[1, 2, 3], [4, 5], [1, 2, 3, 4, 5]]), 2, 40),
+    ],
+    ids=["full", "l=2", "l=3", "explicit"],
+)
+def test_the_dependent_system_fails_on_the_pinned_subsets(fam, failing, entries):
+    report = check_independence(dependent_system(), fam)
+    assert report == reference_independence(dependent_system(), fam)
+    assert len({f["subset"] for f in report.failures}) == failing
+    assert len(report.failures) == entries
+
+
+def failing_subsets(report):
+    return sorted({f["subset"] for f in report.failures}, key=lambda s: (len(s), s))
+
+
+def test_the_verdict_matches_the_joint_pattern_reference_on_reduced_systems():
+    """xi reduced over a family is independent over it; checked over a
+    larger family it mostly is not, which exercises the failure path."""
+    rng = random.Random(4242)
+    checked = failed = 0
+    for _ in range(10):
+        for sys_obj in (
+            random_bounded_system(rng, max_n=4, max_pieces=6),
+            random_generator_system(rng, max_n=5),
+        ):
+            for reduce_fam in (FULL, IndexFamily.cardinality_cap(min(2, sys_obj.n))):
+                xi = reduce_to_independent(sys_obj, reduce_fam).xi
+                for fam in (FULL, IndexFamily.cardinality_cap(min(2, xi.n))):
+                    report = check_independence(xi, fam)
+                    want = outcome(reference_independence, xi, fam)
+                    assert report == want
+                    assert failing_subsets(report) == failing_subsets(want)
+                    checked += 1
+                    failed += not report.independent
+    assert checked == 80 and failed > 0
+
+
+def test_a_family_with_no_singleton_names_it_when_a_mean_survives():
+    sys_obj = BoundedSystem((make_step([0, F(1, 3), 1], [1, -1]),), (F(-1),), (F(1),))
+    with pytest.raises(NonZeroMean, match=r"^function 1 has mean -1/3$"):
+        check_independence(sys_obj, FULL)
+    message = (
+        r"^function 1 has mean -1/3; the family holds no \(1,\), and the singletons are"
+        r" what cancel the means in the reduction$"
+    )
+    two = BoundedSystem(sys_obj.functions * 2, (F(-1),) * 2, (F(1),) * 2)
+    with pytest.raises(NonZeroMean, match=message):
+        check_independence(two, IndexFamily.explicit([[1, 2]]))
+
+
+# ------------------------------------------------------------------ the work, counted
+
+def counting(monkeypatch, module, name):
+    """Count the calls of module.name made through the module's namespace."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_battery_shaped_xi_never_runs_the_joint_pattern_reporter(monkeypatch):
+    rng = random.Random(2468)
+    systems = [random_bounded_system(rng, max_n=4, max_pieces=8) for _ in range(12)]
+    systems += [random_generator_system(rng, max_n=5) for _ in range(12)]
+    traces = [reduce_to_independent(s, FULL) for s in systems]
+    reports = counting(monkeypatch, reduction, "_pattern_failures")
+    for trace in traces:
+        assert check_independence(trace.xi, FULL).independent
+    assert reports == []
+
+
+def test_the_reporter_runs_exactly_for_the_failing_subsets(monkeypatch):
+    reports = counting(monkeypatch, reduction, "_pattern_failures")
+    for fam in (FULL, IndexFamily.cardinality_cap(3), IndexFamily.explicit([[1, 2, 3], [4, 5]])):
+        reports.clear()
+        report = check_independence(dependent_system(), fam)
+        assert [args[-1] for args in reports] == failing_subsets(report)
+
+
+class CountingMapping(dict):
+    """A histogram mass mapping that counts how often its patterns are walked."""
+
+    walks = 0
+
+    def items(self):
+        CountingMapping.walks += 1
+        return super().items()
+
+    def __iter__(self):
+        CountingMapping.walks += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("n", [3, 6, 9])
+def test_a_moment_table_walks_the_histogram_once_whatever_the_family(n):
+    sys_obj = BoundedSystem(
+        tuple(rademacher(k) for k in range(1, n + 1)), (F(-1),) * n, (F(1),) * n
+    )
+    mass, den, dens = sys_obj.histogram
+    vars(sys_obj)["histogram"] = (CountingMapping(mass), den, dens)
+    for fam in (FULL, IndexFamily.cardinality_cap(2), IndexFamily.explicit([[1, n]])):
+        CountingMapping.walks = 0
+        table = compute_moment_table(sys_obj, fam)
+        assert table.mu() == 0
+        assert CountingMapping.walks == 1
+
+
+def test_is_multiplicative_builds_no_table(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("a moment table was built")
+
+    monkeypatch.setattr(moments, "MomentTable", refused)
+    monkeypatch.setattr(moments, "compute_moment_table", refused)
+    assert moments.is_multiplicative(dependent_system(), IndexFamily.cardinality_cap(2))
+    assert not moments.is_multiplicative(dependent_system(), FULL)
+
+
+def test_a_full_family_check_at_n_11_runs_no_joint_pattern_loop(monkeypatch):
+    n = 11
+    sys_obj = BoundedSystem(
+        tuple(rademacher(k) for k in range(1, n + 1)), (F(-1),) * n, (F(1),) * n
+    )
+    reports = counting(monkeypatch, reduction, "_pattern_failures")
+    report = check_independence(sys_obj, FULL)
+    assert report.independent and report.subsets_checked == (1 << n) - 1
+    assert reports == []
+
+
+def test_a_member_above_the_pattern_count_fails_without_its_closure(monkeypatch):
+    sys_obj = dependent_system()
+    assert len(sys_obj.histogram[0]) == 8 < 1 << 5
+    folds = counting(monkeypatch, reduction, "lattice_sums")
+    report = check_independence(sys_obj, IndexFamily.explicit([[4, 5], [1, 2, 3, 4, 5]]))
+    assert failing_subsets(report) == [(1, 2, 3, 4, 5)]
+    (args,) = folds
+    assert sorted(args[1]) == [0, 8, 16, 24]  # the closure of (4, 5) alone

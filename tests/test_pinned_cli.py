@@ -9,7 +9,9 @@ run on two systems under tests/data on [0, 5/2): off_unit_system.json
 kind and with --full-trace, khintchine in even mode, rubinshtein, tail and
 analyze.  The digests were recorded from the code before the value-pattern
 histogram became a cached attribute of BoundedSystem; a change that moves
-any exact number or its rendering fails here.
+any exact number or its rendering fails here.  Four more pin full-family
+calls on rademacher:8 to rademacher:12, recorded from the code that still
+summed each subset's moment and tallied each subset's joint patterns.
 """
 
 import hashlib
@@ -50,6 +52,16 @@ PINNED = (
      "b5df1ab3799d08266efce5db3c12d086e0ec66781595aa9adf37a1dd67685597"),
     ("tail --system off_unit_system.json --level 1/2",
      "a14c37c4b418e3ccef4cea5ba5aad2d3415c6bda9bf063a1496ac9f11d463dc1"),
+    # full or high-cap families at large n, where the subset-lattice fold
+    # and the verdict read from moments take over from loops per subset
+    ("analyze --system rademacher:12",
+     "a4bac787bf4ce0b0494a6418fc3032f21a98ddbef33ec45ec0944e1385c873d8"),
+    ("khintchine --system rademacher:12 --mode even_integer -p 12",
+     "3e1c073f079650da195cd552429919d127df9abdf712b729216c9e12a45cb25f"),
+    ("reduce --system rademacher:8",
+     "8943a117ef894c9f2ebd3063e203af45f60018bc47a0e3c9ceaf70c15084cdf1"),
+    ("tail --system rademacher:10 --level 3",
+     "4470edcbb69ef8223567e96a35b21f264ce2f1349166c4d7426bae86482a3172"),
 )
 
 

@@ -35,6 +35,7 @@ from multsys import (
     measure_equal,
     normalize,
     product,
+    restrict,
     scale,
     tile,
 )
@@ -463,6 +464,68 @@ def test_binarize_caps_the_unmerged_piece_count(monkeypatch):
     assert [g.piece_count for g in binarize(sys_obj).functions] == [2]
 
 
+# ------------------------------------------------------------------ the piece cap, where pieces grow
+# The cap is read where a piece count can grow past every input's, and a
+# result no larger than a guarded input reads it not at all.
+
+def growing_kernels():
+    from multsys import flip_cancellation_system, walsh_cancellation_system, walsh_system
+    from multsys.moments import IndexFamily, compute_moment_table, symmetric_system
+    from multsys.reduction import _extend
+
+    f = StepFunction((F(0), F(1, 3), F(1)), (F(1), F(2)))
+    g = StepFunction((F(0), F(1, 2), F(1)), (F(3), F(-1)))
+    pair = symmetric_system([f, f], 2)
+    table = compute_moment_table(pair, IndexFamily.full())
+    # (name, call, pieces it makes)
+    return [
+        ("constructor", lambda: StepFunction((F(0), F(1, 4), F(1, 2), F(1)), (1, 2, 3)), 3),
+        ("common_refinement", lambda: common_refinement([f, g]), 3),
+        ("product", lambda: product([f, g]), 3),
+        ("linear_combination", lambda: linear_combination([1, 1], [f, g]), 3),
+        ("concat_many", lambda: concat_many([f, g]), 4),
+        ("tile", lambda: tile(f, 3), 6),
+        ("walsh_cancellation_system", lambda: walsh_cancellation_system(3), 4),
+        ("flip_cancellation_system", lambda: flip_cancellation_system(2), 4),
+        ("walsh_system", lambda: walsh_system(3), 8),
+        # three blocks: (1,) and (2,) are constants, (1, 2) a 2-piece Walsh block
+        ("extension", lambda: _extend(pair, table), 6),
+    ]
+
+
+GROWING = [name for name, _, _ in growing_kernels()]
+
+
+@pytest.mark.parametrize("name", GROWING)
+def test_each_growing_kernel_is_capped_and_reads_the_cap_on_every_call(monkeypatch, name):
+    monkeypatch.delenv("MULTSYS_PIECE_CAP", raising=False)
+    call, pieces = next((c, p) for n, c, p in growing_kernels() if n == name)
+    call()
+    monkeypatch.setenv("MULTSYS_PIECE_CAP", str(pieces - 1))
+    with pytest.raises(CapacityExceeded, match=f"^{pieces} pieces exceed the cap of {pieces - 1}$"):
+        call()
+    monkeypatch.setenv("MULTSYS_PIECE_CAP", str(pieces))
+    call()
+
+
+def test_a_result_no_larger_than_a_guarded_input_reads_no_cap(monkeypatch):
+    from multsys import stepfn
+    from multsys.rubinshtein import reflect
+
+    f = StepFunction((F(0), F(1, 3), F(1, 2), F(1)), (F(1), F(1), F(-2)))
+    twin = scale(f, 3)
+    reads = []
+    monkeypatch.setattr(stepfn, "piece_cap", lambda: reads.append(1) or 1)
+    results = [
+        scale(f, 2), dilate(f, 3), restrict(f, F(1, 2)), normalize(f), reflect(f),
+        product([f, twin]), linear_combination([1, -1], [f, twin]), *common_refinement([f, twin]),
+        *common_refinement([f, StepFunction._from_ints((0, 1, 2), 2, (1, 1), 1)]),
+    ]
+    integral(f), measure_above(f, 0), convex_expectation(f, ConvexSpec.power(2))
+    assert reads == []
+    assert max(g.piece_count for g in results) == 3
+
+
 # ------------------------------------------------------------------ the stored ints
 
 def counting_post_init(monkeypatch):
@@ -505,7 +568,7 @@ def test_copy_and_pickle_round_trip(f):
         assert back.to_json() == f.to_json()
 
 
-def test_int_built_objects_are_validated(monkeypatch):
+def test_int_built_objects_are_validated():
     with pytest.raises(NonAscendingBreakpoints, match="not strictly ascending at 1/4"):
         StepFunction._from_ints((0, 2, 1, 4), 4, (1, 2, 3), 1)
     with pytest.raises(NonAscendingBreakpoints, match="start at 0"):
@@ -514,10 +577,6 @@ def test_int_built_objects_are_validated(monkeypatch):
         StepFunction._from_ints((0, 1, 2), 2, (1,), 1)
     with pytest.raises(EmptyDomain):
         StepFunction._from_ints((0,), 1, (), 1)
-    monkeypatch.setenv("MULTSYS_PIECE_CAP", "2")
-    StepFunction._from_ints((0, 1, 2), 2, (1, 2), 1)
-    with pytest.raises(CapacityExceeded):
-        StepFunction._from_ints((0, 1, 2, 3), 3, (1, 2, 3), 1)
 
 
 def test_the_stored_ints_are_in_lowest_terms():
