@@ -38,6 +38,7 @@ from .errors import (
 )
 from .stepfn import (
     ConvexSpec,
+    IntGrid,
     Rational,
     StepFunction,
     as_fraction,
@@ -57,13 +58,15 @@ Subset = tuple[int, ...]
 class BoundedSystem:
     """Step functions phi_1..phi_n with certified bounds A_k <= phi_k <= B_k.
 
-    histogram is the joint law of (phi_1, ..., phi_n) as a value-pattern
-    histogram (see pattern_measure).  It is derived from functions alone,
-    built on first access and then kept for as long as the system lives,
-    so every moment table, independence check and exact combination
-    integral on one system reads one histogram, with read-only masses.
-    Like the Fraction views of a StepFunction it is a cache, not a field:
-    it takes no part in equality, hashing, repr, JSON or pickling.
+    grid is the functions on their merged grid, stepfn.int_grid of them,
+    and histogram is their joint law as a value-pattern histogram (see
+    pattern_measure), read off that grid.  Both are derived from functions
+    alone, built on first access and then kept for as long as the system
+    lives, so the system's functions are merged once: every moment table,
+    independence check, combination integral and binarization of the
+    system reads one grid and one histogram, both read-only.  Like the
+    Fraction views of a StepFunction they are caches, not fields: they
+    take no part in equality, hashing, repr, JSON or pickling.
     """
 
     functions: tuple[StepFunction, ...]
@@ -102,13 +105,17 @@ class BoundedSystem:
         return self
 
     @cached_property
+    def grid(self) -> IntGrid:
+        return int_grid(self.functions)
+
+    @cached_property
     def histogram(self) -> PatternHistogram:
-        mass, den, dens = pattern_measure(self.functions)
+        mass, den, dens = pattern_measure(self.grid)
         # read-only: every later reader of this system shares it
         return MappingProxyType(mass), den, dens
 
     def __getstate__(self) -> dict:
-        return {k: v for k, v in vars(self).items() if k != "histogram"}
+        return {k: v for k, v in vars(self).items() if k not in ("grid", "histogram")}
 
     @property
     def n(self) -> int:
@@ -154,21 +161,24 @@ def dilate_system(sys: BoundedSystem, factor: Rational) -> BoundedSystem:
 
     The result is valid because sys is (same values and bounds, every
     domain scaled alike), so it is not validated again.  It is given its
-    histogram from the one of sys, with no rebuild: dilate shares the
-    value rows and scales every length by r / p, so each mass becomes
-    mass * r over den * p while the value patterns and their
-    denominators stay.
+    merged grid and its histogram from those of sys, with no merge and no
+    rebuild: dilate shares the value rows and scales every breakpoint by
+    r / p, so each breakpoint, length and mass is multiplied by r over a
+    denominator multiplied by p, while the rows, the value patterns and
+    their denominators stay.
     """
     factor = as_fraction(factor)
     out = BoundedSystem._from_parts(
         tuple(dilate(f, factor) for f in sys.functions), sys.lower_bounds, sys.upper_bounds
     )
-    mass, den, dens = sys.histogram
-    r = factor.denominator
-    # seeds the cache that BoundedSystem.histogram would otherwise fill
-    vars(out)["histogram"] = (
-        MappingProxyType({key: w * r for key, w in mass.items()}), den * factor.numerator, dens
-    )
+    p, r = factor.numerator, factor.denominator
+    grid, lengths, den, rows = sys.grid
+    mass, _, dens = sys.histogram
+    if r != 1:
+        grid, lengths = tuple([n * r for n in grid]), tuple([n * r for n in lengths])
+        mass = MappingProxyType({key: w * r for key, w in mass.items()})
+    # seeds the caches that BoundedSystem.grid and .histogram would otherwise fill
+    vars(out).update(grid=(grid, lengths, den * p, rows), histogram=(mass, den * p, dens))
     return out
 
 
@@ -239,17 +249,16 @@ def enumerate_family(n: int, fam: IndexFamily) -> list[Subset]:
 PatternHistogram = tuple[Mapping[tuple[int, ...], int], int, tuple[int, ...]]
 
 
-def pattern_measure(functions: Sequence[StepFunction]) -> PatternHistogram:
-    """Total length of the points where (phi_1, ..., phi_n) takes each value tuple.
+def pattern_measure(grid: IntGrid) -> PatternHistogram:
+    """Total length of the points where (phi_1, ..., phi_n) takes each value
+    tuple, given the functions on their merged grid (stepfn.int_grid).
 
-    One pass over the shared integer grid; pieces carrying the same tuple
+    One pass over the merged pieces; pieces carrying the same tuple
     collapse into one entry.  Every mixed moment and joint law of the
     functions depends on this histogram alone, and a two-valued system
     has at most 2**n entries however many pieces it has.
     """
-    if not functions:
-        return {}, 1, ()
-    _, lengths, den, rows = int_grid(functions)
+    _, lengths, den, rows = grid
     mass: dict[tuple[int, ...], int] = {}
     for key, length in zip(zip(*(row for row, _ in rows)), lengths):
         if key in mass:

@@ -46,12 +46,8 @@ from .stepfn import (
     StepFunction,
     _guard_pieces,
     as_fraction,
-    concat_many,
-    constant,
-    convex_expectation,
+    float_phi_integral,
     int_grid_row,
-    linear_combination,
-    scale,
     uniform_grid,
 )
 
@@ -69,9 +65,17 @@ def walsh_cancellation_system(nu: int, length: Rational = 1) -> list[StepFunctio
     """
     if nu < 2:
         raise BadArity(f"need at least two functions, got {nu}")
+    rows = _walsh_signs(nu)
+    grid, den = uniform_grid(len(rows[0]), length)
+    return [StepFunction._from_ints(grid, den, row, 1) for row in rows]
+
+
+def _walsh_signs(nu: int) -> list[tuple[int, ...]]:
+    """The sign rows of walsh_cancellation_system(nu) on its 2**(nu - 1)
+    equal pieces, the piece count checked against the cap first.  For
+    nu == 1 the one row is (1,)."""
     pieces = 1 << (nu - 1)
     _guard_pieces(pieces)
-    grid, den = uniform_grid(pieces, length)
     rows: list[tuple[int, ...]] = []
     for k in range(1, nu):
         rows.append(tuple(1 if (i >> (nu - 1 - k)) & 1 == 0 else -1 for i in range(pieces)))
@@ -79,7 +83,7 @@ def walsh_cancellation_system(nu: int, length: Rational = 1) -> list[StepFunctio
     for row in rows:
         last = tuple(map(operator.mul, last, row))
     rows.append(last)
-    return [StepFunction._from_ints(grid, den, row, 1) for row in rows]
+    return rows
 
 
 def flip_cancellation_system(nu: int, length: Rational = 1) -> list[StepFunction]:
@@ -134,32 +138,59 @@ def extend_system(sys: BoundedSystem, fam: IndexFamily) -> BoundedSystem:
 
 
 def _extend(sys: BoundedSystem, table: MomentTable) -> BoundedSystem:
-    """extend_system given the moment table of sys over the family."""
+    """extend_system given the moment table of sys over the family.
+
+    Every extended function is written as ints in one pass over the
+    blocks, on one denominator that splits each block into its pieces:
+    the block of subset s has 2**(|s| - 1) equal pieces on which member
+    j of s takes C_k times the j-th sign row of walsh_cancellation_system
+    (the first member's row times -sign, so the block product integrates
+    to minus the moment), and every function outside s is 0 on one piece.
+    A block's piece count is checked against the cap before it is
+    written, then each function's total.
+    """
     T = sys.domain_length
     caps = sys.capacities()
     blocks = [
-        (s, T * d, Fraction(1 if m > 0 else -1))
+        (s, T * d, m > 0)
         for s, m, d in zip(table.subsets, table.moments, table.normalized)
         if m != 0
     ]
     if not blocks:
         return sys
-    extensions: list[list[StepFunction]] = [[] for _ in range(sys.n)]
-    for s, block_len, sign in blocks:
-        if len(s) == 1:
-            members = [constant(-sign * caps[s[0] - 1], block_len)]
-        else:
-            base = walsh_cancellation_system(len(s), block_len)
-            members = [
-                scale(g, caps[idx - 1] if j > 0 else -sign * caps[idx - 1])
-                for j, (g, idx) in enumerate(zip(base, s))
-            ]
-        member_of = dict(zip(s, members))
-        zero_block = constant(0, block_len)
-        for k in range(1, sys.n + 1):
-            extensions[k - 1].append(member_of.get(k, zero_block))
+    fs = sys.functions
+    den = math.lcm(
+        *{f._den for f in fs}, *{L.denominator << (len(s) - 1) for s, L, _ in blocks}
+    )
+    qs = [math.lcm(f._q, c.denominator) for f, c in zip(fs, caps)]
+    grids: list[list[int]] = []
+    rows: list[list[int]] = []
+    for f, q in zip(fs, qs):
+        g, r = den // f._den, q // f._q
+        grids.append([n * g for n in f._grid])
+        rows.append([v * r for v in f._row])
+    # the value C_k as an int over qs[k]
+    highs = [c.numerator * (q // c.denominator) for c, q in zip(caps, qs)]
+    end = grids[0][-1]
+    for s, L, positive in blocks:
+        width = L.numerator * (den // L.denominator)
+        signs = dict(zip(s, _walsh_signs(len(s))))
+        step = width // len(signs[s[0]])
+        for k, (grid, row) in enumerate(zip(grids, rows), start=1):
+            sign_row = signs.get(k)
+            if sign_row is None:
+                grid.append(end + width)
+                row.append(0)
+            else:
+                v = -highs[k - 1] if k == s[0] and positive else highs[k - 1]
+                grid.extend(range(end + step, end + width + 1, step))
+                row.extend([v * sign for sign in sign_row])
+        end += width
+    for row in rows:
+        _guard_pieces(len(row))
     new_functions = tuple(
-        concat_many([sys.functions[k]] + extensions[k]) for k in range(sys.n)
+        StepFunction._from_ints(tuple(grid), den, tuple(row), q)
+        for grid, row, q in zip(grids, rows, qs)
     )
     # every block value is 0 or +-C_k, inside [A_k, B_k], and every function grows alike
     return BoundedSystem._from_parts(new_functions, sys.lower_bounds, sys.upper_bounds)
@@ -182,21 +213,31 @@ def binarize(sys: BoundedSystem) -> BoundedSystem:
     decrease.  Outputs are normalized (minimal representation), which
     makes the operation idempotent.
 
-    Per index the current system is merged once (stepfn.int_grid_row)
-    and only row k is spread onto the merged pieces.  The normalized row
-    is written as it goes: a piece whose value equals the last one
-    written extends it.  The piece cap applies to the unmerged count,
-    two pieces per split interval and one per other, as if the row were
-    built first and normalized after; no histogram is built here.
+    Per index the current system is merged once and only row k is spread
+    onto the merged pieces; the first index reads the merged grid sys
+    keeps, which its histogram reads too.  A piece is classified by its value alone:
+    it splits exactly when A_k < v < B_k, and otherwise becomes B_k when
+    v > A_k and A_k when not.  The normalized row is written as it goes:
+    a piece whose value equals the last one written extends it.  The
+    piece cap applies to the unmerged count, two pieces per split
+    interval and one per other, as if the row were built first and
+    normalized after.
     """
     functions = list(sys.functions)
     for k, (lo, hi) in enumerate(zip(sys.lower_bounds, sys.upper_bounds)):
-        merged, d, row, q = int_grid_row(functions, k)
+        if k == 0:
+            merged, _, d, rows = sys.grid
+            row, q = rows[0]
+        else:
+            merged, d, row, q = int_grid_row(functions, k)
         # with a / d and b / d the ends of a piece and v == n / q its value,
-        # c == num / (q * d * width) where width / (h2 * l2) == B_k - A_k;
+        # v, A_k and B_k are x, L and H over q * h2 * l2, and
+        # c == (W * a + (b - a) * (x - L)) / (W * d) with W == H - L;
         # every output breakpoint is an int over that one denominator
         h1, h2, l1, l2 = hi.numerator, hi.denominator, lo.numerator, lo.denominator
-        width = h1 * l2 - l1 * h2
+        hl = h2 * l2
+        L, H = l1 * h2 * q, h1 * l2 * q
+        W = H - L
         vq = math.lcm(h2, l2)
         hi_num, lo_num = h1 * (vq // h2), l1 * (vq // l2)
         grid: list[int] = [0]
@@ -204,29 +245,29 @@ def binarize(sys: BoundedSystem) -> BoundedSystem:
         last = None
         splits = 0
         for n, a, b in zip(row, merged, merged[1:]):
-            num = h1 * l2 * q * a - l1 * h2 * q * b + n * h2 * l2 * (b - a)
-            low, high = a * q * width, b * q * width
-            if low < num < high:
+            x = n * hl
+            if L < x < H:
                 # B_k on [a, c), then A_k on [c, b)
                 splits += 1
+                c = W * a + (b - a) * (x - L)
                 if last == hi_num:
-                    grid[-1] = num
+                    grid[-1] = c
                 else:
-                    grid.append(num)
+                    grid.append(c)
                     vals.append(hi_num)
-                grid.append(high)
+                grid.append(W * b)
                 vals.append(lo_num)
                 last = lo_num
             else:
-                v = hi_num if num > low else lo_num
+                v = hi_num if x > L else lo_num
                 if v == last:
-                    grid[-1] = high
+                    grid[-1] = W * b
                 else:
-                    grid.append(high)
+                    grid.append(W * b)
                     vals.append(v)
                     last = v
         _guard_pieces(len(row) + splits)
-        functions[k] = StepFunction._from_ints(tuple(grid), q * d * width, tuple(vals), vq)
+        functions[k] = StepFunction._from_ints(tuple(grid), W * d, tuple(vals), vq)
     # every value is A_k or B_k, and every domain stays [0, T)
     return BoundedSystem._from_parts(tuple(functions), sys.lower_bounds, sys.upper_bounds)
 
@@ -273,12 +314,20 @@ def check_independence(sys: BoundedSystem, fam: IndexFamily) -> IndependenceRepo
     lows: list[int] = []
     low_mass: list[int] = []
     for k, (lo, hi, q) in enumerate(zip(sys.lower_bounds, sys.upper_bounds, dens)):
-        seen = {key[k] for key in mass}
-        if not seen <= {lo * q, hi * q} or len(seen) != 2:
-            values = sorted(Fraction(n, q) for n in seen)
+        # the mass of each value of function k, in one walk
+        law: dict[int, int] = {}
+        for key, w in mass.items():
+            law[key[k]] = law.get(key[k], 0) + w
+        # A_k and B_k as ints over q; None where q is no multiple of the denominator
+        low, high = (
+            b.numerator * (q // b.denominator) if q % b.denominator == 0 else None
+            for b in (lo, hi)
+        )
+        if law.keys() != {low, high}:
+            values = sorted(Fraction(n, q) for n in law)
             raise NotTwoValued(f"function {k + 1} takes values {values}, not [{lo}, {hi}]")
-        lows.append(int(lo * q))
-        L = sum(w for key, w in mass.items() if key[k] == lows[k])
+        lows.append(low)
+        L = law[low]
         # the mean times M * A_k.den * B_k.den
         if lo.numerator * hi.denominator * L + hi.numerator * lo.denominator * (M - L):
             message = f"function {k + 1} has mean {(lo * L + hi * (M - L)) / M}"
@@ -388,9 +437,13 @@ def reduce_to_independent(sys: BoundedSystem, fam: IndexFamily) -> ReductionTrac
     its own extension, so its table is the extended table too.  xi's
     table is the binarized table: dilating back to [0, T) scales every
     integral and the domain length alike, so no expectation moves.  Each
-    table reads its system's histogram, and xi's histogram is the
-    binarized one rescaled (dilate_system), so the reduction builds at
-    most three tables and three histograms, two of each when mu == 0.
+    table reads its system's histogram, built from the system's merged
+    grid, and xi's grid and histogram are the binarized ones rescaled
+    (dilate_system), so the reduction builds at most three tables and
+    three histograms, two of each when mu == 0.  Each stage's functions
+    are merged once: the input, the extended system (whose grid also
+    serves binarize's first index), the partly binarized systems of the
+    later indices, and the binarized system; xi is never merged.
     """
     input_table = compute_moment_table(sys, fam)
     mu = input_table.mu()
@@ -456,10 +509,12 @@ def verify_domination(
     from this system and this family, or TraceMismatch is raised.
 
     An exact Phi reads the joint laws through combination_expectation,
-    the lhs on the histogram of sys and the rhs on the one xi carries,
-    with no linear combination built.  A float Phi keeps the piece path,
-    linear_combination then convex_expectation in domain order, because
-    a float sum's bits depend on the order of its terms.
+    the lhs on the histogram of sys and the rhs on the one xi carries.
+    A float Phi reads the merged grids of sys and of xi, which the
+    reduction seeded, and sums piece by piece in domain order
+    (stepfn.float_phi_integral, the float path of convex_expectation),
+    because a float sum's bits depend on the order of its terms.  Neither
+    builds a linear combination.
     """
     if trace is None:
         trace = reduce_to_independent(sys, fam)
@@ -477,8 +532,8 @@ def verify_domination(
         holds = lhs_val <= rhs_val
     else:
         T = sys.domain_length
-        lhs = convex_expectation(linear_combination(cs, sys.functions), phi)
-        rhs = convex_expectation(linear_combination(cs, trace.xi.functions), phi)
+        lhs = _float_integral(sys, cs, phi)
+        rhs = _float_integral(trace.xi, cs, phi)
         lhs_val = float(lhs) / float(T)
         rhs_val = float(factor) * float(rhs) / float(T)
         holds = lhs_val <= rhs_val or (lhs_val - rhs_val) <= REL_TOL * max(
@@ -492,3 +547,19 @@ def verify_domination(
         exact=exact,
         phi=phi.describe(),
     )
+
+
+def _float_integral(sys: BoundedSystem, cs: Sequence[Fraction], phi: ConvexSpec) -> float:
+    """The float integral of Phi(sum_k cs[k] phi_k) over [0, T), read off the
+    merged grid of sys: the combination's value on each merged piece is an
+    int over the lcm q of the cs[k] and row denominators, the sum of the
+    scaled rows.  These are the pieces and values linear_combination
+    would build, so convex_expectation of it gives the same bits."""
+    _, lengths, d, rows = sys.grid
+    q = math.lcm(*(c.denominator * rq for c, (_, rq) in zip(cs, rows)))
+    combined: Sequence[int] = (0,) * len(lengths)
+    for c, (row, rq) in zip(cs, rows):
+        if c:
+            factor = c.numerator * (q // (c.denominator * rq))
+            combined = [a + factor * v for a, v in zip(combined, row)]
+    return float_phi_integral(combined, lengths, q, d, phi)

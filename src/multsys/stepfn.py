@@ -29,7 +29,7 @@ import os
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Sequence
 
 from .errors import (
@@ -109,10 +109,12 @@ def int_row(xs: Sequence[Rational]) -> tuple[list[int], int]:
 
 def _lowest(nums: tuple[int, ...], den: int) -> tuple[tuple[int, ...], int]:
     """nums / den with the common factor of all numerators and den removed."""
+    if den == 1:
+        return nums, den
     g = math.gcd(den, *nums)
     if g == 1:
         return nums, den
-    return tuple(n // g for n in nums), den // g
+    return tuple([n // g for n in nums]), den // g
 
 
 def _fractions(nums: Sequence[int], den: int) -> tuple[Fraction, ...]:
@@ -121,12 +123,12 @@ def _fractions(nums: Sequence[int], den: int) -> tuple[Fraction, ...]:
     return tuple(map(made.__getitem__, nums))
 
 
-def _spread(row: Sequence, at: Sequence[int]) -> list:
+def _spread(row: Sequence, at: Sequence[int]) -> tuple:
     """Row entry j repeated on the merged pieces at[j] .. at[j + 1] - 1."""
     out: list = []
     for v, start, end in zip(row, at, at[1:]):
         out += [v] * (end - start)
-    return out
+    return tuple(out)
 
 
 def uniform_grid(pieces: int, length: Rational = 1) -> tuple[tuple[int, ...], int]:
@@ -300,22 +302,28 @@ def _check_same_domain(fs: Sequence[StepFunction]) -> None:
             )
 
 
-def _align(fs: Sequence[StepFunction]) -> tuple[tuple[int, ...], int, list[Sequence[int]]]:
+def _align(
+    fs: Sequence[StepFunction], only: int | None = None
+) -> tuple[tuple[int, ...], int, list[Sequence[int]]]:
     """The union of the breakpoints of fs as ints over one denominator, that
-    denominator, and for every function the index in the union of each of
-    its own breakpoints.  Functions sharing one grid get that grid back.
+    denominator, and for every function, or for fs[only] alone, the index
+    in the union of each of its own breakpoints.  Functions sharing one
+    grid get that grid back.
     """
     first, den = fs[0]._grid, fs[0]._den
     if all(f._grid is first and f._den == den for f in fs):
-        return first, den, [range(len(first))] * len(fs)
+        return first, den, [range(len(first))] * (len(fs) if only is None else 1)
     _check_same_domain(fs)
     den = math.lcm(*{f._den for f in fs})
     scaled = [f._grid if f._den == den else [n * (den // f._den) for n in f._grid] for f in fs]
-    merged = sorted(set().union(*scaled))
+    merged = tuple(sorted(set().union(*scaled)))
     if len(merged) > max(map(len, scaled)):  # else no larger than a guarded input
         _guard_pieces(len(merged) - 1)
+    if only is not None:
+        # one row: a binary search per breakpoint costs less than indexing the union
+        return merged, den, [list(map(bisect_left, repeat(merged), scaled[only]))]
     index = {n: i for i, n in enumerate(merged)}.__getitem__
-    return tuple(merged), den, [list(map(index, row)) for row in scaled]
+    return merged, den, [list(map(index, row)) for row in scaled]
 
 
 def _on_grid(f: StepFunction, at: Sequence[int], grid: tuple[int, ...]) -> Sequence[int]:
@@ -323,20 +331,25 @@ def _on_grid(f: StepFunction, at: Sequence[int], grid: tuple[int, ...]) -> Seque
     return f._row if len(at) == len(grid) else _spread(f._row, at)
 
 
-def int_grid(
-    fs: Sequence[StepFunction],
-) -> tuple[tuple[int, ...], list[int], int, list[tuple[Sequence[int], int]]]:
+# (grid, lengths, den, rows): see int_grid
+IntGrid = tuple[tuple[int, ...], tuple[int, ...], int, tuple[tuple[tuple[int, ...], int], ...]]
+
+
+def int_grid(fs: Sequence[StepFunction]) -> IntGrid:
     """The functions of fs on their merged grid, as ints.
 
     Returns (grid, lengths, den, rows): the union of the breakpoints and
     the merged piece lengths, both as ints over den, and per function
     (row, q) with its values on the merged pieces as ints over q.  A grid
-    shared by every function comes back as that very tuple.  No refined
-    StepFunction is built.
+    shared by every function comes back as that very tuple, and no
+    functions give ((0,), (), 1, ()).  No refined StepFunction is built,
+    and every part is a tuple, so one result can be shared by its readers.
     """
+    if not fs:
+        return (0,), (), 1, ()
     grid, den, where = _align(fs)
-    lengths = list(map(operator.sub, grid[1:], grid))
-    return grid, lengths, den, [(_on_grid(f, at, grid), f._q) for f, at in zip(fs, where)]
+    lengths = tuple(map(operator.sub, grid[1:], grid))
+    return grid, lengths, den, tuple((_on_grid(f, at, grid), f._q) for f, at in zip(fs, where))
 
 
 def int_grid_row(
@@ -344,10 +357,10 @@ def int_grid_row(
 ) -> tuple[tuple[int, ...], int, Sequence[int], int]:
     """One row of int_grid: (grid, den, row, q), the merged grid of fs as
     ints over den and fs[k]'s values on its pieces as ints over q.  The
-    other functions' rows are not spread."""
-    grid, den, where = _align(fs)
+    other functions' breakpoints are not located nor their rows spread."""
+    grid, den, [at] = _align(fs, k)
     f = fs[k]
-    return grid, den, _on_grid(f, where[k], grid), f._q
+    return grid, den, _on_grid(f, at, grid), f._q
 
 
 def common_refinement(fs: Sequence[StepFunction]) -> list[StepFunction]:
@@ -361,8 +374,7 @@ def common_refinement(fs: Sequence[StepFunction]) -> list[StepFunction]:
         return []
     grid, den, where = _align(fs)
     return [
-        f if len(at) == len(grid)
-        else StepFunction._from_ints(grid, den, tuple(_spread(f._row, at)), f._q)
+        f if len(at) == len(grid) else StepFunction._from_ints(grid, den, _spread(f._row, at), f._q)
         for f, at in zip(fs, where)
     ]
 
@@ -448,7 +460,7 @@ def dilate(f: StepFunction, factor: Rational) -> StepFunction:
     if factor <= 0:
         raise NonPositiveFactor(f"dilation factor must be positive, got {factor}")
     r = factor.denominator
-    grid = f._grid if r == 1 else tuple(n * r for n in f._grid)
+    grid = f._grid if r == 1 else tuple([n * r for n in f._grid])
     return StepFunction._from_ints(grid, f._den * factor.numerator, f._row, f._q)
 
 
@@ -650,7 +662,16 @@ def convex_expectation(f: StepFunction, spec: ConvexSpec) -> Fraction | float:
         for n, ln in zip(row, lengths):
             mass[n] = mass.get(n, 0) + ln
         return exact_phi_integral(mass, q, d, spec)
-    # piece by piece in domain order: the float sum depends on the order
+    return float_phi_integral(row, lengths, q, d, spec)
+
+
+def float_phi_integral(
+    row: Sequence[int], lengths: Sequence[int], q: int, d: int, spec: ConvexSpec
+) -> float:
+    """Integral of Phi(g) as a float, g == row[i] / q on pieces of length
+    lengths[i] / d: Phi once per distinct value, then a plain loop adding
+    piece by piece in domain order, since a float sum's bits depend on the
+    order of its terms (and sum() compensates float sums from Python 3.12)."""
     phi = {n: spec.float_value(n / q) for n in set(row)}
     total = 0.0
     for n, ln in zip(row, lengths):

@@ -22,6 +22,8 @@ from multsys import (
     check_independence,
     common_refinement,
     compute_moment_table,
+    concat_many,
+    constant,
     convex_expectation,
     dilated_system,
     enumerate_family,
@@ -31,13 +33,14 @@ from multsys import (
     reduce_to_independent,
     selected_family_mu,
     verify_domination,
+    walsh_cancellation_system,
     walsh_system,
 )
 from multsys import moments, reduction
-from multsys.errors import MultsysError, NonZeroMean, NotTwoValued
+from multsys.errors import CapacityExceeded, MultsysError, NonZeroMean, NotTwoValued
 from multsys.moments import family_sums, lattice_sums, mask_of
 from multsys.reduction import IndependenceReport
-from multsys.stepfn import StepFunction, dilate, product, rademacher, scale
+from multsys.stepfn import StepFunction, dilate, int_grid, product, rademacher, scale
 from multsys.subseq import OrthogonalSystem
 
 FULL = IndexFamily.full()
@@ -597,3 +600,140 @@ def test_a_member_above_the_pattern_count_fails_without_its_closure(monkeypatch)
     assert failing_subsets(report) == [(1, 2, 3, 4, 5)]
     (args,) = folds
     assert sorted(args[1]) == [0, 8, 16, 24]  # the closure of (4, 5) alone
+
+
+# ------------------------------------------------------------------ stage kernels
+
+def reference_extend(sys_obj, table):
+    """The extension built from step functions, as it was before it was
+    written in ints: a constant or scaled cancellation members per block,
+    a zero constant for every function outside the block, then one
+    concatenation per function."""
+    T = sys_obj.domain_length
+    caps = sys_obj.capacities()
+    blocks = [(s, T * d, F(1 if m > 0 else -1))
+              for s, m, d in zip(table.subsets, table.moments, table.normalized) if m != 0]
+    if not blocks:
+        return sys_obj
+    extensions = [[] for _ in range(sys_obj.n)]
+    for s, block_len, sign in blocks:
+        if len(s) == 1:
+            members = [constant(-sign * caps[s[0] - 1], block_len)]
+        else:
+            base = walsh_cancellation_system(len(s), block_len)
+            members = [scale(g, caps[idx - 1] if j > 0 else -sign * caps[idx - 1])
+                       for j, (g, idx) in enumerate(zip(base, s))]
+        member_of = dict(zip(s, members))
+        for k in range(1, sys_obj.n + 1):
+            extensions[k - 1].append(member_of.get(k, constant(0, block_len)))
+    return BoundedSystem(
+        tuple(concat_many([f, *ext]) for f, ext in zip(sys_obj.functions, extensions)),
+        sys_obj.lower_bounds, sys_obj.upper_bounds,
+    )
+
+
+@st.composite
+def reduction_families(draw, n):
+    """The full family, l = 2 (l = 1 for one function), or an explicit list."""
+    kind = draw(st.sampled_from(["full", "l=2", "explicit"]))
+    if kind == "full":
+        return FULL
+    if kind == "l=2":
+        return IndexFamily.cardinality_cap(min(2, n))
+    every = [s for v in range(1, n + 1) for s in combinations(range(1, n + 1), v)]
+    return IndexFamily.explicit(draw(st.lists(st.sampled_from(every), min_size=1, unique=True)))
+
+
+def extension_outcome(extend, sys_obj, table):
+    """The extended functions as (function, JSON) pairs, or the capacity error."""
+    try:
+        return [(f, f.to_json()) for f in extend(sys_obj, table).functions]
+    except CapacityExceeded as exc:
+        return str(exc)
+
+
+def assert_extension_matches(sys_obj, fam, monkeypatch, cap=None):
+    table = compute_moment_table(sys_obj, fam)
+    if cap is not None:
+        monkeypatch.setenv("MULTSYS_PIECE_CAP", str(cap))
+    got = extension_outcome(reduction._extend, sys_obj, table)
+    assert got == extension_outcome(reference_extend, sys_obj, table)
+    monkeypatch.delenv("MULTSYS_PIECE_CAP", raising=False)
+    return table, got
+
+
+@PROPERTY
+@given(step_systems(), st.data())
+def test_the_int_extension_builds_the_step_function_extension(sys_obj, data):
+    fam = data.draw(reduction_families(sys_obj.n))
+    with pytest.MonkeyPatch.context() as patch:
+        assert_extension_matches(sys_obj, fam, patch)
+        assert_extension_matches(sys_obj, fam, patch, cap=data.draw(st.integers(1, 40)))
+
+
+def test_the_int_extension_matches_on_blocks_of_one_to_four_functions(monkeypatch):
+    # four functions on [0, 5/2) with every moment of the full family
+    # nonzero: blocks of |s| = 1..4, 37 pieces per extended function
+    grid = (F(0), F(1, 2), F(3, 2), F(5, 2))
+    rows = ([3, -1, F(1, 2)], [-4, 2, 1], [F(2, 3), 1, -2], [1, 2, -3])
+    sys_obj = BoundedSystem(tuple(make_step(grid, row) for row in rows), (F(-5),) * 4, (F(5),) * 4)
+    table, got = assert_extension_matches(sys_obj, FULL, monkeypatch)
+    assert {len(s) for s, m in zip(table.subsets, table.moments) if m} == {1, 2, 3, 4}
+    assert [f.piece_count for f, _ in got] == [37] * 4
+    # the 4-block's own 8 pieces exceed a cap of 7 before any function's total
+    for cap in (7, 8, 20, 36, 37):
+        assert_extension_matches(sys_obj, FULL, monkeypatch, cap=cap)
+    monkeypatch.setenv("MULTSYS_PIECE_CAP", "7")
+    with pytest.raises(CapacityExceeded, match="^8 pieces exceed the cap of 7$"):
+        reduction._extend(sys_obj, table)
+
+
+FLOAT_SPECS = (ConvexSpec.exp(1.0), ConvexSpec.exp(2.5), ConvexSpec.power(2.5))
+
+
+@PROPERTY
+@given(step_systems(), st.sampled_from(FLOAT_SPECS), st.data())
+def test_float_sides_read_off_merged_grids_match_the_combination_path(sys_obj, phi, data):
+    """verify_domination's float sides read the merged grids of sys and xi;
+    the bits must be those of convex_expectation of the linear combination."""
+    fam = data.draw(reduction_families(sys_obj.n))
+    trace = reduce_to_independent(sys_obj, fam)
+    coeffs = data.draw(st.lists(st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3])),
+                                min_size=sys_obj.n, max_size=sys_obj.n))
+    report = verify_domination(sys_obj, fam, coeffs, phi, trace=trace)
+    T = float(sys_obj.domain_length)
+    lhs = convex_expectation(linear_combination(coeffs, sys_obj.functions), phi)
+    rhs = convex_expectation(linear_combination(coeffs, trace.xi.functions), phi)
+    assert not report.exact
+    assert report.lhs == float(lhs) / T
+    assert report.rhs == float(1 + trace.mu) * float(rhs) / T
+
+
+def rational_grid(grid):
+    """A merged int grid as rationals: breakpoints, lengths and value rows."""
+    points, lengths, den, rows = grid
+    return ([F(n, den) for n in points], [F(n, den) for n in lengths],
+            [[F(v, q) for v in row] for row, q in rows])
+
+
+@PROPERTY
+@given(step_systems(), st.data())
+def test_the_seeded_grid_of_xi_is_its_merged_grid(sys_obj, data):
+    trace = reduce_to_independent(sys_obj, data.draw(reduction_families(sys_obj.n)))
+    xi = trace.xi
+    assert "grid" in vars(xi)  # seeded by the dilation, no merge
+    assert rational_grid(xi.grid) == rational_grid(int_grid(xi.functions))
+    fresh = BoundedSystem(xi.functions, xi.lower_bounds, xi.upper_bounds)
+    assert rational_grid(fresh.grid) == rational_grid(xi.grid)
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_the_independence_check_walks_the_histogram_once_per_function(n):
+    sys_obj = BoundedSystem(
+        tuple(rademacher(k) for k in range(1, n + 1)), (F(-1),) * n, (F(1),) * n
+    )
+    mass, den, dens = sys_obj.histogram
+    vars(sys_obj)["histogram"] = (CountingMapping(mass), den, dens)
+    CountingMapping.walks = 0
+    assert check_independence(sys_obj, FULL).independent
+    assert CountingMapping.walks == n + 1  # one per function, one for the fold

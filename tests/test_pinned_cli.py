@@ -11,7 +11,9 @@ analyze.  The digests were recorded from the code before the value-pattern
 histogram became a cached attribute of BoundedSystem; a change that moves
 any exact number or its rendering fails here.  Four more pin full-family
 calls on rademacher:8 to rademacher:12, recorded from the code that still
-summed each subset's moment and tallied each subset's joint patterns.
+summed each subset's moment and tallied each subset's joint patterns.  Two
+pin float domination sides other than exp:1 (power:2.5 and exp:1.5),
+recorded from the code that still built a linear combination per side.
 """
 
 import hashlib
@@ -52,6 +54,11 @@ PINNED = (
      "b5df1ab3799d08266efce5db3c12d086e0ec66781595aa9adf37a1dd67685597"),
     ("tail --system off_unit_system.json --level 1/2",
      "a14c37c4b418e3ccef4cea5ba5aad2d3415c6bda9bf063a1496ac9f11d463dc1"),
+    # float sides past exp:1: a non-integer power and another rate, on a capped family
+    ("reduce --system off_unit_system.json --phi power:2.5 --coeffs 1,2,3",
+     "6494191ffe44052d5b3c67a588d1733bf5911211822289cd9277d031a978b83a"),
+    ("reduce --system off_unit_system.json --family l=2 --phi exp:1.5",
+     "9988f47714c48465644fe1e2febc69b29f2d112c609d9f57c7101f83aa3a003b"),
     # full or high-cap families at large n, where the subset-lattice fold
     # and the verdict read from moments take over from loops per subset
     ("analyze --system rademacher:12",

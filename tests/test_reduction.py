@@ -35,6 +35,7 @@ from multsys import (
     walsh_cancellation_system,
 )
 from multsys import moments, stepfn
+from multsys.stepfn import int_grid
 from multsys.errors import (
     BadArity,
     CapacityExceeded,
@@ -252,23 +253,50 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
-def test_a_battery_op_builds_three_histograms_and_two_combinations(monkeypatch):
+def count_merges(monkeypatch):
+    """The function lists merged onto one grid (stepfn._align), in call order."""
+    original = stepfn._align
+    merged = []
+
+    def counted(fs, *only):
+        merged.append(tuple(fs))
+        return original(fs, *only)
+
+    monkeypatch.setattr(stepfn, "_align", counted)
+    return merged
+
+
+def stage_merges(sys_obj, trace):
+    """The merges a reduction makes: the input, the extended system unless
+    the input is its own extension, the systems binarize merges for its
+    indices 2..n (the functions before index k binarized, the rest
+    extended), and the binarized system; xi's grid is seeded."""
+    ext, bin_ = trace.extended.functions, trace.binarized.functions
+    stages = [sys_obj.functions] + ([] if trace.extended is sys_obj else [ext])
+    stages += [bin_[:k] + ext[k:] for k in range(1, sys_obj.n)]
+    return stages + [bin_]
+
+
+def test_a_battery_op_merges_each_stage_once_and_builds_no_combination(monkeypatch):
     sys_obj = battery_shaped_system()
     coeffs = [F(3, 4), F(-1, 2), 2]
+    merges = count_merges(monkeypatch)
     histograms = count_calls(monkeypatch, moments, "pattern_measure")
     combinations_built = count_calls(monkeypatch, stepfn, "linear_combination")
     trace = reduce_to_independent(sys_obj, FULL)
     assert trace.mu != 0
+    assert merges == stage_merges(sys_obj, trace)
     assert len(histograms) == 3  # input, extended, binarized
     power4 = verify_domination(sys_obj, FULL, coeffs, ConvexSpec.power(4), trace=trace)
     assert power4.exact and power4.holds
-    assert len(combinations_built) == 0
     exp1 = verify_domination(sys_obj, FULL, coeffs, ConvexSpec.exp(1.0), trace=trace)
     assert not exp1.exact and exp1.holds
     assert check_independence(trace.xi, FULL).independent
     assert compute_moment_table(trace.xi, FULL) == trace.moment_tables["xi"]
+    # both domination checks read the merged grids and histograms the reduction made
+    assert merges == stage_merges(sys_obj, trace)
     assert len(histograms) == 3
-    assert len(combinations_built) == 2  # exp:1 only, one per side
+    assert combinations_built == []
 
 
 def law(hist):
@@ -281,41 +309,47 @@ def test_every_stage_histogram_is_a_cached_law_outside_identity(monkeypatch):
     sys_obj = battery_shaped_system()
     trace = reduce_to_independent(sys_obj, FULL)
     stages = (sys_obj, trace.extended, trace.binarized, trace.xi)
-    fresh = [law(moments.pattern_measure(stage.functions)) for stage in stages]
-    builds = count_calls(monkeypatch, moments, "pattern_measure")
+    fresh = [law(moments.pattern_measure(int_grid(stage.functions))) for stage in stages]
+    merges = count_merges(monkeypatch)
     for stage, want in zip(stages, fresh):
         assert law(stage.histogram) == want
-        assert stage.histogram is stage.histogram
+        assert stage.histogram is stage.histogram and stage.grid is stage.grid
         with pytest.raises(TypeError):
             stage.histogram[0][next(iter(stage.histogram[0]))] = 0
-    assert builds == []  # the reduction built or seeded every one of them
+    assert merges == []  # the reduction merged or seeded every grid
     for stage in stages:
         plain = BoundedSystem(stage.functions, stage.lower_bounds, stage.upper_bounds)
-        assert "histogram" not in vars(plain)
+        assert "histogram" not in vars(plain) and "grid" not in vars(plain)
         assert plain == stage and hash(plain) == hash(stage)
-        assert repr(plain) == repr(stage) and "histogram" not in repr(stage)
+        assert repr(plain) == repr(stage)
+        assert "histogram" not in repr(stage) and "grid" not in repr(stage)
         assert plain.to_json() == stage.to_json()
         assert pickle.dumps(stage) == pickle.dumps(plain)
         copy = pickle.loads(pickle.dumps(stage))
-        assert copy == stage and "histogram" not in vars(copy)
-    assert builds == []
-    assert law(copy.histogram) == fresh[-1] and len(builds) == 1
+        assert copy == stage and "histogram" not in vars(copy) and "grid" not in vars(copy)
+    assert merges == []
+    assert law(copy.histogram) == fresh[-1] and merges == [copy.functions]
 
 
 def test_a_histogram_cannot_be_handed_to_a_system():
     s = symmetric_system([rademacher(1)] * 2)
+    other = int_grid([rademacher(1), rademacher(2)])
     with pytest.raises(TypeError):
         BoundedSystem(s.functions, s.lower_bounds, s.upper_bounds,
-                      histogram=moments.pattern_measure([rademacher(1), rademacher(2)]))
+                      histogram=moments.pattern_measure(other))
+    with pytest.raises(TypeError):
+        BoundedSystem(s.functions, s.lower_bounds, s.upper_bounds, grid=other)
 
 
 def test_a_multiplicative_input_shares_its_histogram_with_the_extended_stage(monkeypatch):
     sys_obj = symmetric_system([rademacher(1), rademacher(2)])
-    builds = count_calls(monkeypatch, moments, "pattern_measure")
+    merges = count_merges(monkeypatch)
     tables = count_calls(monkeypatch, moments, "compute_moment_table")
     trace = reduce_to_independent(sys_obj, FULL)
     assert trace.mu == 0 and trace.extended is sys_obj
-    assert len(builds) == 2  # input (also the extended stage), binarized
+    # input (also the extended stage and binarize's first index), index 2, binarized
+    assert merges == stage_merges(sys_obj, trace)
+    assert len(merges) == 3
     assert len(tables) == 2  # input (also the extended stage), binarized
     assert trace.moment_tables["extended"] is trace.moment_tables["input"]
 
@@ -353,12 +387,12 @@ def test_even_mode_khintchine_reads_the_histogram_of_the_multiplicativity_check(
     coeffs = [F(1), F(-2), F(3, 4)]
     oracle = convex_expectation(linear_combination(coeffs, sys_obj.functions),
                                 ConvexSpec.power(6)) / sys_obj.domain_length
-    builds = count_calls(monkeypatch, moments, "pattern_measure")
+    merges = count_merges(monkeypatch)
     combinations_built = count_calls(monkeypatch, stepfn, "linear_combination")
     report = verify_khintchine(sys_obj, coeffs, 6, mode="even_integer")
     assert report.exact and report.holds
     assert report.lhs_pth_power == oracle
-    assert len(builds) == 1 and combinations_built == []
+    assert merges == [sys_obj.functions] and combinations_built == []
 
 
 def test_rubinshtein_runs_one_reduction(monkeypatch):

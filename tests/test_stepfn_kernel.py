@@ -300,7 +300,7 @@ def test_integer_rows_give_the_fraction_dot_products(fs):
     if all(f._grid is fs[0]._grid and f._den == fs[0]._den for f in fs):
         assert grid is fs[0]._grid
     lengths = [b - a for a, b in zip(bps, bps[1:])]
-    assert (len_ints, len_den) == reference_scale_row(lengths)
+    assert (list(len_ints), len_den) == reference_scale_row(lengths)
     assert [(list(row), q) for row, q in rows] == [
         reference_scale_row(vals) for _, vals in refined
     ]
