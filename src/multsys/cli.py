@@ -250,8 +250,9 @@ def cmd_reduce(args: argparse.Namespace) -> Outcome:
     coeffs = parse_coeffs(args.coeffs, sys_obj.n)
     phi = parse_phi(args.phi)
     trace = reduce_to_independent(sys_obj, fam)
-    domination = verify_domination(sys_obj, fam, coeffs, phi, trace=trace)
+    # first, so that a family that cannot give xi mean zero is refused before any integral
     independence = check_independence(trace.xi, fam)
+    domination = verify_domination(sys_obj, fam, coeffs, phi, trace=trace)
     xi_mu = trace.moment_tables["xi"].mu()
     report = {
         "config": {

@@ -31,7 +31,7 @@ from .errors import (
 from .moments import (
     BoundedSystem,
     IndexFamily,
-    combination_expectation,
+    combination_integral,
     is_multiplicative,
     multiplicative_error,
 )
@@ -199,12 +199,13 @@ def verify_khintchine(
             raise NotMultiplicative(
                 f"system is not multiplicative over subsets of size <= {min(p, sys.n)}"
             )
-        lhs_pow = combination_expectation(sys, cs, ConvexSpec.power(p))
+        lhs_pow = combination_integral(sys, cs, ConvexSpec.power(p)) / sys.domain_length
         rhs_pow = double_factorial(p - 1) * sum_sq ** (p // 2)
         lhs = float(lhs_pow) ** (1.0 / p)
         rhs = float(rhs_pow) ** (1.0 / p)
         holds = lhs_pow <= rhs_pow
     elif mode == "general":
+        # sys is unmerged here, and a difference array costs half of a merged grid
         moment = convex_expectation(linear_combination(cs, sys.functions), ConvexSpec.power(p))
         lhs = (float(moment) / float(sys.domain_length)) ** (1.0 / p)
         rhs = variants["corrected"] * math.sqrt(float(sum_sq))
@@ -267,6 +268,7 @@ def hoeffding_tail(
         raise OutOfRange(f"mu must be nonnegative, got {mu}")
     if mu is None:
         mu, _ = multiplicative_error(sys, fam if fam is not None else IndexFamily.full())
+    # sys is unmerged when mu is given, and a difference array costs half of a merged grid
     sum_fn = linear_combination([1] * sys.n, sys.functions)
     exact_measure = measure_above(sum_fn, level) / sys.domain_length
     denom = sum(

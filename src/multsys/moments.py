@@ -44,6 +44,7 @@ from .stepfn import (
     as_fraction,
     dilate,
     exact_phi_integral,
+    float_phi_integral,
     int_grid,
     json_list,
     value_range,
@@ -273,12 +274,10 @@ def mask_of(subset: Subset) -> int:
     return sum(1 << (k - 1) for k in subset)
 
 
-def lattice_sums(
-    hist: PatternHistogram, members: Collection[int] | None = None, cap: int | None = None
-) -> dict[int, int]:
-    """For every member mask S, or with no members every mask S of at most
-    cap functions (any number with no cap), the int sum over value
-    patterns of mass * prod_{k in S} key[k]: the numerator of E[prod_S phi].
+def lattice_sums(hist: PatternHistogram, members: Collection[int] | None = None) -> dict[int, int]:
+    """For every member mask S, or every mask with no members, the int sum
+    over value patterns of mass * prod_{k in S} key[k]: the numerator of
+    E[prod_S phi].  Key 0, the empty mask, is always there: the total mass.
 
     One fold over the subset lattice, Yates's algorithm for factorial
     experiments, which is the fast zeta transform of Bjorklund, Husfeldt,
@@ -289,30 +288,27 @@ def lattice_sums(
     States whose suffixes agree are added up, so the cost is about the
     number of distinct suffixes times the vector length per coordinate,
     n * 2**n for the full family where a loop per subset and pattern pays
-    4**n.  Only masks that can still grow into a wanted one are carried:
-    those of at most cap functions, or the restrictions of the members to
-    the folded coordinates, so one large member costs one sum, not
-    2**|S|.  Key 0 of the result, the empty mask, is the total mass.
+    4**n.  Only masks that can still grow into a member are carried, the
+    restrictions of the members to the folded coordinates, so one large
+    member costs one sum beside the empty mask's, not 2**|S|; members
+    naming all 2**n - 1 nonempty masks carry every vector whole.
     """
     mass, _, dens = hist
     n = len(dens)
+    wanted_all = None if members is None else {0, *members}
     masks: Sequence[int] = [0]
     # per coordinate: the entries kept and the entries multiplied, None for all
     plan: list[tuple[list[int] | None, list[int] | None]] = []
-    if members is None and (cap is None or cap >= n):
+    if wanted_all is None or len(wanted_all) == 1 << n:
         # every mask: entry i of the final vector is mask i
         plan, masks = [(None, None)] * n, range(1 << n)
     for k in range(len(plan), n):
         bit = 1 << k
-        if members is None:
+        wanted = {m & (2 * bit - 1) for m in wanted_all}
+        keep = [i for i, m in enumerate(masks) if m in wanted]
+        mult = [i for i, m in enumerate(masks) if m | bit in wanted]
+        if len(keep) == len(masks):
             keep = None
-            mult = [i for i, m in enumerate(masks) if m.bit_count() < cap]
-        else:
-            wanted = {m & (2 * bit - 1) for m in members}
-            keep = [i for i, m in enumerate(masks) if m in wanted]
-            mult = [i for i, m in enumerate(masks) if m | bit in wanted]
-            if len(keep) == len(masks):
-                keep = None
         if len(mult) == len(masks):
             mult = None
         plan.append((keep, mult))
@@ -321,21 +317,19 @@ def lattice_sums(
         ]
     if not plan:
         return {0: sum(mass.values())}
-    # coordinate 0 folds straight off the histogram: a pattern's vector is
-    # [w, w * v] before the plan drops an entry
-    keep, mult = plan[0]
+    # coordinate 0 folds straight off the histogram: the empty mask is kept,
+    # so a pattern's vector is [w, w * v], or [w] when no member holds bit 0
     state: dict[tuple[int, ...], list[int]] = {}
+    both = plan[0][1] is None
     for key, w in mass.items():
         rest = key[1:]
         old = state.get(rest)
         if old is None:
-            state[rest] = ([w] if keep is None else []) + ([w * key[0]] if mult is None else [])
-        elif keep is None:
+            state[rest] = [w, w * key[0]] if both else [w]
+        else:
             old[0] += w
-            if mult is None:
+            if both:
                 old[1] += w * key[0]
-        elif mult is None:
-            old[0] += w * key[0]
     for keep, mult in plan[1:]:
         folded: dict[tuple[int, ...], list[int]] = {}
         for suffix, sums in state.items():
@@ -350,20 +344,10 @@ def lattice_sums(
     return dict(zip(masks, state[()]))
 
 
-def family_sums(hist: PatternHistogram, fam: IndexFamily, subsets: Sequence[Subset]) -> list[int]:
-    """lattice_sums of every subset of fam, in the order of subsets, which
-    enumerate_family gave."""
-    if fam.subsets is not None:
-        masks = [mask_of(s) for s in subsets]
-        sums = lattice_sums(hist, masks)
-    else:
-        n = len(hist[2])
-        cap = n if fam.cap is None else fam.cap
-        sums = lattice_sums(hist, cap=cap)
-        # the masks in enumerate_family's order, by cardinality and then lexicographic
-        bits = [1 << k for k in range(n)]
-        masks = [m for v in range(1, cap + 1) for m in map(sum, combinations(bits, v))]
-    return list(map(sums.__getitem__, masks))
+def family_sums(hist: PatternHistogram, subsets: Sequence[Subset]) -> list[int]:
+    """lattice_sums of every subset, in the order of subsets."""
+    masks = [mask_of(s) for s in subsets]
+    return list(map(lattice_sums(hist, masks).__getitem__, masks))
 
 
 # every vanishing moment and normalized magnitude is this one object
@@ -422,7 +406,7 @@ def compute_moment_table(sys: BoundedSystem, fam: IndexFamily) -> MomentTable:
     hist = sys.histogram
     _, den, dens = hist
     T = sys.domain_length
-    nums = family_sums(hist, fam, subsets)
+    nums = family_sums(hist, subsets)
     caps = sys.capacities() if any(nums) else ()
     moments: list[Fraction] = []
     normalized: list[Fraction] = []
@@ -449,22 +433,36 @@ def is_multiplicative(sys: BoundedSystem, fam: IndexFamily) -> bool:
     """True when every selected mixed moment vanishes exactly: a lattice sum
     read until the first nonzero one, with no table built."""
     subsets = enumerate_family(sys.n, fam)
-    return not any(family_sums(sys.histogram, fam, subsets))
+    return not any(family_sums(sys.histogram, subsets))
 
 
-def combination_expectation(
+def combination_integral(
     sys: BoundedSystem, cs: Sequence[Fraction], phi: ConvexSpec
-) -> Fraction:
-    """E[Phi(sum_k cs[k] phi_k)] under the uniform law on [0, T), for an
-    exact Phi, read off the histogram of sys with no linear combination
-    built: each value pattern gives the combination one int over the lcm
-    q of the cs[k] and value denominators, masses with equal combinations
-    are summed, and exact_phi_integral does the rest."""
-    mass, den, dens = sys.histogram
-    q = math.lcm(*(c.denominator * d for c, d in zip(cs, dens)))
-    factors = [c.numerator * (q // (c.denominator * d)) for c, d in zip(cs, dens)]
-    law: dict[int, int] = {}
-    for key, w in mass.items():
-        v = sum(map(operator.mul, factors, key))
-        law[v] = law.get(v, 0) + w
-    return exact_phi_integral(law, q, den, phi) / sys.domain_length
+) -> Fraction | float:
+    """The integral of Phi(sum_k cs[k] phi_k) over [0, T), a Fraction for
+    an exact Phi and a float otherwise, with no linear combination built.
+
+    On each merged piece, and in each value pattern, the combination is
+    one int over the lcm q of the cs[k] and value denominators, the sum of
+    the scaled values.  An exact Phi reads the histogram of sys: masses
+    with equal combinations are summed, and exact_phi_integral does the
+    rest.  A float Phi reads the merged grid and sums piece by piece in
+    domain order (float_phi_integral, the float path of
+    convex_expectation), because a float sum's bits depend on the order
+    of its terms; these are the pieces and values linear_combination
+    would build, so the bits are those of convex_expectation of it.
+    """
+    _, lengths, d, rows = sys.grid
+    q = math.lcm(*(c.denominator * rq for c, (_, rq) in zip(cs, rows)))
+    factors = [c.numerator * (q // (c.denominator * rq)) for c, (_, rq) in zip(cs, rows)]
+    if phi.is_exact:
+        law: dict[int, int] = {}
+        for key, w in sys.histogram[0].items():
+            v = sum(map(operator.mul, factors, key))
+            law[v] = law.get(v, 0) + w
+        return exact_phi_integral(law, q, d, phi)
+    combined: Sequence[int] = (0,) * len(lengths)
+    for factor, (row, _) in zip(factors, rows):
+        if factor:
+            combined = [a + factor * v for a, v in zip(combined, row)]
+    return float_phi_integral(combined, lengths, q, d, phi)

@@ -24,7 +24,7 @@ import math
 import operator
 from fractions import Fraction
 from itertools import combinations, product as iter_product
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 from .errors import BadArity, LengthMismatch, NonZeroMean, NotTwoValued, TraceMismatch, frozen
 from .moments import (
@@ -32,7 +32,7 @@ from .moments import (
     IndexFamily,
     MomentTable,
     Subset,
-    combination_expectation,
+    combination_integral,
     compute_moment_table,
     dilate_system,
     enumerate_family,
@@ -46,7 +46,6 @@ from .stepfn import (
     StepFunction,
     _guard_pieces,
     as_fraction,
-    float_phi_integral,
     int_grid_row,
     uniform_grid,
 )
@@ -340,10 +339,9 @@ def check_independence(sys: BoundedSystem, fam: IndexFamily) -> IndependenceRepo
         low_mass.append(L)
     subsets = enumerate_family(sys.n, fam)
     masks = [mask_of(s) for s in subsets]
-    if fam.subsets is None:
-        # every subset of at most cap functions: its own downward closure
-        sums = lattice_sums(hist, cap=fam.cap)
-    else:
+    # a full or capped family holds every nonempty submask of its members
+    closure: Collection[int] = masks
+    if fam.subsets is not None:
         closure = {0}
         for m, s in zip(masks, subsets):
             if 1 << len(s) <= len(mass):
@@ -351,8 +349,7 @@ def check_independence(sys: BoundedSystem, fam: IndexFamily) -> IndependenceRepo
                 while sub:  # every nonempty submask of m, in falling order
                     closure.add(sub)
                     sub = (sub - 1) & m
-        sums = lattice_sums(hist, closure)
-    failing = {m: bool(v) for m, v in sums.items()}
+    failing = {m: bool(v) for m, v in lattice_sums(hist, closure).items()}
     # the empty mask sums the total mass; every singleton sum is 0 by the mean check
     failing[0] = False
     for k in range(sys.n):
@@ -508,13 +505,8 @@ def verify_domination(
     reuse the pipeline output across several integrands; it must come
     from this system and this family, or TraceMismatch is raised.
 
-    An exact Phi reads the joint laws through combination_expectation,
-    the lhs on the histogram of sys and the rhs on the one xi carries.
-    A float Phi reads the merged grids of sys and of xi, which the
-    reduction seeded, and sums piece by piece in domain order
-    (stepfn.float_phi_integral, the float path of convex_expectation),
-    because a float sum's bits depend on the order of its terms.  Neither
-    builds a linear combination.
+    Each side is one moments.combination_integral: of sys for the lhs,
+    of xi for the rhs, and neither builds a linear combination.
     """
     if trace is None:
         trace = reduce_to_independent(sys, fam)
@@ -525,15 +517,15 @@ def verify_domination(
     if len(cs) != sys.n:
         raise LengthMismatch(f"{len(cs)} coefficients for {sys.n} functions")
     factor = 1 + trace.mu
+    T = sys.domain_length
+    lhs = combination_integral(sys, cs, phi)
+    rhs = combination_integral(trace.xi, cs, phi)
     exact = phi.is_exact
     if exact:
-        lhs_val: Fraction | float = combination_expectation(sys, cs, phi)
-        rhs_val: Fraction | float = factor * combination_expectation(trace.xi, cs, phi)
+        lhs_val: Fraction | float = lhs / T
+        rhs_val: Fraction | float = factor * rhs / T
         holds = lhs_val <= rhs_val
     else:
-        T = sys.domain_length
-        lhs = _float_integral(sys, cs, phi)
-        rhs = _float_integral(trace.xi, cs, phi)
         lhs_val = float(lhs) / float(T)
         rhs_val = float(factor) * float(rhs) / float(T)
         holds = lhs_val <= rhs_val or (lhs_val - rhs_val) <= REL_TOL * max(
@@ -547,19 +539,3 @@ def verify_domination(
         exact=exact,
         phi=phi.describe(),
     )
-
-
-def _float_integral(sys: BoundedSystem, cs: Sequence[Fraction], phi: ConvexSpec) -> float:
-    """The float integral of Phi(sum_k cs[k] phi_k) over [0, T), read off the
-    merged grid of sys: the combination's value on each merged piece is an
-    int over the lcm q of the cs[k] and row denominators, the sum of the
-    scaled rows.  These are the pieces and values linear_combination
-    would build, so convex_expectation of it gives the same bits."""
-    _, lengths, d, rows = sys.grid
-    q = math.lcm(*(c.denominator * rq for c, (_, rq) in zip(cs, rows)))
-    combined: Sequence[int] = (0,) * len(lengths)
-    for c, (row, rq) in zip(cs, rows):
-        if c:
-            factor = c.numerator * (q // (c.denominator * rq))
-            combined = [a + factor * v for a, v in zip(combined, row)]
-    return float_phi_integral(combined, lengths, q, d, phi)

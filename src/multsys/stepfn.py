@@ -364,18 +364,17 @@ def int_grid_row(
 
 
 def common_refinement(fs: Sequence[StepFunction]) -> list[StepFunction]:
-    """Rewrite all functions on the union of their breakpoints.
+    """Rewrite all functions on the union of their breakpoints: the
+    StepFunction view of int_grid.
 
     Values are untouched, only the partition is refined, so every
     returned function equals its input pointwise.  A function already on
     the union comes back as itself.
     """
-    if not fs:
-        return []
-    grid, den, where = _align(fs)
+    grid, _, den, rows = int_grid(fs)
     return [
-        f if len(at) == len(grid) else StepFunction._from_ints(grid, den, _spread(f._row, at), f._q)
-        for f, at in zip(fs, where)
+        f if row is f._row else StepFunction._from_ints(grid, den, row, q)
+        for f, (row, q) in zip(fs, rows)
     ]
 
 
@@ -614,27 +613,11 @@ class ConvexSpec:
             return f"max(t-{self.param},0)^2"
         return "|t|"
 
-    def exact_value(self, v: Fraction) -> Fraction | None:
-        """Exact rational Phi(v), or None when only a float value exists."""
-        if self.kind == "power":
-            p = self.param
-            if isinstance(p, int) and p % 2 == 0:
-                return v**p
-            if isinstance(p, int):
-                return abs(v) ** p
-            return None
-        if self.kind == "exp":
-            return None
-        if self.kind == "hinge_square":
-            gap = v - self.param  # type: ignore[operator]
-            return gap * gap if gap > 0 else Fraction(0)
-        return abs(v)
-
     @property
     def is_exact(self) -> bool:
-        """Whether Phi maps rationals to rationals; it depends on the kind
-        and parameter alone, never on the argument."""
-        return self.exact_value(Fraction(0)) is not None
+        """Whether Phi maps rationals to rationals: an integer power, a
+        hinge square or abs, by kind and parameter, never by argument."""
+        return self.kind != "exp" and (self.kind != "power" or isinstance(self.param, int))
 
     def float_value(self, t: float) -> float:
         if self.kind == "power":

@@ -678,3 +678,27 @@ def test_a_family_with_no_singletons_says_why_xi_keeps_a_mean(capsys, monkeypatc
         "error: function 1 has mean -12/47; the family holds no (1,), and the singletons"
         " are what cancel the means in the reduction\n"
     )
+
+
+@pytest.mark.parametrize("coeffs", [[], ["--coeffs", "1,2"]], ids=["default", "wrong-count"])
+def test_a_family_with_no_singletons_is_refused_before_either_domination_side(
+    capsys, monkeypatch, tmp_path, coeffs
+):
+    from multsys import reduction
+
+    monkeypatch.delenv("MULTSYS_PIECE_CAP", raising=False)
+    original, calls = reduction.verify_domination, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(reduction, "verify_domination", counted)
+    fam = tmp_path / "pairs.json"
+    fam.write_text("[[1, 2]]")
+    system = Path(__file__).resolve().parent / "data" / "off_unit_system.json"
+    code = main(["reduce", "--system", str(system), "--family", str(fam), *coeffs])
+    assert code == 2
+    assert calls == []
+    # the mean is reported even where the coefficient count is also wrong
+    assert capsys.readouterr().err.startswith("error: function 1 has mean -12/47;")

@@ -389,7 +389,7 @@ def asymmetric_systems(draw):
 def assert_fold_matches(sys_obj, fam):
     subsets = enumerate_family(sys_obj.n, fam)
     hist = sys_obj.histogram
-    assert family_sums(hist, fam, subsets) == [reference_subset_sum(hist, s) for s in subsets]
+    assert family_sums(hist, subsets) == [reference_subset_sum(hist, s) for s in subsets]
     table = compute_moment_table(sys_obj, fam)
     assert (table.subsets, table.moments, table.normalized) == reference_moment_table(sys_obj, fam)
     for s, m in zip(table.subsets, table.moments):
@@ -417,6 +417,38 @@ def test_one_explicit_member_above_the_pattern_count_is_summed_exactly():
         FULL,
     ):
         assert_fold_matches(sys_obj, fam)
+
+
+def test_the_fold_sums_the_members_it_is_given_in_any_collection():
+    """lattice_sums has one mode: the caller names the masks, as a list, a
+    set or a range, and gets each one's sum, with the empty mask's total
+    mass beside them.  Members naming every mask are the full family,
+    recognised from the masks alone."""
+    rng = random.Random(606)
+    n, length = 6, F(5, 2)
+    functions = []
+    for _ in range(n):
+        cuts = sorted(rng.sample(range(1, 12), 3))
+        bps = [F(0), *(length * F(c, 12) for c in cuts), length]
+        functions.append(make_step(bps, [F(rng.randint(-12, 12), 3) for _ in range(4)]))
+    hist = BoundedSystem(tuple(functions), (F(-4),) * n, (F(4),) * n).histogram
+    subset_of = {mask_of(s): s for s in enumerate_family(n, FULL)}
+
+    def assert_sums(sums, masks):
+        assert sums.keys() == {0, *masks}
+        assert sums[0] == sum(hist[0].values())
+        assert all(sums[m] == reference_subset_sum(hist, subset_of[m]) for m in masks if m)
+
+    for cap in range(1, n + 1):
+        masks = [mask_of(s) for s in enumerate_family(n, IndexFamily.cardinality_cap(cap))]
+        for members in (masks, masks[::-1], set(masks)):
+            assert_sums(lattice_sums(hist, members), masks)
+    # every subset of functions 1..3, and the full family in every form
+    assert_sums(lattice_sums(hist, range(1, 8)), range(1, 8))
+    every = lattice_sums(hist)
+    assert_sums(every, range(1 << n))
+    for members in (range(1, 1 << n), range(1 << n), set(subset_of), list(subset_of)):
+        assert lattice_sums(hist, members) == every
 
 
 def test_a_mask_sets_bit_k_minus_1_for_function_k():

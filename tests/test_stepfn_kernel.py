@@ -109,10 +109,21 @@ def reference_measure_equal(f, value):
     return sum((b - a for v, a, b in pieces(f) if v == value), F(0))
 
 
+def reference_phi(spec, v):
+    """Phi(v) as a Fraction, or None where Phi has only a float value."""
+    if spec.kind == "hinge_square":
+        return max(v - spec.param, F(0)) ** 2
+    if spec.kind == "abs":
+        return abs(v)
+    if spec.kind == "power" and isinstance(spec.param, int):
+        return abs(v) ** spec.param
+    return None
+
+
 def reference_convex_expectation(f, spec):
     exact_parts = []
     for v, a, b in pieces(f):
-        ev = spec.exact_value(v)
+        ev = reference_phi(spec, v)
         if ev is None:
             break
         exact_parts.append(ev * (b - a))
