@@ -32,6 +32,7 @@ from .moments import (
     BoundedSystem,
     IndexFamily,
     combination_integral,
+    combination_law,
     is_multiplicative,
     multiplicative_error,
 )
@@ -257,7 +258,9 @@ def hoeffding_tail(
     The left side is the exact superlevel measure of the unit-coefficient
     sum under the uniform law.  mu may be passed when it is known (an
     independent system has mu == 0); otherwise it is computed over fam,
-    defaulting to all subsets.
+    defaulting to all subsets, and the measure is read off the law of the
+    sum (moments.combination_law) from the histogram that computation
+    built, so the system is merged once.
     """
     level = as_fraction(level)
     if level <= 0:
@@ -268,9 +271,14 @@ def hoeffding_tail(
         raise OutOfRange(f"mu must be nonnegative, got {mu}")
     if mu is None:
         mu, _ = multiplicative_error(sys, fam if fam is not None else IndexFamily.full())
-    # sys is unmerged when mu is given, and a difference array costs half of a merged grid
-    sum_fn = linear_combination([1] * sys.n, sys.functions)
-    exact_measure = measure_above(sum_fn, level) / sys.domain_length
+        # the sum exceeds a / b where its value v / q does: where v * b > a * q
+        law, q, den = combination_law(sys, [Fraction(1)] * sys.n)
+        a, b = level.numerator, level.denominator
+        above = Fraction(sum(w for v, w in law.items() if v * b > a * q), den)
+    else:
+        # sys is unmerged when mu is given, and a difference array costs half of a merged grid
+        above = measure_above(linear_combination([1] * sys.n, sys.functions), level)
+    exact_measure = above / sys.domain_length
     denom = sum(
         ((hi - lo) ** 2 for lo, hi in zip(sys.lower_bounds, sys.upper_bounds)),
         Fraction(0),

@@ -31,6 +31,7 @@ from .errors import (
     CapTooLarge,
     DomainMismatch,
     LengthMismatch,
+    NonPositiveFactor,
     ParseError,
     ValueOutOfBounds,
     _validate_subset,
@@ -41,8 +42,8 @@ from .stepfn import (
     IntGrid,
     Rational,
     StepFunction,
+    _dilated,
     as_fraction,
-    dilate,
     exact_phi_integral,
     float_phi_integral,
     int_grid,
@@ -158,21 +159,24 @@ def symmetric_system(functions: Sequence[StepFunction], bound: Rational = 1) -> 
 
 
 def dilate_system(sys: BoundedSystem, factor: Rational) -> BoundedSystem:
-    """Every function dilated by factor == p / r, on [0, T / factor).
+    """Every function dilated by factor == p / r, on [0, T / factor): the
+    functions of stepfn.dilate, built straight from those of sys.
 
     The result is valid because sys is (same values and bounds, every
-    domain scaled alike), so it is not validated again.  It is given its
-    merged grid and its histogram from those of sys, with no merge and no
-    rebuild: dilate shares the value rows and scales every breakpoint by
-    r / p, so each breakpoint, length and mass is multiplied by r over a
-    denominator multiplied by p, while the rows, the value patterns and
-    their denominators stay.
+    domain scaled alike), so neither it nor its functions are validated
+    again, and the factor is checked once as ints, not per function.
+    The system is given its merged grid and its histogram from those of
+    sys, with no merge and no rebuild: each breakpoint, length and mass is
+    multiplied by r over a denominator multiplied by p, while the rows,
+    the value patterns and their denominators stay.
     """
     factor = as_fraction(factor)
-    out = BoundedSystem._from_parts(
-        tuple(dilate(f, factor) for f in sys.functions), sys.lower_bounds, sys.upper_bounds
-    )
     p, r = factor.numerator, factor.denominator
+    if p <= 0:
+        raise NonPositiveFactor(f"dilation factor must be positive, got {factor}")
+    out = BoundedSystem._from_parts(
+        tuple(_dilated(f, p, r) for f in sys.functions), sys.lower_bounds, sys.upper_bounds
+    )
     grid, lengths, den, rows = sys.grid
     mass, _, dens = sys.histogram
     if r != 1:
@@ -399,10 +403,15 @@ class MomentTable:
 
 
 def compute_moment_table(sys: BoundedSystem, fam: IndexFamily) -> MomentTable:
-    """All selected mixed moments from one lattice fold of the histogram of
+    """All mixed moments of sys selected by the family (moment_table)."""
+    return moment_table(sys, tuple(enumerate_family(sys.n, fam)))
+
+
+def moment_table(sys: BoundedSystem, subsets: tuple[Subset, ...]) -> MomentTable:
+    """The moments of sys over subsets, a family already enumerated (such
+    as another table's subsets), from one lattice fold of the histogram of
     sys, with one Fraction per nonzero reported moment and normalized
     magnitude and the shared ZERO for every other."""
-    subsets = tuple(enumerate_family(sys.n, fam))
     hist = sys.histogram
     _, den, dens = hist
     T = sys.domain_length
@@ -436,33 +445,52 @@ def is_multiplicative(sys: BoundedSystem, fam: IndexFamily) -> bool:
     return not any(family_sums(sys.histogram, subsets))
 
 
+def _scaled(cs: Sequence[Fraction], dens: Sequence[int]) -> tuple[int, list[int]]:
+    """The lcm q of the cs[k] and value denominators dens[k], and the factor
+    turning function k's int value over dens[k] into cs[k] times it over q."""
+    q = math.lcm(*(c.denominator * d for c, d in zip(cs, dens)))
+    return q, [c.numerator * (q // (c.denominator * d)) for c, d in zip(cs, dens)]
+
+
+def combination_law(sys: BoundedSystem, cs: Sequence[Fraction]) -> tuple[dict[int, int], int, int]:
+    """The law of sum_k cs[k] phi_k, read off the histogram of sys with no
+    linear combination built: (law, q, den), each value as an int over q
+    mapped to the length it covers as an int over den.  In a value pattern
+    the combination is the sum of the scaled values, and patterns with
+    equal sums pool their masses."""
+    mass, den, dens = sys.histogram
+    q, factors = _scaled(cs, dens)
+    law: dict[int, int] = {}
+    for key, w in mass.items():
+        v = sum(map(operator.mul, factors, key))
+        law[v] = law.get(v, 0) + w
+    return law, q, den
+
+
 def combination_integral(
     sys: BoundedSystem, cs: Sequence[Fraction], phi: ConvexSpec
 ) -> Fraction | float:
     """The integral of Phi(sum_k cs[k] phi_k) over [0, T), a Fraction for
     an exact Phi and a float otherwise, with no linear combination built.
 
-    On each merged piece, and in each value pattern, the combination is
-    one int over the lcm q of the cs[k] and value denominators, the sum of
-    the scaled values.  An exact Phi reads the histogram of sys: masses
-    with equal combinations are summed, and exact_phi_integral does the
-    rest.  A float Phi reads the merged grid and sums piece by piece in
-    domain order (float_phi_integral, the float path of
-    convex_expectation), because a float sum's bits depend on the order
-    of its terms; these are the pieces and values linear_combination
-    would build, so the bits are those of convex_expectation of it.
+    An exact Phi reads the law of the combination (combination_law), and
+    exact_phi_integral does the rest.  A float Phi is evaluated once per
+    value pattern of the histogram, on the combination's value there, and
+    the merged grid is then summed piece by piece in domain order, each
+    piece taking the Phi of its pattern (float_phi_integral, the float
+    loop of convex_expectation), because a float sum's bits depend on the
+    order of its terms; these are the pieces and values
+    linear_combination would build, so the bits are those of
+    convex_expectation of it.
     """
-    _, lengths, d, rows = sys.grid
-    q = math.lcm(*(c.denominator * rq for c, (_, rq) in zip(cs, rows)))
-    factors = [c.numerator * (q // (c.denominator * rq)) for c, (_, rq) in zip(cs, rows)]
     if phi.is_exact:
-        law: dict[int, int] = {}
-        for key, w in sys.histogram[0].items():
-            v = sum(map(operator.mul, factors, key))
-            law[v] = law.get(v, 0) + w
+        law, q, d = combination_law(sys, cs)
         return exact_phi_integral(law, q, d, phi)
-    combined: Sequence[int] = (0,) * len(lengths)
-    for factor, (row, _) in zip(factors, rows):
-        if factor:
-            combined = [a + factor * v for a, v in zip(combined, row)]
-    return float_phi_integral(combined, lengths, q, d, phi)
+    _, lengths, d, rows = sys.grid
+    q, factors = _scaled(cs, [rq for _, rq in rows])
+    phis = {
+        key: phi.float_value(sum(map(operator.mul, factors, key)) / q)
+        for key in sys.histogram[0]
+    }
+    patterns = zip(*(row for row, _ in rows))
+    return float_phi_integral(map(phis.__getitem__, patterns), lengths, d, phi)

@@ -38,6 +38,7 @@ from .moments import (
     enumerate_family,
     lattice_sums,
     mask_of,
+    moment_table,
 )
 from .stepfn import (
     REL_TOL,
@@ -45,8 +46,8 @@ from .stepfn import (
     Rational,
     StepFunction,
     _guard_pieces,
+    _lowest,
     as_fraction,
-    int_grid_row,
     uniform_grid,
 )
 
@@ -147,6 +148,12 @@ def _extend(sys: BoundedSystem, table: MomentTable) -> BoundedSystem:
     to minus the moment), and every function outside s is 0 on one piece.
     A block's piece count is checked against the cap before it is
     written, then each function's total.
+
+    The extended system's merged grid is written in the same pass, so it
+    is never merged: the merged grid of sys on that denominator, then the
+    equal steps of each block, with every row on those pieces; it seeds
+    the system's grid in lowest terms, as stepfn.int_grid would give it.
+    Its piece count meets the cap in binarize, which reads it first.
     """
     T = sys.domain_length
     caps = sys.capacities()
@@ -162,28 +169,38 @@ def _extend(sys: BoundedSystem, table: MomentTable) -> BoundedSystem:
         *{f._den for f in fs}, *{L.denominator << (len(s) - 1) for s, L, _ in blocks}
     )
     qs = [math.lcm(f._q, c.denominator) for f, c in zip(fs, caps)]
+    merged, _, merged_den, merged_rows = sys.grid
+    merged = [n * (den // merged_den) for n in merged]
     grids: list[list[int]] = []
     rows: list[list[int]] = []
-    for f, q in zip(fs, qs):
+    spread: list[list[int]] = []  # each row on the merged pieces
+    for f, q, (on_merged, _) in zip(fs, qs, merged_rows):
         g, r = den // f._den, q // f._q
         grids.append([n * g for n in f._grid])
-        rows.append([v * r for v in f._row])
+        rows.append(list(f._row) if r == 1 else [v * r for v in f._row])
+        spread.append(list(on_merged) if r == 1 else [v * r for v in on_merged])
     # the value C_k as an int over qs[k]
     highs = [c.numerator * (q // c.denominator) for c, q in zip(caps, qs)]
     end = grids[0][-1]
     for s, L, positive in blocks:
         width = L.numerator * (den // L.denominator)
         signs = dict(zip(s, _walsh_signs(len(s))))
-        step = width // len(signs[s[0]])
-        for k, (grid, row) in enumerate(zip(grids, rows), start=1):
+        pieces = len(signs[s[0]])
+        step = width // pieces
+        steps = range(end + step, end + width + 1, step)
+        merged.extend(steps)
+        for k, (grid, row, on_merged) in enumerate(zip(grids, rows, spread), start=1):
             sign_row = signs.get(k)
             if sign_row is None:
                 grid.append(end + width)
                 row.append(0)
+                on_merged.extend([0] * pieces)
             else:
                 v = -highs[k - 1] if k == s[0] and positive else highs[k - 1]
-                grid.extend(range(end + step, end + width + 1, step))
-                row.extend([v * sign for sign in sign_row])
+                grid.extend(steps)
+                values = [v * sign for sign in sign_row]
+                row.extend(values)
+                on_merged.extend(values)
         end += width
     for row in rows:
         _guard_pieces(len(row))
@@ -192,7 +209,27 @@ def _extend(sys: BoundedSystem, table: MomentTable) -> BoundedSystem:
         for grid, row, q in zip(grids, rows, qs)
     )
     # every block value is 0 or +-C_k, inside [A_k, B_k], and every function grows alike
-    return BoundedSystem._from_parts(new_functions, sys.lower_bounds, sys.upper_bounds)
+    extended = BoundedSystem._from_parts(new_functions, sys.lower_bounds, sys.upper_bounds)
+    _seed_grid(extended, merged, den, spread, qs)
+    return extended
+
+
+def _seed_grid(
+    sys: BoundedSystem, merged: list[int], den: int, rows: list[list[int]], qs: list[int]
+) -> None:
+    """Give sys its merged grid, written by the code that built its
+    functions: the breakpoints merged / den and function k's values
+    rows[k] / qs[k] on its pieces, brought to the lowest terms that
+    stepfn.int_grid gives (a union's lowest denominator is the lcm of its
+    members', and each row's that of its function)."""
+    grid, den = _lowest(tuple(merged), den)
+    lengths = tuple(map(operator.sub, grid[1:], grid))
+    on_grid = []
+    for f, row, q in zip(sys.functions, rows, qs):
+        r = q // f._q
+        on_grid.append((tuple(row if r == 1 else [v // r for v in row]), f._q))
+    # seeds the cache that BoundedSystem.grid would otherwise fill
+    vars(sys)["grid"] = (grid, lengths, den, tuple(on_grid))
 
 
 # ------------------------------------------------------------------ binarization
@@ -212,25 +249,47 @@ def binarize(sys: BoundedSystem) -> BoundedSystem:
     decrease.  Outputs are normalized (minimal representation), which
     makes the operation idempotent.
 
-    Per index the current system is merged once and only row k is spread
-    onto the merged pieces; the first index reads the merged grid sys
-    keeps, which its histogram reads too.  A piece is classified by its value alone:
-    it splits exactly when A_k < v < B_k, and otherwise becomes B_k when
-    v > A_k and A_k when not.  The normalized row is written as it goes:
-    a piece whose value equals the last one written extends it.  The
-    piece cap applies to the unmerged count, two pieces per split
-    interval and one per other, as if the row were built first and
-    normalized after.
+    The constancy intervals at index k are the pieces of the current
+    system merged: the breakpoints of functions k..n-1 as given (equal
+    neighbours included) and those of the binarized functions 0..k-1,
+    which are where their values change.  The loop carries that merged
+    grid, every row on its pieces and, per breakpoint, its owner: the
+    last function still unbinarized that has it, or "for good" once a
+    binarized function changes value there.  Index 0 starts from the grid
+    sys keeps, so sys is merged at most once and nothing after it is.  At
+    index k a piece is classified by its value alone: it splits exactly
+    when A_k < v < B_k, and otherwise becomes B_k when v > A_k and A_k
+    when not.  The normalized row is written as it goes (a piece whose
+    value equals the last one written extends it), and so is the next
+    merged grid: a breakpoint whose last owner is k leaves it unless the
+    new value changes there, a split point joins it, and the other rows
+    follow by repeating or dropping entries.  The piece cap applies to
+    the unmerged count, two pieces per split interval and one per other,
+    as if the row were built first and normalized after.  The final
+    merged grid seeds the binarized system's.
     """
+    n = sys.n
     functions = list(sys.functions)
+    merged, _, d, on_merged = sys.grid
+    # a grid written by the extension has not met the cap that a merge reads
+    if functions and len(merged) > max(len(f._grid) for f in functions):
+        _guard_pieces(len(merged) - 1)
+    rows: list[Sequence[int]] = [row for row, _ in on_merged]
+    # owner[i]: the last function with the left breakpoint of merged piece i
+    owner = [0] * (len(merged) - 1)
+    at = dict(zip(merged, range(len(merged))))
+    for j, f in enumerate(functions):
+        if len(f._grid) == len(merged):
+            owner = [j] * len(owner)
+            continue
+        g = d // f._den
+        for b in f._grid[1:-1]:
+            owner[at[b * g]] = j
+    qs: list[int] = []
     for k, (lo, hi) in enumerate(zip(sys.lower_bounds, sys.upper_bounds)):
-        if k == 0:
-            merged, _, d, rows = sys.grid
-            row, q = rows[0]
-        else:
-            merged, d, row, q = int_grid_row(functions, k)
-        # with a / d and b / d the ends of a piece and v == n / q its value,
-        # v, A_k and B_k are x, L and H over q * h2 * l2, and
+        row, q = rows[k], on_merged[k][1]
+        # with a / d and b / d the ends of a piece and v its value, a row
+        # entry over q, v, A_k and B_k are x, L and H over q * h2 * l2, and
         # c == (W * a + (b - a) * (x - L)) / (W * d) with W == H - L;
         # every output breakpoint is an int over that one denominator
         h1, h2, l1, l2 = hi.numerator, hi.denominator, lo.numerator, lo.denominator
@@ -241,34 +300,60 @@ def binarize(sys: BoundedSystem) -> BoundedSystem:
         hi_num, lo_num = h1 * (vq // h2), l1 * (vq // l2)
         grid: list[int] = [0]
         vals: list[int] = []
+        # the next merged grid over W * d: its breakpoints, each piece's owner,
+        # source piece and value of function k
+        next_merged: list[int] = [0]
+        next_owner: list[int] = []
+        source: list[int] = []
+        new_row: list[int] = []
         last = None
         splits = 0
-        for n, a, b in zip(row, merged, merged[1:]):
-            x = n * hl
-            if L < x < H:
+        for i, (x, a, b) in enumerate(zip(row, merged, merged[1:])):
+            x *= hl
+            v = hi_num if x > L else lo_num
+            split = L < x < H
+            end = W * a + (b - a) * (x - L) if split else W * b
+            if v == last:
+                grid[-1] = end
+                if owner[i] <= k:  # no function owns the breakpoint any more
+                    next_merged[-1] = end
+                else:
+                    next_merged.append(end)
+                    next_owner.append(owner[i])
+                    source.append(i)
+                    new_row.append(v)
+            else:
+                grid.append(end)
+                vals.append(v)
+                next_merged.append(end)
+                next_owner.append(n)
+                source.append(i)
+                new_row.append(v)
+            if split:
                 # B_k on [a, c), then A_k on [c, b)
                 splits += 1
-                c = W * a + (b - a) * (x - L)
-                if last == hi_num:
-                    grid[-1] = c
-                else:
-                    grid.append(c)
-                    vals.append(hi_num)
-                grid.append(W * b)
+                end = W * b
+                grid.append(end)
                 vals.append(lo_num)
-                last = lo_num
-            else:
-                v = hi_num if x > L else lo_num
-                if v == last:
-                    grid[-1] = W * b
-                else:
-                    grid.append(W * b)
-                    vals.append(v)
-                    last = v
+                next_merged.append(end)
+                next_owner.append(n)
+                source.append(i)
+                new_row.append(lo_num)
+                v = lo_num
+            last = v
         _guard_pieces(len(row) + splits)
-        functions[k] = StepFunction._from_ints(tuple(grid), W * d, tuple(vals), vq)
+        # valid by construction: every split point lies inside its piece
+        grid_k, den_k = _lowest(tuple(grid), W * d)
+        functions[k] = StepFunction._from_parts(grid_k, den_k, *_lowest(tuple(vals), vq))
+        qs.append(vq)
+        if len(source) != len(row) or splits:
+            rows = [list(map(r.__getitem__, source)) for r in rows]
+        rows[k] = new_row
+        merged, d, owner = next_merged, W * d, next_owner
     # every value is A_k or B_k, and every domain stays [0, T)
-    return BoundedSystem._from_parts(tuple(functions), sys.lower_bounds, sys.upper_bounds)
+    binarized = BoundedSystem._from_parts(tuple(functions), sys.lower_bounds, sys.upper_bounds)
+    _seed_grid(binarized, merged, d, rows, qs)
+    return binarized
 
 
 # ------------------------------------------------------------------ independence
@@ -430,32 +515,33 @@ def reduce_to_independent(sys: BoundedSystem, fam: IndexFamily) -> ReductionTrac
 
     The input, extended and binarized tables are each computed from their
     own system, since they certify the paper's invariants (mu == 0 after
-    extension, moments kept by binarization); a multiplicative input is
-    its own extension, so its table is the extended table too.  xi's
-    table is the binarized table: dilating back to [0, T) scales every
-    integral and the domain length alike, so no expectation moves.  Each
-    table reads its system's histogram, built from the system's merged
-    grid, and xi's grid and histogram are the binarized ones rescaled
-    (dilate_system), so the reduction builds at most three tables and
-    three histograms, two of each when mu == 0.  Each stage's functions
-    are merged once: the input, the extended system (whose grid also
-    serves binarize's first index), the partly binarized systems of the
-    later indices, and the binarized system; xi is never merged.
+    extension, moments kept by binarization), over the one family the
+    input table enumerated; a multiplicative input is its own extension,
+    so its table is the extended table too.  xi's table is the binarized
+    table: dilating back to [0, T) scales every integral and the domain
+    length alike, so no expectation moves.  Each table reads its system's
+    histogram, built from the system's merged grid, and xi's grid and
+    histogram are the binarized ones rescaled (dilate_system), so the
+    reduction builds at most three tables and three histograms, two of
+    each when mu == 0.  The input is the one system merged: the
+    extension writes the extended grid, binarize carries it through its
+    indices and writes the binarized grid, and xi's is the binarized one.
     """
     input_table = compute_moment_table(sys, fam)
+    subsets = input_table.subsets
     mu = input_table.mu()
     extended = _extend(sys, input_table)
     binarized = binarize(extended)
-    binarized_table = compute_moment_table(binarized, fam)
+    binarized_table = moment_table(binarized, subsets)
     tables = {
         "input": input_table,
-        "extended": input_table if extended is sys else compute_moment_table(extended, fam),
+        "extended": input_table if extended is sys else moment_table(extended, subsets),
         "binarized": binarized_table,
         "xi": binarized_table,
     }
     return ReductionTrace(
         mu=mu,
-        family=input_table.subsets,
+        family=subsets,
         input_system=sys,
         extended=extended,
         binarized=binarized,

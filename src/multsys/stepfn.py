@@ -29,8 +29,8 @@ import os
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, repeat
-from typing import Sequence
+from itertools import accumulate
+from typing import Iterable, Sequence
 
 from .errors import (
     CapacityExceeded,
@@ -199,6 +199,16 @@ class StepFunction:
         self._set(grid, den, row, q)
         return self
 
+    @classmethod
+    def _from_parts(
+        cls, grid: tuple[int, ...], den: int, row: tuple[int, ...], q: int
+    ) -> "StepFunction":
+        """The function of ints known to be valid and in lowest terms, such
+        as a dilate of a valid function: nothing is reduced or checked."""
+        self = object.__new__(cls)
+        vars(self).update(_grid=grid, _den=den, _row=row, _q=q)
+        return self
+
     def _set(self, grid: tuple[int, ...], den: int, row: tuple[int, ...], q: int) -> None:
         """Store both rows in lowest terms, the canonical form, and validate."""
         grid, den = _lowest(grid, den)
@@ -302,26 +312,20 @@ def _check_same_domain(fs: Sequence[StepFunction]) -> None:
             )
 
 
-def _align(
-    fs: Sequence[StepFunction], only: int | None = None
-) -> tuple[tuple[int, ...], int, list[Sequence[int]]]:
+def _align(fs: Sequence[StepFunction]) -> tuple[tuple[int, ...], int, list[Sequence[int]]]:
     """The union of the breakpoints of fs as ints over one denominator, that
-    denominator, and for every function, or for fs[only] alone, the index
-    in the union of each of its own breakpoints.  Functions sharing one
-    grid get that grid back.
+    denominator, and for every function the index in the union of each of
+    its own breakpoints.  Functions sharing one grid get that grid back.
     """
     first, den = fs[0]._grid, fs[0]._den
     if all(f._grid is first and f._den == den for f in fs):
-        return first, den, [range(len(first))] * (len(fs) if only is None else 1)
+        return first, den, [range(len(first))] * len(fs)
     _check_same_domain(fs)
     den = math.lcm(*{f._den for f in fs})
     scaled = [f._grid if f._den == den else [n * (den // f._den) for n in f._grid] for f in fs]
     merged = tuple(sorted(set().union(*scaled)))
     if len(merged) > max(map(len, scaled)):  # else no larger than a guarded input
         _guard_pieces(len(merged) - 1)
-    if only is not None:
-        # one row: a binary search per breakpoint costs less than indexing the union
-        return merged, den, [list(map(bisect_left, repeat(merged), scaled[only]))]
     index = {n: i for i, n in enumerate(merged)}.__getitem__
     return merged, den, [list(map(index, row)) for row in scaled]
 
@@ -350,17 +354,6 @@ def int_grid(fs: Sequence[StepFunction]) -> IntGrid:
     grid, den, where = _align(fs)
     lengths = tuple(map(operator.sub, grid[1:], grid))
     return grid, lengths, den, tuple((_on_grid(f, at, grid), f._q) for f, at in zip(fs, where))
-
-
-def int_grid_row(
-    fs: Sequence[StepFunction], k: int
-) -> tuple[tuple[int, ...], int, Sequence[int], int]:
-    """One row of int_grid: (grid, den, row, q), the merged grid of fs as
-    ints over den and fs[k]'s values on its pieces as ints over q.  The
-    other functions' breakpoints are not located nor their rows spread."""
-    grid, den, [at] = _align(fs, k)
-    f = fs[k]
-    return grid, den, _on_grid(f, at, grid), f._q
 
 
 def common_refinement(fs: Sequence[StepFunction]) -> list[StepFunction]:
@@ -458,9 +451,15 @@ def dilate(f: StepFunction, factor: Rational) -> StepFunction:
     factor = as_fraction(factor)
     if factor <= 0:
         raise NonPositiveFactor(f"dilation factor must be positive, got {factor}")
-    r = factor.denominator
-    grid = f._grid if r == 1 else tuple([n * r for n in f._grid])
-    return StepFunction._from_ints(grid, f._den * factor.numerator, f._row, f._q)
+    return _dilated(f, factor.numerator, factor.denominator)
+
+
+def _dilated(f: StepFunction, p: int, r: int) -> StepFunction:
+    """dilate(f, p / r) for p, r > 0 in lowest terms: the grid times r in
+    lowest terms over the denominator times p, the row shared.  A positive
+    rescale of a valid function is valid, so nothing is checked again."""
+    grid, den = _lowest(f._grid if r == 1 else tuple([n * r for n in f._grid]), f._den * p)
+    return StepFunction._from_parts(grid, den, f._row, f._q)
 
 
 def concat(f: StepFunction | None, g: StepFunction | None) -> StepFunction:
@@ -637,7 +636,8 @@ def convex_expectation(f: StepFunction, spec: ConvexSpec) -> Fraction | float:
     (even powers, hinge squares, absolute value), a float otherwise.
     Divide by domain_length for the expectation under the uniform law.
     The exact path collects the length each distinct value covers and
-    hands that law to exact_phi_integral.
+    hands that law to exact_phi_integral; the float path evaluates Phi
+    once per distinct value and hands the values to float_phi_integral.
     """
     _, lengths, d, [(row, q)] = int_grid([f])
     if spec.is_exact:
@@ -645,20 +645,20 @@ def convex_expectation(f: StepFunction, spec: ConvexSpec) -> Fraction | float:
         for n, ln in zip(row, lengths):
             mass[n] = mass.get(n, 0) + ln
         return exact_phi_integral(mass, q, d, spec)
-    return float_phi_integral(row, lengths, q, d, spec)
+    phi = {n: spec.float_value(n / q) for n in set(row)}
+    return float_phi_integral(map(phi.__getitem__, row), lengths, d, spec)
 
 
 def float_phi_integral(
-    row: Sequence[int], lengths: Sequence[int], q: int, d: int, spec: ConvexSpec
+    phis: Iterable[float], lengths: Sequence[int], d: int, spec: ConvexSpec
 ) -> float:
-    """Integral of Phi(g) as a float, g == row[i] / q on pieces of length
-    lengths[i] / d: Phi once per distinct value, then a plain loop adding
-    piece by piece in domain order, since a float sum's bits depend on the
-    order of its terms (and sum() compensates float sums from Python 3.12)."""
-    phi = {n: spec.float_value(n / q) for n in set(row)}
+    """Integral of Phi(g) as a float, given Phi(g) on each piece in domain
+    order and the pieces' lengths as ints over d: a plain loop adding piece
+    by piece in that order, since a float sum's bits depend on the order of
+    its terms (and sum() compensates float sums from Python 3.12)."""
     total = 0.0
-    for n, ln in zip(row, lengths):
-        total += phi[n] * (ln / d)
+    for phi, ln in zip(phis, lengths):
+        total += phi * (ln / d)
     if not math.isfinite(total):
         raise OutOfRange(f"the integral of {spec.describe()} overflows a float")
     return total

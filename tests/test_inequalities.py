@@ -6,11 +6,17 @@ from fractions import Fraction as F
 import pytest
 
 from multsys import (
+    BoundedSystem,
+    IndexFamily,
     hoeffding_tail,
     khintchine_constant,
     khintchine_constant_variants,
     khintchine_even_constant,
+    linear_combination,
+    make_step,
+    measure_above,
     mgf_factor_check,
+    multiplicative_error,
     rademacher,
     rademacher_pnorm_oracle,
     rademacher_tail_oracle,
@@ -24,6 +30,7 @@ from multsys.errors import (
     OutOfRange,
     TooLarge,
 )
+from multsys import stepfn
 from multsys.inequalities import double_factorial
 
 
@@ -121,6 +128,42 @@ def test_hoeffding_tail_computes_mu_when_missing():
     assert report.holds
     with pytest.raises(NonPositiveLambda):
         hoeffding_tail(symmetric_system([r1]), 0)
+
+
+def counted_merges(monkeypatch):
+    """The function lists merged onto one grid (stepfn._align), in call order."""
+    original = stepfn._align
+    merged = []
+
+    def counted(fs):
+        merged.append(tuple(fs))
+        return original(fs)
+
+    monkeypatch.setattr(stepfn, "_align", counted)
+    return merged
+
+
+@pytest.mark.parametrize("level", [F(1, 2), F(1), F(7, 4), F(5, 2), F(9)])
+def test_a_tail_with_mu_computed_merges_the_system_once(monkeypatch, level):
+    # off the unit domain, unequal bounds, a redundant breakpoint and an
+    # off-grid level: the sum takes values on both sides of every level
+    fs = (
+        make_step([0, "1/3", "5/6", "5/2"], [1, "-1/2", "3/4"]),
+        make_step([0, "1/2", "5/4", "5/2"], ["-3/2", "-3/2", 2]),
+        make_step([0, "5/4", "5/2"], ["1/4", -1]),
+    )
+    sys_obj = BoundedSystem(fs, (F(-1), F(-2), F(-1)), (F(1), F(2), F(1, 2)))
+    oracle = measure_above(linear_combination([1, 1, 1], fs), level) / sys_obj.domain_length
+    merges = counted_merges(monkeypatch)
+    report = hoeffding_tail(sys_obj, level)
+    assert merges == [fs]  # the moment table's; the sum's law is read off its histogram
+    assert report.exact_measure == oracle
+    assert report.mu == multiplicative_error(sys_obj, IndexFamily.full())[0]
+    merges.clear()
+    given = hoeffding_tail(sys_obj, level, mu=report.mu)
+    # the difference array's merge, then the sum's own grid, read for its measure
+    assert merges[0] == fs and len(merges) == 2
+    assert given.to_json() == report.to_json()
 
 
 def test_hoeffding_tail_refuses_a_negative_mu():

@@ -759,6 +759,50 @@ def test_the_seeded_grid_of_xi_is_its_merged_grid(sys_obj, data):
     assert rational_grid(fresh.grid) == rational_grid(xi.grid)
 
 
+def fraction_law(sys_obj):
+    """The joint law piece by piece in Fractions: each value tuple of the
+    refined functions mapped to the length it covers."""
+    refined = common_refinement(sys_obj.functions)
+    law = {}
+    for i, length in enumerate(refined[0].piece_lengths()):
+        key = tuple(f.values[i] for f in refined)
+        law[key] = law.get(key, F(0)) + length
+    return law
+
+
+def pushed_forward(sys_obj):
+    """The law of sys_obj pushed through one two-point kernel per coordinate,
+    the binarization of laws: a pattern of mass m with value v at k gives
+    m (v - A_k) / (B_k - A_k) to B_k and the rest to A_k."""
+    law = fraction_law(sys_obj)
+    for k, (lo, hi) in enumerate(zip(sys_obj.lower_bounds, sys_obj.upper_bounds)):
+        pushed = {}
+        for key, m in law.items():
+            up = m * (key[k] - lo) / (hi - lo)
+            for value, share in ((hi, up), (lo, m - up)):
+                if share:
+                    moved = key[:k] + (value,) + key[k + 1:]
+                    pushed[moved] = pushed.get(moved, F(0)) + share
+        law = pushed
+    return law
+
+
+@PROPERTY
+@given(step_systems(), st.data())
+def test_the_seeded_stage_grids_are_their_merged_grids(sys_obj, data):
+    """The extension and binarize write their stage's merged grid, and the
+    dilation builds xi's functions, with no merge and no re-validation:
+    each must be what a fresh build gives, int for int."""
+    trace = reduce_to_independent(sys_obj, data.draw(reduction_families(sys_obj.n)))
+    for stage in (trace.extended, trace.binarized):
+        assert "grid" in vars(stage)
+        assert stage.grid == int_grid(stage.functions)
+    assert trace.xi.functions == tuple(
+        dilate(f, 1 + trace.mu) for f in trace.binarized.functions
+    )
+    assert fraction_law(trace.binarized) == pushed_forward(trace.extended)
+
+
 @pytest.mark.parametrize("n", [2, 5])
 def test_the_independence_check_walks_the_histogram_once_per_function(n):
     sys_obj = BoundedSystem(

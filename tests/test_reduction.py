@@ -266,17 +266,6 @@ def count_merges(monkeypatch):
     return merged
 
 
-def stage_merges(sys_obj, trace):
-    """The merges a reduction makes: the input, the extended system unless
-    the input is its own extension, the systems binarize merges for its
-    indices 2..n (the functions before index k binarized, the rest
-    extended), and the binarized system; xi's grid is seeded."""
-    ext, bin_ = trace.extended.functions, trace.binarized.functions
-    stages = [sys_obj.functions] + ([] if trace.extended is sys_obj else [ext])
-    stages += [bin_[:k] + ext[k:] for k in range(1, sys_obj.n)]
-    return stages + [bin_]
-
-
 def test_a_battery_op_merges_each_stage_once_and_builds_no_combination(monkeypatch):
     sys_obj = battery_shaped_system()
     coeffs = [F(3, 4), F(-1, 2), 2]
@@ -285,7 +274,8 @@ def test_a_battery_op_merges_each_stage_once_and_builds_no_combination(monkeypat
     combinations_built = count_calls(monkeypatch, stepfn, "linear_combination")
     trace = reduce_to_independent(sys_obj, FULL)
     assert trace.mu != 0
-    assert merges == stage_merges(sys_obj, trace)
+    # the extension, binarize and dilation write every later stage's grid
+    assert merges == [sys_obj.functions]
     assert len(histograms) == 3  # input, extended, binarized
     power4 = verify_domination(sys_obj, FULL, coeffs, ConvexSpec.power(4), trace=trace)
     assert power4.exact and power4.holds
@@ -294,7 +284,7 @@ def test_a_battery_op_merges_each_stage_once_and_builds_no_combination(monkeypat
     assert check_independence(trace.xi, FULL).independent
     assert compute_moment_table(trace.xi, FULL) == trace.moment_tables["xi"]
     # both domination checks read the merged grids and histograms the reduction made
-    assert merges == stage_merges(sys_obj, trace)
+    assert merges == [sys_obj.functions]
     assert len(histograms) == 3
     assert combinations_built == []
 
@@ -344,12 +334,11 @@ def test_a_histogram_cannot_be_handed_to_a_system():
 def test_a_multiplicative_input_shares_its_histogram_with_the_extended_stage(monkeypatch):
     sys_obj = symmetric_system([rademacher(1), rademacher(2)])
     merges = count_merges(monkeypatch)
-    tables = count_calls(monkeypatch, moments, "compute_moment_table")
+    tables = count_calls(monkeypatch, moments, "moment_table")
     trace = reduce_to_independent(sys_obj, FULL)
     assert trace.mu == 0 and trace.extended is sys_obj
-    # input (also the extended stage and binarize's first index), index 2, binarized
-    assert merges == stage_merges(sys_obj, trace)
-    assert len(merges) == 3
+    # the input, also the extended stage, is the one merge; binarize writes its own grid
+    assert merges == [sys_obj.functions]
     assert len(tables) == 2  # input (also the extended stage), binarized
     assert trace.moment_tables["extended"] is trace.moment_tables["input"]
 

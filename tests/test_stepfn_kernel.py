@@ -22,6 +22,7 @@ from hypothesis import example, given, settings, strategies as st
 from multsys import (
     BoundedSystem,
     ConvexSpec,
+    IndexFamily,
     StepFunction,
     binarize,
     common_refinement,
@@ -35,6 +36,7 @@ from multsys import (
     measure_equal,
     normalize,
     product,
+    reduce_to_independent,
     restrict,
     scale,
     tile,
@@ -48,6 +50,7 @@ from multsys.errors import (
 from multsys.stepfn import int_grid, value_range
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+FULL = IndexFamily.full()
 
 
 # ------------------------------------------------------------------ reference loops
@@ -455,12 +458,66 @@ def bounded_by_offsets(draw):
     return fs, lows, highs
 
 
-@PROPERTY
-@given(st.one_of(bounded_by_offsets(), runs_on_one_grid()))
-def test_binarize_matches_the_reference(case):
-    fs, lows, highs = case
+@st.composite
+def runs_on_own_grids(draw):
+    """1..4 functions, each on its own grid, with values drawn from its
+    bounds and one value between them: a breakpoint where a function
+    repeats its value belongs to that function alone, so whether the
+    pieces beside it stay apart depends on whose breakpoint it is, not on
+    whether every value agrees across it."""
+    length = draw(LENGTHS)
+    fs, lows, highs = [], [], []
+    for _ in range(draw(st.integers(1, 4))):
+        grid = draw(grids(length))
+        lo = -draw(st.sampled_from([F(1), F(1, 3), F(2)]))
+        hi = draw(st.sampled_from([F(1), F(1, 2), F(3, 7)]))
+        inside = draw(st.sampled_from([F(0), lo / 2, hi / 3]))
+        row = draw(st.lists(st.sampled_from([lo, hi, inside]), min_size=len(grid) - 1,
+                            max_size=len(grid) - 1))
+        fs.append(StepFunction(grid, tuple(row)))
+        lows.append(lo)
+        highs.append(hi)
+    return fs, lows, highs
+
+
+def assert_binarize_matches(fs, lows, highs):
     out = binarize(BoundedSystem(tuple(fs), tuple(lows), tuple(highs)))
     assert [fields(g) for g in out.functions] == reference_binarize(fs, lows, highs)
+    # the merged grid binarize carries is the one a fresh merge gives
+    assert out.grid == int_grid(out.functions)
+
+
+HALF = F(1, 2)
+
+
+@PROPERTY
+@given(st.one_of(bounded_by_offsets(), runs_on_one_grid(), runs_on_own_grids()))
+@example(([StepFunction((0, HALF, 1), (HALF, HALF))], [F(-1)], [F(1)]))
+# 1/2 is the second function's breakpoint alone, and every value agrees
+# across it; the first function sits on B and does not split, so 1/2 is
+# still a breakpoint when the second is binarized: B, A, B, A, not B, A
+@example((
+    [StepFunction((0, 1), (F(1),)), StepFunction((0, HALF, 1), (HALF, HALF))],
+    [F(-1), F(-1)], [F(1), F(1)],
+))
+def test_binarize_matches_the_reference(case):
+    assert_binarize_matches(*case)
+
+
+@PROPERTY
+@given(systems(max_n=4), st.sampled_from([FULL, IndexFamily.cardinality_cap(1)]))
+def test_binarize_matches_the_reference_on_extended_stages(fs, fam):
+    """The stage the reduction binarizes: cancellation blocks appended, on
+    which every function outside a block is 0 on one piece, so that a
+    function often repeats its value across a block boundary."""
+    lows = [min(min(f.values), F(-1, 3)) for f in fs]
+    highs = [max(max(f.values), F(1, 2)) for f in fs]
+    trace = reduce_to_independent(BoundedSystem(tuple(fs), tuple(lows), tuple(highs)), fam)
+    extended = trace.extended.functions
+    assert_binarize_matches(extended, lows, highs)
+    assert [fields(g) for g in trace.binarized.functions] == reference_binarize(
+        extended, lows, highs
+    )
 
 
 def test_binarize_caps_the_unmerged_piece_count(monkeypatch):
