@@ -50,6 +50,13 @@ def parse_coeffs(text: str | None, n: int) -> list[Fraction]:
     return [parse_fraction(part) for part in text.split(",")]
 
 
+def _parse_int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ParseError(f"bad {what}") from exc
+
+
 def parse_float(text: str, what: str) -> float:
     """A finite float; reports are strict JSON, with no Infinity or NaN."""
     try:
@@ -67,10 +74,7 @@ def parse_family(text: str) -> IndexFamily:
     if text == "full":
         return IndexFamily.full()
     if text.startswith("l="):
-        try:
-            return IndexFamily.cardinality_cap(int(text[2:]))
-        except ValueError as exc:
-            raise ParseError(f"bad cardinality cap {text!r}") from exc
+        return IndexFamily.cardinality_cap(_parse_int(text[2:], f"cardinality cap {text!r}"))
     obj = _load_json(text)
     if not isinstance(obj, list):
         raise ParseError("family file must hold a JSON list of index lists")
@@ -128,10 +132,7 @@ def parse_system(text: str) -> BoundedSystem:
     if kind == "rademacher" and rest:
         from .stepfn import piece_cap, rademacher
 
-        try:
-            n = int(rest)
-        except ValueError as exc:
-            raise ParseError(f"bad size in {text!r}") from exc
+        n = _parse_int(rest, f"size in {text!r}")
         if n < 1:
             raise ParseError(f"need at least one function, got {n}")
         # 2**n > cap exactly when n >= cap.bit_length(), with no 2**n built
@@ -143,11 +144,7 @@ def parse_system(text: str) -> BoundedSystem:
     if kind == "walsh" and rest:
         from .subseq import walsh_system
 
-        try:
-            m = int(rest)
-        except ValueError as exc:
-            raise ParseError(f"bad order in {text!r}") from exc
-        pool = walsh_system(m)
+        pool = walsh_system(_parse_int(rest, f"order in {text!r}"))
         return symmetric_system(pool.functions, pool.sup_bound)
     if kind == "rubinshtein" and rest:
         from .rubinshtein import build_phi, dilated_system
@@ -157,10 +154,7 @@ def parse_system(text: str) -> BoundedSystem:
             raise ParseError(
                 f"{text!r} must look like rubinshtein:N:step:... or rubinshtein:N:PATH"
             )
-        try:
-            n = int(count)
-        except ValueError as exc:
-            raise ParseError(f"bad dilate count in {text!r}") from exc
+        n = _parse_int(count, f"dilate count in {text!r}")
         if n < 1:
             raise ParseError(f"need at least one dilate, got {n}")
         return dilated_system(build_phi(parse_seed(seed_spec)), n)
@@ -182,11 +176,7 @@ def parse_pool(text: str) -> OrthogonalSystem:
 
     kind, _, rest = text.partition(":")
     if kind == "walsh" and rest:
-        try:
-            m = int(rest)
-        except ValueError as exc:
-            raise ParseError(f"bad order in {text!r}") from exc
-        return walsh_system(m)
+        return walsh_system(_parse_int(rest, f"order in {text!r}"))
     sys_obj = parse_system(text)
     sup = max(max(-lo, hi) for lo, hi in zip(sys_obj.lower_bounds, sys_obj.upper_bounds))
     return OrthogonalSystem(
@@ -249,6 +239,7 @@ def cmd_reduce(args: argparse.Namespace) -> Outcome:
     fam = parse_family(args.family)
     coeffs = parse_coeffs(args.coeffs, sys_obj.n)
     phi = parse_phi(args.phi)
+    sys_obj.coefficients(coeffs)  # a wrong count is refused before any work
     trace = reduce_to_independent(sys_obj, fam)
     # first, so that a family that cannot give xi mean zero is refused before any integral
     independence = check_independence(trace.xi, fam)

@@ -36,15 +36,7 @@ from .moments import (
     is_multiplicative,
     multiplicative_error,
 )
-from .stepfn import (
-    REL_TOL,
-    ConvexSpec,
-    Rational,
-    as_fraction,
-    convex_expectation,
-    linear_combination,
-    measure_above,
-)
+from .stepfn import REL_TOL, ConvexSpec, Rational, as_fraction
 
 TAIL_TOL = 1e-12
 MGF_TOL = 1e-12
@@ -179,13 +171,12 @@ def verify_khintchine(
     multiplicative over subsets of size up to min(p, n); the comparison
     is then exact on p-th powers with K(p)^p = (p-1)!!, and the p-th
     moment is read off the histogram the multiplicativity check built.
-    mode "general" compares floats with relative tolerance 1e-9, on the
-    linear combination in domain order.  Both modes require sup norms
-    at most 1.
+    mode "general" compares floats with relative tolerance 1e-9.  Both
+    modes read the p-th moment through moments.combination_integral, off
+    the system's merged grid when it holds one and off one difference
+    array otherwise.  Both modes require sup norms at most 1.
     """
-    cs = [as_fraction(c) for c in coeffs]
-    if len(cs) != sys.n:
-        raise OutOfRange(f"{len(cs)} coefficients for {sys.n} functions")
+    cs = sys.coefficients(coeffs)
     for lo, hi in zip(sys.lower_bounds, sys.upper_bounds):
         if lo < -1 or hi > 1:
             raise BoundViolation(f"sup norms must be at most 1, got bounds [{lo}, {hi}]")
@@ -206,8 +197,7 @@ def verify_khintchine(
         rhs = float(rhs_pow) ** (1.0 / p)
         holds = lhs_pow <= rhs_pow
     elif mode == "general":
-        # sys is unmerged here, and a difference array costs half of a merged grid
-        moment = convex_expectation(linear_combination(cs, sys.functions), ConvexSpec.power(p))
+        moment = combination_integral(sys, cs, ConvexSpec.power(p))
         lhs = (float(moment) / float(sys.domain_length)) ** (1.0 / p)
         rhs = variants["corrected"] * math.sqrt(float(sum_sq))
         holds = lhs <= rhs or (lhs - rhs) <= REL_TOL * max(abs(lhs), abs(rhs), 1.0)
@@ -256,28 +246,27 @@ def hoeffding_tail(
     """Check |{sum phi_k > level}| <= (1 + mu) exp(-2 level^2 / sum (B_k - A_k)^2).
 
     The left side is the exact superlevel measure of the unit-coefficient
-    sum under the uniform law.  mu may be passed when it is known (an
-    independent system has mu == 0); otherwise it is computed over fam,
-    defaulting to all subsets, and the measure is read off the law of the
-    sum (moments.combination_law) from the histogram that computation
-    built, so the system is merged once.
+    sum under the uniform law, read off the law of the sum
+    (moments.combination_law): off the system's histogram when it holds
+    its merged grid, and off one difference array otherwise.  mu may be
+    passed when it is known (an independent system has mu == 0);
+    otherwise it is computed over fam, defaulting to all subsets, and the
+    law is read off the histogram that computation built, so the system
+    is merged once.
     """
     level = as_fraction(level)
     if level <= 0:
         raise NonPositiveLambda(f"tail threshold must be positive, got {level}")
     if sys.n == 0:
         raise OutOfRange("tail of an empty system")
-    if mu is not None and mu < 0:
-        raise OutOfRange(f"mu must be nonnegative, got {mu}")
     if mu is None:
         mu, _ = multiplicative_error(sys, fam if fam is not None else IndexFamily.full())
-        # the sum exceeds a / b where its value v / q does: where v * b > a * q
-        law, q, den = combination_law(sys, [Fraction(1)] * sys.n)
-        a, b = level.numerator, level.denominator
-        above = Fraction(sum(w for v, w in law.items() if v * b > a * q), den)
-    else:
-        # sys is unmerged when mu is given, and a difference array costs half of a merged grid
-        above = measure_above(linear_combination([1] * sys.n, sys.functions), level)
+    elif mu < 0:
+        raise OutOfRange(f"mu must be nonnegative, got {mu}")
+    # the sum exceeds a / b where its value v / q does: where v * b > a * q
+    law, q, den = combination_law(sys, [Fraction(1)] * sys.n)
+    a, b = level.numerator, level.denominator
+    above = Fraction(sum(w for v, w in law.items() if v * b > a * q), den)
     exact_measure = above / sys.domain_length
     denom = sum(
         ((hi - lo) ** 2 for lo, hi in zip(sys.lower_bounds, sys.upper_bounds)),

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from types import MappingProxyType
-from typing import Collection, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import (
     BadBounds,
@@ -43,11 +43,15 @@ from .stepfn import (
     Rational,
     StepFunction,
     _dilated,
+    _lowest,
+    _scaled,
     as_fraction,
+    convex_expectation,
     exact_phi_integral,
     float_phi_integral,
     int_grid,
     json_list,
+    linear_combination,
     value_range,
 )
 
@@ -63,12 +67,12 @@ class BoundedSystem:
     grid is the functions on their merged grid, stepfn.int_grid of them,
     and histogram is their joint law as a value-pattern histogram (see
     pattern_measure), read off that grid.  Both are derived from functions
-    alone, built on first access and then kept for as long as the system
-    lives, so the system's functions are merged once: every moment table,
-    independence check, combination integral and binarization of the
-    system reads one grid and one histogram, both read-only.  Like the
-    Fraction views of a StepFunction they are caches, not fields: they
-    take no part in equality, hashing, repr, JSON or pickling.
+    alone, built on first access (or by _stage) and then kept for as long
+    as the system lives, so the system's functions are merged once: every
+    moment table, independence check, sum and binarization of the system
+    reads one grid and one histogram, both read-only.  Like the Fraction
+    views of a StepFunction they are caches, not fields: they take no part
+    in equality, hashing, repr, JSON or pickling.
     """
 
     functions: tuple[StepFunction, ...]
@@ -96,14 +100,31 @@ class BoundedSystem:
                 raise ValueOutOfBounds(f"function {k}: value {v} outside [{lo}, {hi}]")
 
     @classmethod
-    def _from_parts(
+    def _stage(
         cls, functions: tuple[StepFunction, ...], lower: tuple[Fraction, ...],
-        upper: tuple[Fraction, ...],
+        upper: tuple[Fraction, ...], grid: Sequence[int], den: int,
+        rows: Iterable[tuple[Sequence[int], int]],
+        lengths: tuple[int, ...] | None = None, mass: dict | None = None,
     ) -> BoundedSystem:
-        """The system of parts known to form a valid one, such as a reduction
-        stage built from a valid system: nothing is checked again."""
+        """A reduction stage: parts that form a valid system, since the stage
+        is built from one, so nothing is checked again, with the merged grid
+        the code building its functions wrote: breakpoints grid / den and
+        function k's values on its pieces the k-th (row, q), q a multiple of
+        the function's own, brought to the lowest terms of int_grid.  A grid
+        rescaled from another stage's (xi's) comes with its lengths and its
+        histogram's mass, over a den that is already its lowest."""
         self = object.__new__(cls)
         vars(self).update(functions=functions, lower_bounds=lower, upper_bounds=upper)
+        if lengths is None:
+            grid, den = _lowest(tuple(grid), den)
+            lengths = tuple(map(operator.sub, grid[1:], grid))
+        on_grid = []
+        for f, (row, q) in zip(functions, rows):
+            r = q // f._q
+            on_grid.append((tuple(row if r == 1 else [v // r for v in row]), f._q))
+        vars(self)["grid"] = (tuple(grid), lengths, den, tuple(on_grid))
+        if mass is not None:
+            vars(self)["histogram"] = (MappingProxyType(mass), den, tuple(q for _, q in on_grid))
         return self
 
     @cached_property
@@ -128,6 +149,13 @@ class BoundedSystem:
         if not self.functions:
             raise DomainMismatch("empty system has no domain")
         return self.functions[0].domain_length
+
+    def coefficients(self, coeffs: Sequence[Rational]) -> list[Fraction]:
+        """coeffs as Fractions, refused unless there is one per function."""
+        cs = [as_fraction(c) for c in coeffs]
+        if len(cs) != self.n:
+            raise LengthMismatch(f"{len(cs)} coefficients for {self.n} functions")
+        return cs
 
     def capacities(self) -> tuple[Fraction, ...]:
         """C_k = min(-A_k, B_k), the symmetric value capacity of each function."""
@@ -166,25 +194,25 @@ def dilate_system(sys: BoundedSystem, factor: Rational) -> BoundedSystem:
     domain scaled alike), so neither it nor its functions are validated
     again, and the factor is checked once as ints, not per function.
     The system is given its merged grid and its histogram from those of
-    sys, with no merge and no rebuild: each breakpoint, length and mass is
-    multiplied by r over a denominator multiplied by p, while the rows,
-    the value patterns and their denominators stay.
+    sys, with no merge and no rebuild: each breakpoint and mass times r
+    over the denominator d times p, in lowest terms in the same multiply
+    pass, while the rows, the value patterns and their denominators stay.
     """
     factor = as_fraction(factor)
     p, r = factor.numerator, factor.denominator
     if p <= 0:
         raise NonPositiveFactor(f"dilation factor must be positive, got {factor}")
-    out = BoundedSystem._from_parts(
-        tuple(_dilated(f, p, r) for f in sys.functions), sys.lower_bounds, sys.upper_bounds
+    grid, lengths, d, rows = sys.grid
+    # grid / d and p / r are in lowest terms, so g is the gcd of grid * r and d * p;
+    # it divides every length and mass times r, each a sum of differences of the grid
+    g = math.gcd(r, d) * math.gcd(p, *grid)
+    if g != r:
+        grid, lengths = [n * r // g for n in grid], tuple([n * r // g for n in lengths])
+    mass = {key: w * r // g for key, w in sys.histogram[0].items()}
+    return BoundedSystem._stage(
+        tuple(_dilated(f, p, r) for f in sys.functions), sys.lower_bounds, sys.upper_bounds,
+        grid, d * p // g, rows, lengths, mass,
     )
-    grid, lengths, den, rows = sys.grid
-    mass, _, dens = sys.histogram
-    if r != 1:
-        grid, lengths = tuple([n * r for n in grid]), tuple([n * r for n in lengths])
-        mass = MappingProxyType({key: w * r for key, w in mass.items()})
-    # seeds the caches that BoundedSystem.grid and .histogram would otherwise fill
-    vars(out).update(grid=(grid, lengths, den * p, rows), histogram=(mass, den * p, dens))
-    return out
 
 
 # ------------------------------------------------------------------ index families
@@ -445,24 +473,21 @@ def is_multiplicative(sys: BoundedSystem, fam: IndexFamily) -> bool:
     return not any(family_sums(sys.histogram, subsets))
 
 
-def _scaled(cs: Sequence[Fraction], dens: Sequence[int]) -> tuple[int, list[int]]:
-    """The lcm q of the cs[k] and value denominators dens[k], and the factor
-    turning function k's int value over dens[k] into cs[k] times it over q."""
-    q = math.lcm(*(c.denominator * d for c, d in zip(cs, dens)))
-    return q, [c.numerator * (q // (c.denominator * d)) for c, d in zip(cs, dens)]
-
-
 def combination_law(sys: BoundedSystem, cs: Sequence[Fraction]) -> tuple[dict[int, int], int, int]:
-    """The law of sum_k cs[k] phi_k, read off the histogram of sys with no
-    linear combination built: (law, q, den), each value as an int over q
-    mapped to the length it covers as an int over den.  In a value pattern
-    the combination is the sum of the scaled values, and patterns with
-    equal sums pool their masses."""
-    mass, den, dens = sys.histogram
-    q, factors = _scaled(cs, dens)
+    """The law of sum_k cs[k] phi_k: (law, q, den), each value as an int
+    over q mapped to the length it covers as an int over den.  It is read
+    off the histogram of a system holding its merged grid, as the sum of
+    the scaled values in each value pattern; any other system is not
+    merged for it: one difference array (linear_combination) costs less."""
+    if "grid" in vars(sys):
+        mass, den, dens = sys.histogram
+        q, factors = _scaled(cs, dens)
+        pairs = zip([sum(map(operator.mul, factors, key)) for key in mass], mass.values())
+    else:
+        _, lengths, den, [(row, q)] = int_grid([linear_combination(cs, sys.functions)])
+        pairs = zip(row, lengths)
     law: dict[int, int] = {}
-    for key, w in mass.items():
-        v = sum(map(operator.mul, factors, key))
+    for v, w in pairs:
         law[v] = law.get(v, 0) + w
     return law, q, den
 
@@ -471,21 +496,23 @@ def combination_integral(
     sys: BoundedSystem, cs: Sequence[Fraction], phi: ConvexSpec
 ) -> Fraction | float:
     """The integral of Phi(sum_k cs[k] phi_k) over [0, T), a Fraction for
-    an exact Phi and a float otherwise, with no linear combination built.
+    an exact Phi and a float otherwise; with combination_law, the one
+    reader of a sum of a system's functions.
 
     An exact Phi reads the law of the combination (combination_law), and
-    exact_phi_integral does the rest.  A float Phi is evaluated once per
-    value pattern of the histogram, on the combination's value there, and
-    the merged grid is then summed piece by piece in domain order, each
-    piece taking the Phi of its pattern (float_phi_integral, the float
-    loop of convex_expectation), because a float sum's bits depend on the
-    order of its terms; these are the pieces and values
-    linear_combination would build, so the bits are those of
-    convex_expectation of it.
+    exact_phi_integral does the rest.  A float Phi on a system holding its
+    merged grid is evaluated once per value pattern of the histogram, on
+    the combination's value there, and the merged grid is then summed
+    piece by piece in domain order, each piece taking the Phi of its
+    pattern (float_phi_integral, the float loop of convex_expectation),
+    because a float sum's bits depend on the order of its terms; these
+    are the pieces and values linear_combination builds, so the bits are
+    those of convex_expectation of it, which any other system reads.
     """
     if phi.is_exact:
-        law, q, d = combination_law(sys, cs)
-        return exact_phi_integral(law, q, d, phi)
+        return exact_phi_integral(*combination_law(sys, cs), phi)
+    if "grid" not in vars(sys):
+        return convex_expectation(linear_combination(cs, sys.functions), phi)
     _, lengths, d, rows = sys.grid
     q, factors = _scaled(cs, [rq for _, rq in rows])
     phis = {

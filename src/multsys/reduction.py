@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import combinations, product as iter_product
 from typing import Collection, Mapping, Sequence
 
-from .errors import BadArity, LengthMismatch, NonZeroMean, NotTwoValued, TraceMismatch, frozen
+from .errors import BadArity, NonZeroMean, NotTwoValued, TraceMismatch, frozen
 from .moments import (
     BoundedSystem,
     IndexFamily,
@@ -151,9 +151,9 @@ def _extend(sys: BoundedSystem, table: MomentTable) -> BoundedSystem:
 
     The extended system's merged grid is written in the same pass, so it
     is never merged: the merged grid of sys on that denominator, then the
-    equal steps of each block, with every row on those pieces; it seeds
-    the system's grid in lowest terms, as stepfn.int_grid would give it.
-    Its piece count meets the cap in binarize, which reads it first.
+    equal steps of each block, with every row on those pieces, handed to
+    BoundedSystem._stage.  Its piece count meets the cap in binarize,
+    which reads it first.
     """
     T = sys.domain_length
     caps = sys.capacities()
@@ -209,27 +209,9 @@ def _extend(sys: BoundedSystem, table: MomentTable) -> BoundedSystem:
         for grid, row, q in zip(grids, rows, qs)
     )
     # every block value is 0 or +-C_k, inside [A_k, B_k], and every function grows alike
-    extended = BoundedSystem._from_parts(new_functions, sys.lower_bounds, sys.upper_bounds)
-    _seed_grid(extended, merged, den, spread, qs)
-    return extended
-
-
-def _seed_grid(
-    sys: BoundedSystem, merged: list[int], den: int, rows: list[list[int]], qs: list[int]
-) -> None:
-    """Give sys its merged grid, written by the code that built its
-    functions: the breakpoints merged / den and function k's values
-    rows[k] / qs[k] on its pieces, brought to the lowest terms that
-    stepfn.int_grid gives (a union's lowest denominator is the lcm of its
-    members', and each row's that of its function)."""
-    grid, den = _lowest(tuple(merged), den)
-    lengths = tuple(map(operator.sub, grid[1:], grid))
-    on_grid = []
-    for f, row, q in zip(sys.functions, rows, qs):
-        r = q // f._q
-        on_grid.append((tuple(row if r == 1 else [v // r for v in row]), f._q))
-    # seeds the cache that BoundedSystem.grid would otherwise fill
-    vars(sys)["grid"] = (grid, lengths, den, tuple(on_grid))
+    return BoundedSystem._stage(
+        new_functions, sys.lower_bounds, sys.upper_bounds, merged, den, zip(spread, qs)
+    )
 
 
 # ------------------------------------------------------------------ binarization
@@ -351,9 +333,9 @@ def binarize(sys: BoundedSystem) -> BoundedSystem:
         rows[k] = new_row
         merged, d, owner = next_merged, W * d, next_owner
     # every value is A_k or B_k, and every domain stays [0, T)
-    binarized = BoundedSystem._from_parts(tuple(functions), sys.lower_bounds, sys.upper_bounds)
-    _seed_grid(binarized, merged, d, rows, qs)
-    return binarized
+    return BoundedSystem._stage(
+        tuple(functions), sys.lower_bounds, sys.upper_bounds, merged, d, zip(rows, qs)
+    )
 
 
 # ------------------------------------------------------------------ independence
@@ -599,9 +581,7 @@ def verify_domination(
     elif trace.input_system != sys or trace.family != tuple(enumerate_family(sys.n, fam)):
         # record equality compares field tuples, whose items short-circuit on identity
         raise TraceMismatch("the trace was not reduced from this system and family")
-    cs = [as_fraction(c) for c in coeffs]
-    if len(cs) != sys.n:
-        raise LengthMismatch(f"{len(cs)} coefficients for {sys.n} functions")
+    cs = sys.coefficients(coeffs)
     factor = 1 + trace.mu
     T = sys.domain_length
     lhs = combination_integral(sys, cs, phi)

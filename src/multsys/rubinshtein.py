@@ -140,9 +140,9 @@ def verify_rubinshtein(
     gen = build_phi(seed)
     sys = dilated_system(gen, n)
     fam = IndexFamily.full() if l is None else IndexFamily.cardinality_cap(l)
+    # a wrong count is refused before any work
+    coeffs = [Fraction(1)] * n if coeffs is None else sys.coefficients(coeffs)
     trace = reduce_to_independent(sys, fam)
-    if coeffs is None:
-        coeffs = [Fraction(1)] * n
     spec = phi_spec if phi_spec is not None else ConvexSpec.power(4)
     domination = verify_domination(sys, fam, coeffs, spec, trace=trace)
     tail = hoeffding_tail(sys, lam, fam=fam, mu=trace.mu)

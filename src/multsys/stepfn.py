@@ -398,18 +398,24 @@ def linear_combination(
         raise LengthMismatch("linear combination of an empty list is undefined")
     cs = [as_fraction(c) for c in coeffs]
     grid, den, where = _align(fs)
-    q = math.lcm(*(c.denominator * f._q for c, f in zip(cs, fs)))
+    q, factors = _scaled(cs, [f._q for f in fs])
     jumps = [0] * (len(grid) - 1)
-    for c, f, at in zip(cs, fs, where):
-        if not c:
+    for factor, f, at in zip(factors, fs, where):
+        if not factor:
             continue
-        factor = c.numerator * (q // (c.denominator * f._q))
         prev = 0
         for v, start in zip(f._row, at):
             v *= factor
             jumps[start] += v - prev
             prev = v
     return StepFunction._from_ints(grid, den, tuple(accumulate(jumps)), q)
+
+
+def _scaled(cs: Sequence[Fraction], dens: Sequence[int]) -> tuple[int, list[int]]:
+    """The lcm q of the products of cs[k]'s denominator and dens[k], and the
+    factor turning an int value over dens[k] into cs[k] times it over q."""
+    q = math.lcm(*(c.denominator * d for c, d in zip(cs, dens)))
+    return q, [c.numerator * (q // (c.denominator * d)) for c, d in zip(cs, dens)]
 
 
 def scale(f: StepFunction, c: Rational) -> StepFunction:

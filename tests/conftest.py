@@ -26,22 +26,22 @@ def acceptance() -> AcceptanceLog:
 @pytest.fixture(scope="module")
 def validated_stages():
     """Rebuild every system made with no re-validation, the reduction
-    stages that BoundedSystem._from_parts builds, through the public
+    stages that BoundedSystem._stage builds, through the public
     constructor, which validates, and require an equal system.  Yields the
     list of systems checked so far."""
     from multsys.moments import BoundedSystem
 
-    trusted = BoundedSystem._from_parts.__func__
+    trusted = BoundedSystem._stage.__func__
     checked = []
 
-    def checking(cls, *parts):
-        out = trusted(cls, *parts)
-        assert BoundedSystem(*parts) == out
+    def checking(cls, functions, lower, upper, *seed):
+        out = trusted(cls, functions, lower, upper, *seed)
+        assert BoundedSystem(functions, lower, upper) == out
         checked.append(out)
         return out
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(BoundedSystem, "_from_parts", classmethod(checking))
+        patch.setattr(BoundedSystem, "_stage", classmethod(checking))
         yield checked
 
 

@@ -700,5 +700,37 @@ def test_a_family_with_no_singletons_is_refused_before_either_domination_side(
     code = main(["reduce", "--system", str(system), "--family", str(fam), *coeffs])
     assert code == 2
     assert calls == []
-    # the mean is reported even where the coefficient count is also wrong
-    assert capsys.readouterr().err.startswith("error: function 1 has mean -12/47;")
+    # a wrong coefficient count is refused first, before the reduction that finds the mean
+    assert capsys.readouterr().err.startswith(
+        "error: 2 coefficients for 3 functions" if coeffs else "error: function 1 has mean -12/47;"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["reduce", "--system", "off_unit_system.json", "--coeffs", "1,2"],
+         "2 coefficients for 3 functions"),
+        (["reduce", "--system", "off_unit_system.json", "--coeffs", "1,2,3,4", "--phi", "exp:1"],
+         "4 coefficients for 3 functions"),
+        (["rubinshtein", "--seed", "step:1,-1", "--n", "3", "--coeffs", "1,2"],
+         "2 coefficients for 3 functions"),
+        (["rubinshtein", "--seed", "step:1,-1", "--n", "0", "--coeffs", "1,2"],
+         "need at least one dilate, got 0"),
+        (["rubinshtein", "--seed", "step:1,-1", "--n", "13", "--coeffs", "1,2"],
+         "number of dilates must lie in 0..12, got 13"),
+    ],
+)
+def test_a_wrong_coefficient_count_is_refused_before_any_reduction(
+    capsys, monkeypatch, argv, message
+):
+    from multsys import reduction
+
+    monkeypatch.delenv("MULTSYS_PIECE_CAP", raising=False)
+    calls = []
+    monkeypatch.setattr(reduction, "reduce_to_independent", lambda *args: calls.append(args))
+    data = Path(__file__).resolve().parent / "data"
+    argv = [str(data / a) if a.endswith(".json") else a for a in argv]
+    assert main(argv) == 2
+    assert calls == []
+    assert capsys.readouterr().err == f"error: {message}\n"  # a bad --n still reports first

@@ -161,7 +161,11 @@ def test_a_tail_with_mu_computed_merges_the_system_once(monkeypatch, level):
     assert report.mu == multiplicative_error(sys_obj, IndexFamily.full())[0]
     merges.clear()
     given = hoeffding_tail(sys_obj, level, mu=report.mu)
-    # the difference array's merge, then the sum's own grid, read for its measure
+    assert merges == []  # the system holds its merged grid, and the law is read off it
+    assert given.to_json() == report.to_json()
+    fresh = BoundedSystem(fs, sys_obj.lower_bounds, sys_obj.upper_bounds)
+    given = hoeffding_tail(fresh, level, mu=report.mu)
+    # the difference array's merge, then the sum's own grid, read for its law
     assert merges[0] == fs and len(merges) == 2
     assert given.to_json() == report.to_json()
 

@@ -741,11 +741,34 @@ def test_float_sides_read_off_merged_grids_match_the_combination_path(sys_obj, p
     assert report.rhs == float(1 + trace.mu) * float(rhs) / T
 
 
-def rational_grid(grid):
-    """A merged int grid as rationals: breakpoints, lengths and value rows."""
-    points, lengths, den, rows = grid
-    return ([F(n, den) for n in points], [F(n, den) for n in lengths],
-            [[F(v, q) for v in row] for row, q in rows])
+@PROPERTY
+@given(step_systems(), st.data())
+def test_the_one_reader_of_a_sum_matches_the_difference_array_at_zero_tolerance(sys_obj, data):
+    """combination_law and combination_integral read a system that holds its
+    merged grid off its histogram, and any other off one linear combination:
+    before and after the histogram is built they must give the Fraction law
+    of linear_combination, convex_expectation of it for an exact Phi, and
+    its bits for exp."""
+    coeffs = data.draw(st.lists(st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3])),
+                                min_size=sys_obj.n, max_size=sys_obj.n))
+    combined = linear_combination(coeffs, sys_obj.functions)
+    oracle = {}
+    for v, length in zip(combined.values, combined.piece_lengths()):
+        oracle[v] = oracle.get(v, F(0)) + length
+    fresh = BoundedSystem(sys_obj.functions, sys_obj.lower_bounds, sys_obj.upper_bounds)
+    assert "grid" not in vars(fresh)
+    readings = []
+    for _ in range(2):
+        law, q, den = moments.combination_law(fresh, coeffs)
+        law = {F(v, q): F(w, den) for v, w in law.items()}
+        assert law == oracle
+        exact = [moments.combination_integral(fresh, coeffs, phi) for phi in EXACT_SPECS]
+        assert exact == [convex_expectation(combined, phi) for phi in EXACT_SPECS]
+        exp = moments.combination_integral(fresh, coeffs, ConvexSpec.exp(1.0))
+        assert exp.hex() == convex_expectation(combined, ConvexSpec.exp(1.0)).hex()
+        readings.append((law, exact, exp.hex()))
+        assert fresh.histogram and "grid" in vars(fresh)  # the second pass reads them
+    assert readings[0] == readings[1]
 
 
 @PROPERTY
@@ -753,10 +776,9 @@ def rational_grid(grid):
 def test_the_seeded_grid_of_xi_is_its_merged_grid(sys_obj, data):
     trace = reduce_to_independent(sys_obj, data.draw(reduction_families(sys_obj.n)))
     xi = trace.xi
-    assert "grid" in vars(xi)  # seeded by the dilation, no merge
-    assert rational_grid(xi.grid) == rational_grid(int_grid(xi.functions))
-    fresh = BoundedSystem(xi.functions, xi.lower_bounds, xi.upper_bounds)
-    assert rational_grid(fresh.grid) == rational_grid(xi.grid)
+    assert "grid" in vars(xi) and "histogram" in vars(xi)  # seeded by the dilation, no merge
+    assert xi.grid == int_grid(xi.functions)
+    assert xi.histogram == moments.pattern_measure(xi.grid)
 
 
 def fraction_law(sys_obj):

@@ -98,6 +98,22 @@ def test_verify_runs_the_full_battery():
     assert js["tail"]["exact_measure"] == "3/16"
 
 
+def test_verify_merges_its_system_once(monkeypatch):
+    from multsys import stepfn
+
+    original, merged = stepfn._align, []
+
+    def counted(fs):
+        merged.append(tuple(fs))
+        return original(fs)
+
+    monkeypatch.setattr(stepfn, "_align", counted)
+    verify_rubinshtein(SEED, 3)
+    # the input moment table's merge; the domination sides and the tail read
+    # the merged grids the system and xi hold
+    assert [len(fs) for fs in merged] == [3]
+
+
 def test_verify_with_custom_family_coeffs_and_integrand():
     report = verify_rubinshtein(
         SEED, 2, l=2, coeffs=[F(1), F(-1, 2)], lam="1/2",
