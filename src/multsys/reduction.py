@@ -23,8 +23,8 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from itertools import combinations, product as iter_product
-from typing import Collection, Mapping, Sequence
+from itertools import combinations
+from typing import Collection, Sequence
 
 from .errors import BadArity, NonZeroMean, NotTwoValued, TraceMismatch, frozen
 from .moments import (
@@ -346,7 +346,7 @@ class IndependenceReport:
 
     independent: bool
     subsets_checked: int
-    failures: tuple[dict, ...]
+    failing: tuple[Subset, ...]  # the family's subsets whose joint law does not factor
     marginals: tuple[Fraction, ...]  # measure of {phi_k == A_k}, normalized
 
 
@@ -364,20 +364,18 @@ def check_independence(sys: BoundedSystem, fam: IndexFamily) -> IndependenceRepo
     the joint law over S is a linear image of the moments E[prod_T phi]
     over T within S, and it is the product of the marginals, whose
     moments all vanish with the means, exactly when every such moment
-    with |T| >= 2 vanishes.  One lattice fold gives those moments over
-    the downward closure of the family, and one OR pass over the closure
-    marks each subset containing a nonzero one.  A member S with 2**|S|
-    above the histogram's pattern count fails at once, since the product
-    law charges all 2**|S| patterns, and its closure is never built.
-    Only failing subsets run the joint-pattern comparison that reports
-    them (_pattern_failures).
+    with |T| >= 2 vanishes (the Walsh, or Bahadur, expansion).  One
+    lattice fold gives those moments over the downward closure of the
+    family, and one OR pass over the closure marks each subset containing
+    a nonzero one; the marked members, in family order, are the failing
+    subsets.  A member S with 2**|S| above the histogram's pattern count
+    fails at once, since the product law charges all 2**|S| patterns,
+    and its closure is never built.
     """
     T = sys.domain_length
     hist = sys.histogram
     mass, den, dens = hist
     M = T.numerator * den // T.denominator  # T ends the merged grid, so T * den is an int
-    # function k is low where its int value is lows[k], that is A_k * dens[k]
-    lows: list[int] = []
     low_mass: list[int] = []
     for k, (lo, hi, q) in enumerate(zip(sys.lower_bounds, sys.upper_bounds, dens)):
         # the mass of each value of function k, in one walk
@@ -392,7 +390,6 @@ def check_independence(sys: BoundedSystem, fam: IndexFamily) -> IndependenceRepo
         if law.keys() != {low, high}:
             values = sorted(Fraction(n, q) for n in law)
             raise NotTwoValued(f"function {k + 1} takes values {values}, not [{lo}, {hi}]")
-        lows.append(low)
         L = law[low]
         # the mean times M * A_k.den * B_k.den
         if lo.numerator * hi.denominator * L + hi.numerator * lo.denominator * (M - L):
@@ -416,50 +413,21 @@ def check_independence(sys: BoundedSystem, fam: IndexFamily) -> IndependenceRepo
                 while sub:  # every nonempty submask of m, in falling order
                     closure.add(sub)
                     sub = (sub - 1) & m
-    failing = {m: bool(v) for m, v in lattice_sums(hist, closure).items()}
+    marked = {m: bool(v) for m, v in lattice_sums(hist, closure).items()}
     # the empty mask sums the total mass; every singleton sum is 0 by the mean check
-    failing[0] = False
+    marked[0] = False
     for k in range(sys.n):
         bit = 1 << k
-        for m in failing:
-            if m & bit and failing[m ^ bit]:
-                failing[m] = True
-    failures: list[dict] = []
-    for s, m in zip(subsets, masks):
-        if failing.get(m, True):
-            failures += _pattern_failures(mass, M, lows, low_mass, s)
+        for m in marked:
+            if m & bit and marked[m ^ bit]:
+                marked[m] = True
+    failing = tuple(s for s, m in zip(subsets, masks) if marked.get(m, True))
     return IndependenceReport(
-        independent=not failures,
+        independent=not failing,
         subsets_checked=len(subsets),
-        failures=tuple(failures),
+        failing=failing,
         marginals=tuple(Fraction(L, M) for L in low_mass),
     )
-
-
-def _pattern_failures(
-    mass: Mapping[tuple[int, ...], int], M: int, lows: Sequence[int], low_mass: Sequence[int],
-    s: Subset,
-) -> list[dict]:
-    """Every pattern over s whose joint mass J is not the product of its
-    marginals: J * M**(|s| - 1) against the product over k in s of L_k
-    (phi_k low) or M - L_k (phi_k high), all ints."""
-    joint: dict[tuple[bool, ...], int] = {}
-    for key, w in mass.items():
-        pattern = tuple(key[k - 1] == lows[k - 1] for k in s)
-        joint[pattern] = joint.get(pattern, 0) + w
-    scale = M ** (len(s) - 1)
-    failures: list[dict] = []
-    for pattern in iter_product((True, False), repeat=len(s)):
-        expected = 1
-        for flag, k in zip(pattern, s):
-            expected *= low_mass[k - 1] if flag else M - low_mass[k - 1]
-        got = joint.get(pattern, 0)
-        if got * scale != expected:
-            failures.append({
-                "subset": s, "pattern": pattern,
-                "measure": Fraction(got, M), "expected": Fraction(expected, scale * M),
-            })
-    return failures
 
 
 # ------------------------------------------------------------------ the pipeline

@@ -106,8 +106,8 @@ def reference_independence(sys_obj, fam):
             raise NonZeroMean(f"function {k} has mean {mean}")
         marginals.append(total / T)
         is_low.append([v == lo for v in f.values])
-    failures = []
     subsets = enumerate_family(sys_obj.n, fam)
+    failing = []
     for s in subsets:
         joint = {}
         for i, ln in enumerate(lengths):
@@ -117,15 +117,13 @@ def reference_independence(sys_obj, fam):
             expected = F(1)
             for flag, k in zip(pattern, s):
                 expected *= marginals[k - 1] if flag else 1 - marginals[k - 1]
-            got = joint.get(pattern, F(0)) / T
-            if got != expected:
-                failures.append(
-                    {"subset": s, "pattern": pattern, "measure": got, "expected": expected}
-                )
+            if joint.get(pattern, F(0)) / T != expected:
+                failing.append(s)
+                break
     return IndependenceReport(
-        independent=not failures,
+        independent=not failing,
         subsets_checked=len(subsets),
-        failures=tuple(failures),
+        failing=tuple(failing),
         marginals=tuple(marginals),
     )
 
@@ -486,24 +484,21 @@ def dependent_system():
 
 
 @pytest.mark.parametrize(
-    "fam, failing, entries",
+    "fam, failing",
     [
-        (FULL, 8, 128),
-        (IndexFamily.cardinality_cap(2), 0, 0),
-        (IndexFamily.cardinality_cap(3), 2, 16),
-        (IndexFamily.explicit([[1, 2, 3], [4, 5], [1, 2, 3, 4, 5]]), 2, 40),
+        (FULL, [(1, 2, 3), (3, 4, 5), (1, 2, 3, 4), (1, 2, 3, 5), (1, 2, 4, 5), (1, 3, 4, 5),
+                (2, 3, 4, 5), (1, 2, 3, 4, 5)]),
+        (IndexFamily.cardinality_cap(2), []),
+        (IndexFamily.cardinality_cap(3), [(1, 2, 3), (3, 4, 5)]),
+        (IndexFamily.explicit([[1, 2, 3], [4, 5], [1, 2, 3, 4, 5]]), [(1, 2, 3), (1, 2, 3, 4, 5)]),
     ],
     ids=["full", "l=2", "l=3", "explicit"],
 )
-def test_the_dependent_system_fails_on_the_pinned_subsets(fam, failing, entries):
+def test_the_dependent_system_fails_on_the_pinned_subsets(fam, failing):
     report = check_independence(dependent_system(), fam)
     assert report == reference_independence(dependent_system(), fam)
-    assert len({f["subset"] for f in report.failures}) == failing
-    assert len(report.failures) == entries
-
-
-def failing_subsets(report):
-    return sorted({f["subset"] for f in report.failures}, key=lambda s: (len(s), s))
+    assert report.failing == tuple(failing)
+    assert report.independent == (not failing)
 
 
 def test_the_verdict_matches_the_joint_pattern_reference_on_reduced_systems():
@@ -520,9 +515,7 @@ def test_the_verdict_matches_the_joint_pattern_reference_on_reduced_systems():
                 xi = reduce_to_independent(sys_obj, reduce_fam).xi
                 for fam in (FULL, IndexFamily.cardinality_cap(min(2, xi.n))):
                     report = check_independence(xi, fam)
-                    want = outcome(reference_independence, xi, fam)
-                    assert report == want
-                    assert failing_subsets(report) == failing_subsets(want)
+                    assert report == outcome(reference_independence, xi, fam)
                     checked += 1
                     failed += not report.independent
     assert checked == 80 and failed > 0
@@ -556,25 +549,6 @@ def counting(monkeypatch, module, name):
     return calls
 
 
-def test_battery_shaped_xi_never_runs_the_joint_pattern_reporter(monkeypatch):
-    rng = random.Random(2468)
-    systems = [random_bounded_system(rng, max_n=4, max_pieces=8) for _ in range(12)]
-    systems += [random_generator_system(rng, max_n=5) for _ in range(12)]
-    traces = [reduce_to_independent(s, FULL) for s in systems]
-    reports = counting(monkeypatch, reduction, "_pattern_failures")
-    for trace in traces:
-        assert check_independence(trace.xi, FULL).independent
-    assert reports == []
-
-
-def test_the_reporter_runs_exactly_for_the_failing_subsets(monkeypatch):
-    reports = counting(monkeypatch, reduction, "_pattern_failures")
-    for fam in (FULL, IndexFamily.cardinality_cap(3), IndexFamily.explicit([[1, 2, 3], [4, 5]])):
-        reports.clear()
-        report = check_independence(dependent_system(), fam)
-        assert [args[-1] for args in reports] == failing_subsets(report)
-
-
 class CountingMapping(dict):
     """A histogram mass mapping that counts how often its patterns are walked."""
 
@@ -589,13 +563,19 @@ class CountingMapping(dict):
         return super().__iter__()
 
 
+def counted_histogram(sys_obj):
+    """Swap the system's histogram mass for a CountingMapping."""
+    mass, den, dens = sys_obj.histogram
+    vars(sys_obj)["histogram"] = (CountingMapping(mass), den, dens)
+    CountingMapping.walks = 0
+
+
 @pytest.mark.parametrize("n", [3, 6, 9])
 def test_a_moment_table_walks_the_histogram_once_whatever_the_family(n):
     sys_obj = BoundedSystem(
         tuple(rademacher(k) for k in range(1, n + 1)), (F(-1),) * n, (F(1),) * n
     )
-    mass, den, dens = sys_obj.histogram
-    vars(sys_obj)["histogram"] = (CountingMapping(mass), den, dens)
+    counted_histogram(sys_obj)
     for fam in (FULL, IndexFamily.cardinality_cap(2), IndexFamily.explicit([[1, n]])):
         CountingMapping.walks = 0
         table = compute_moment_table(sys_obj, fam)
@@ -613,15 +593,33 @@ def test_is_multiplicative_builds_no_table(monkeypatch):
     assert not moments.is_multiplicative(dependent_system(), FULL)
 
 
+@pytest.mark.parametrize(
+    "fam",
+    [FULL, IndexFamily.cardinality_cap(3), IndexFamily.explicit([[1, 2, 3], [4, 5]])],
+    ids=["full", "l=3", "explicit"],
+)
+def test_a_failing_check_folds_once_and_walks_no_pattern_per_subset(monkeypatch, fam):
+    """One walk per function for its law, one by the fold, and no more
+    however many subsets fail."""
+    sys_obj = dependent_system()
+    counted_histogram(sys_obj)
+    folds = counting(monkeypatch, reduction, "lattice_sums")
+    report = check_independence(sys_obj, fam)
+    assert report.failing and len(folds) == 1
+    assert CountingMapping.walks == sys_obj.n + 1
+
+
 def test_a_full_family_check_at_n_11_runs_no_joint_pattern_loop(monkeypatch):
     n = 11
     sys_obj = BoundedSystem(
         tuple(rademacher(k) for k in range(1, n + 1)), (F(-1),) * n, (F(1),) * n
     )
-    reports = counting(monkeypatch, reduction, "_pattern_failures")
+    counted_histogram(sys_obj)
+    folds = counting(monkeypatch, reduction, "lattice_sums")
     report = check_independence(sys_obj, FULL)
     assert report.independent and report.subsets_checked == (1 << n) - 1
-    assert reports == []
+    assert report.failing == () and len(folds) == 1
+    assert CountingMapping.walks == n + 1
 
 
 def test_a_member_above_the_pattern_count_fails_without_its_closure(monkeypatch):
@@ -629,7 +627,7 @@ def test_a_member_above_the_pattern_count_fails_without_its_closure(monkeypatch)
     assert len(sys_obj.histogram[0]) == 8 < 1 << 5
     folds = counting(monkeypatch, reduction, "lattice_sums")
     report = check_independence(sys_obj, IndexFamily.explicit([[4, 5], [1, 2, 3, 4, 5]]))
-    assert failing_subsets(report) == [(1, 2, 3, 4, 5)]
+    assert report.failing == ((1, 2, 3, 4, 5),)
     (args,) = folds
     assert sorted(args[1]) == [0, 8, 16, 24]  # the closure of (4, 5) alone
 

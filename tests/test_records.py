@@ -65,7 +65,7 @@ def _samples() -> dict[str, tuple[dict, dict]]:
         "IndexFamily": ({"cap": 2, "subsets": None}, ("cap", 1)),
         "MomentTable": ({"subsets": ((1,),), "moments": (F(1, 4),), "normalized": (F(1, 4),)},
                         ("moments", (F(-1, 4),))),
-        "IndependenceReport": ({"independent": True, "subsets_checked": 3, "failures": (),
+        "IndependenceReport": ({"independent": True, "subsets_checked": 3, "failing": (),
                                 "marginals": (F(1, 2),)}, ("subsets_checked", 4)),
         "ReductionTrace": ({"mu": trace.mu, "family": trace.family,
                             "input_system": trace.input_system, "extended": trace.extended,

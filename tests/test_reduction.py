@@ -189,7 +189,7 @@ def test_independence_checker_flags_dependence():
     r1 = rademacher(1)
     report = check_independence(symmetric_system([r1, r1]), FULL)
     assert not report.independent
-    assert report.failures
+    assert report.failing == ((1, 2),)
 
 
 def test_domination_is_tight_for_the_duplicated_pair():
