@@ -306,10 +306,10 @@ def mask_of(subset: Subset) -> int:
     return sum(1 << (k - 1) for k in subset)
 
 
-def lattice_sums(hist: PatternHistogram, members: Collection[int] | None = None) -> dict[int, int]:
-    """For every member mask S, or every mask with no members, the int sum
-    over value patterns of mass * prod_{k in S} key[k]: the numerator of
-    E[prod_S phi].  Key 0, the empty mask, is always there: the total mass.
+def lattice_sums(hist: PatternHistogram, members: Collection[int]) -> dict[int, int]:
+    """For every member mask S, the int sum over value patterns of
+    mass * prod_{k in S} key[k]: the numerator of E[prod_S phi].  Key 0,
+    the empty mask, is always there: the total mass.
 
     One fold over the subset lattice, Yates's algorithm for factorial
     experiments, which is the fast zeta transform of Bjorklund, Husfeldt,
@@ -327,11 +327,11 @@ def lattice_sums(hist: PatternHistogram, members: Collection[int] | None = None)
     """
     mass, _, dens = hist
     n = len(dens)
-    wanted_all = None if members is None else {0, *members}
+    wanted_all = {0, *members}
     masks: Sequence[int] = [0]
     # per coordinate: the entries kept and the entries multiplied, None for all
     plan: list[tuple[list[int] | None, list[int] | None]] = []
-    if wanted_all is None or len(wanted_all) == 1 << n:
+    if len(wanted_all) == 1 << n:
         # every mask: entry i of the final vector is mask i
         plan, masks = [(None, None)] * n, range(1 << n)
     for k in range(len(plan), n):
