@@ -512,6 +512,44 @@ def test_importing_the_cli_does_not_load_numpy():
     assert out.stdout.strip() == "False"
 
 
+def test_every_subcommand_runs_without_numpy():
+    """numpy is a test dependency only: with it blocked, one call of each
+    subcommand exits 0 and the quadrature oracle alone cannot run."""
+    calls = [
+        "analyze --system rademacher:4",
+        "reduce --system rademacher:3",
+        "khintchine --system rademacher:4 -p 4",
+        "tail --system rademacher:4 --level 1",
+        "lacunary --lam 3 --tau1 1 --n 4",
+        "select --system walsh:4 --steps 1",
+        "rubinshtein --seed step:1,-1/2 --n 2",
+    ]
+    probe = (
+        "import contextlib, io, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from multsys import cli, lacunary\n"
+        f"for call in {calls!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        print(call.split()[0], cli.main(call.split()), file=sys.__stdout__)\n"
+        "try:\n"
+        "    lacunary.quadrature_product_integral(lacunary.geometric_spec(3, 1, 2), (1, 2))\n"
+        "except ModuleNotFoundError:\n"
+        "    print('oracle ModuleNotFoundError')\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert len({call.split()[0] for call in calls}) == 7
+    assert out.stdout.splitlines() == [
+        *(f"{call.split()[0]} 0" for call in calls), "oracle ModuleNotFoundError"
+    ]
+
+
 # the multsys modules a fresh interpreter holds after one statement: the
 # package alone, the CLI module, or one CLI call of each subcommand
 LOADED = {
