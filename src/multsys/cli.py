@@ -37,6 +37,9 @@ if TYPE_CHECKING:
 # ------------------------------------------------------------------ parsing helpers
 
 def parse_fraction(text: str) -> Fraction:
+    from .stepfn import bounded_number
+
+    text = bounded_number(text)
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -51,6 +54,9 @@ def parse_coeffs(text: str | None, n: int) -> list[Fraction]:
 
 
 def _parse_int(text: str, what: str) -> int:
+    from .stepfn import bounded_number
+
+    text = bounded_number(text)
     try:
         return int(text)
     except ValueError as exc:
@@ -99,9 +105,13 @@ def parse_phi(text: str) -> ConvexSpec:
 
 
 def _load_json(path: str) -> object:
+    from .stepfn import bounded_number
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            # an integer literal is bounded before its int is built; a JSON float
+            # is read as a float, which every exact reader refuses
+            return json.load(fh, parse_int=lambda text: int(bounded_number(text)))
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:
@@ -429,6 +439,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # exact results of any size render: CPython's bound on int <-> str conversion
+    # (3.10.7 on) is lifted for the call, and every input number is bounded as read
+    bounded = hasattr(sys, "set_int_max_str_digits")
+    if bounded:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
         report, checks = args.func(args)
         emit({"command": args.command, **report}, args)
@@ -443,6 +459,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except Exception as exc:
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 3
+    finally:
+        if bounded:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

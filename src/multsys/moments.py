@@ -172,8 +172,8 @@ class BoundedSystem:
     def from_json(cls, obj: dict) -> "BoundedSystem":
         try:
             fns = tuple(StepFunction.from_json(o) for o in json_list(obj, "functions"))
-            lo = tuple(Fraction(s) for s in json_list(obj, "lower_bounds"))
-            hi = tuple(Fraction(s) for s in json_list(obj, "upper_bounds"))
+            lo = tuple(map(as_fraction, json_list(obj, "lower_bounds")))
+            hi = tuple(map(as_fraction, json_list(obj, "upper_bounds")))
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad system object: {exc}") from exc
         return cls(fns, lo, hi)

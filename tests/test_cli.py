@@ -444,6 +444,115 @@ def test_bad_piece_cap_exits_two_and_names_the_variable(capsys, monkeypatch, raw
     assert err.startswith("error:") and "MULTSYS_PIECE_CAP" in err
 
 
+def test_an_exact_result_past_the_int_string_limit_renders(capsys, tmp_path):
+    """E|phi|^1024 of a function with values near 1/10**5 has a numerator
+    and a denominator of thousands of digits, past CPython's 4,300-digit
+    bound on int <-> str conversion, which the call lifts and restores."""
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({
+        "functions": [{"breakpoints": ["0", "1/3", "1"], "values": ["1/99991", "-1/199982"]}],
+        "lower_bounds": ["-1"], "upper_bounds": ["1"],
+    }))
+    limit = sys.get_int_max_str_digits()
+    code, report = run(capsys, "reduce", "--system", str(path), "--phi", "power:1024",
+                       "--no-meta")
+    assert code in (0, 1)
+    assert sys.get_int_max_str_digits() == limit
+    sides = [report["domination"][k].partition("/") for k in ("lhs", "rhs")]
+    assert all(num.lstrip("-").isdigit() and (den.isdigit() or not slash)
+               for num, slash, den in sides)
+    assert max(len(part) for side in sides for part in side) > 4300
+
+
+HUGE = "9" * 4301
+
+
+@pytest.mark.parametrize(
+    "argv, file",
+    [
+        (["tail", "--system", "rademacher:2", "--level", "1e-5000"], None),
+        (["reduce", "--system", "rademacher:2", "--coeffs", "1e5000,1"], None),
+        (["reduce", "--system", "rademacher:2", "--coeffs", f"1/{HUGE},1"], None),
+        (["reduce", "--system", "rademacher:2", "--phi", "hinge:1e-5000"], None),
+        (["analyze", "--system", f"rademacher:{HUGE}"], None),
+        (["analyze", "--system", "{path}"],
+         '{"functions": [{"breakpoints": ["0", "1e-5000", "1"], "values": [1, -1]}],'
+         ' "lower_bounds": [-1], "upper_bounds": [1]}'),
+        (["analyze", "--system", "{path}"],
+         '{"functions": [{"breakpoints": [0, 1], "values": ["%s"]}],'
+         ' "lower_bounds": [-1], "upper_bounds": [1]}' % HUGE),
+        (["analyze", "--system", "{path}"],
+         '{"functions": [{"breakpoints": [0, 1], "values": [0]}],'
+         ' "lower_bounds": [-1], "upper_bounds": [%s]}' % HUGE),
+    ],
+    ids=["level", "coeff", "coeff-denominator", "hinge", "builtin-size", "json-breakpoint",
+         "json-string", "json-integer"],
+)
+def test_an_input_number_past_4300_digits_exits_two(capsys, tmp_path, argv, file):
+    path = tmp_path / "input.json"
+    if file is not None:
+        path.write_text(file)
+    code = main([arg.format(path=path) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert captured.err.endswith("needs more than 4300 digits\n")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_a_decimal_exponent_alone_past_the_bound_is_refused_at_once():
+    """In a child, so that a refusal that builds 10**99999999 fails the
+    test at the timeout instead of hanging the suite."""
+    probe = (
+        "import sys, time\n"
+        "from multsys.cli import main\n"
+        "start = time.perf_counter()\n"
+        "code = main(['tail', '--system', 'rademacher:2', '--level', '1e-99999999'])\n"
+        "print(code, time.perf_counter() - start)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    code, elapsed = out.stdout.split()
+    assert code == "2" and float(elapsed) < 1.0
+    assert out.stderr == "error: '1e-99999999' needs more than 4300 digits\n"
+
+
+@pytest.mark.parametrize("value", ["0.1", "true", "1e0"])
+@pytest.mark.parametrize("where", ["system", "seed"])
+def test_a_json_number_that_is_no_integer_exits_two(capsys, tmp_path, value, where):
+    """A float or a boolean would be read inexactly (0.1 as
+    3602879701896397/36028797018963968, true as 1); integers and strings
+    are read exactly."""
+    step = '{"breakpoints": [0, "1/8", "1/4"], "values": [%s, "-1/2"]}'
+    path = tmp_path / "input.json"
+    argv = {
+        "system": ["analyze", "--system", str(path)],
+        "seed": ["rubinshtein", "--seed", str(path), "--n", "2"],
+    }[where]
+    body = step if where == "seed" else (
+        '{"functions": [%s], "lower_bounds": [-1], "upper_bounds": [1]}' % step
+    )
+    path.write_text(body % "1")
+    assert main(argv + ["--no-meta"]) in (0, 1)
+    capsys.readouterr()
+    path.write_text(body % value)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad ")
+    assert captured.err.endswith("expected an exact rational, got %s\n"
+                                 % ("bool" if value == "true" else "float"))
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -39,7 +39,7 @@ from multsys.errors import (
     ParseError,
     UnsortedSamples,
 )
-from multsys.stepfn import piece_cap
+from multsys.stepfn import MAX_DIGITS, as_fraction, piece_cap
 
 
 def test_validation_rejects_bad_shapes():
@@ -206,6 +206,26 @@ def test_approx_by_steps_backfills_and_validates():
 def test_json_round_trip_is_exact():
     f = make_step([0, "1/3", 1], ["22/7", "-1/3"])
     assert StepFunction.from_json(f.to_json()) == f
+
+
+@pytest.mark.parametrize("value", [0.1, 1.0, True, False, None])
+def test_json_numbers_must_be_integers_or_strings(value):
+    with pytest.raises(TypeError, match="expected an exact rational"):
+        as_fraction(value)
+    with pytest.raises(ParseError, match="expected an exact rational"):
+        StepFunction.from_json({"breakpoints": [0, 1], "values": [value]})
+
+
+def test_a_number_string_is_bounded_by_the_ints_it_builds():
+    nines = "9" * MAX_DIGITS
+    # each side of p/q, a decimal's mantissa, and its exponent's size count
+    assert as_fraction(f"-{nines}/{nines}") == -1
+    assert as_fraction(f"1e-{MAX_DIGITS - 1}") == F(1, 10 ** (MAX_DIGITS - 1))
+    assert as_fraction(f"0.{'0' * (MAX_DIGITS - 2)}1") == F(1, 10 ** (MAX_DIGITS - 1))
+    for text in (f"9{nines}", f"1/9{nines}", f"1e{MAX_DIGITS}", f"1e-{MAX_DIGITS + 1}",
+                 f"1.{nines}", "1e-99999999", f"1e{nines}"):
+        with pytest.raises(OutOfRange, match=f"needs more than {MAX_DIGITS} digits"):
+            as_fraction(text)
 
 
 def test_json_requires_lists_not_strings():
