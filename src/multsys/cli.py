@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from . import __version__
-from .errors import MultsysError, ParseError, UnknownBuiltin
+from .errors import MultsysError, ParseError, UnknownBuiltin, bounded_number
 
 if TYPE_CHECKING:
     from .moments import BoundedSystem, IndexFamily
@@ -37,8 +37,6 @@ if TYPE_CHECKING:
 # ------------------------------------------------------------------ parsing helpers
 
 def parse_fraction(text: str) -> Fraction:
-    from .stepfn import bounded_number
-
     text = bounded_number(text)
     try:
         return Fraction(text)
@@ -54,8 +52,6 @@ def parse_coeffs(text: str | None, n: int) -> list[Fraction]:
 
 
 def _parse_int(text: str, what: str) -> int:
-    from .stepfn import bounded_number
-
     text = bounded_number(text)
     try:
         return int(text)
@@ -105,12 +101,9 @@ def parse_phi(text: str) -> ConvexSpec:
 
 
 def _load_json(path: str) -> object:
-    from .stepfn import bounded_number
-
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            # an integer literal is bounded before its int is built; a JSON float
-            # is read as a float, which every exact reader refuses
+            # a JSON float stays a float, which every exact reader refuses
             return json.load(fh, parse_int=lambda text: int(bounded_number(text)))
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
@@ -439,12 +432,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    # exact results of any size render: CPython's bound on int <-> str conversion
-    # (3.10.7 on) is lifted for the call, and every input number is bounded as read
-    bounded = hasattr(sys, "set_int_max_str_digits")
-    if bounded:
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
+    # exact results of any size render; every input number is bounded as read
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         report, checks = args.func(args)
         emit({"command": args.command, **report}, args)
@@ -460,8 +450,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 3
     finally:
-        if bounded:
-            sys.set_int_max_str_digits(limit)
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, the index-subset check, and
-the frozen record decorator every result and input type is built with.
+"""Exception types shared across the package, the index-subset and
+input-number checks, and the frozen record decorator every result and
+input type is built with.
 
 Every validation failure raises a named exception so callers can tell
 bad input apart from a genuine inequality violation.  Violations of the
@@ -120,6 +121,27 @@ def _validate_subset(s: object, n: int) -> tuple[int, ...]:
     if any(not b > a for a, b in zip(t, t[1:])):
         raise BadSubset(f"subset {t} not strictly ascending")
     return t
+
+
+# CPython's default bound on int <-> str conversion: the CLI lifts it so that
+# exact results of any size render, and refuses any input number needing more
+MAX_DIGITS = 4300
+
+
+def bounded_number(text: str) -> str:
+    """text, unless an int of the number it spells needs more than MAX_DIGITS
+    digits: per side of a 'p/q', its mantissa's digits plus |its exponent|."""
+    for side in text.split("/"):
+        mantissa, _, exp = side.lower().partition("e")
+        digits = sum(map(str.isdigit, mantissa))
+        try:
+            digits += abs(int(exp)) if len(exp) <= MAX_DIGITS else len(exp)
+        except ValueError:
+            pass  # no exponent, or no number: its parser says so
+        if digits > MAX_DIGITS:
+            shown = text if len(text) <= 40 else text[:37] + "..."
+            raise OutOfRange(f"{shown!r} needs more than {MAX_DIGITS} digits")
+    return text
 
 
 class CapTooLarge(MultsysError):

@@ -43,15 +43,12 @@ from .errors import (
     OutOfRange,
     ParseError,
     UnsortedSamples,
+    bounded_number,
     frozen,
 )
 
 DEFAULT_PIECE_CAP = 1 << 20
 POWER_CAP = 1024
-# CPython's default bound on int <-> str conversion.  The CLI lifts that bound
-# so that exact results of any size render; an input number needing more
-# digits is refused before its int is built (bounded_number).
-MAX_DIGITS = 4300
 # relative slack of a float comparison of two convex expectations
 REL_TOL = 1e-9
 
@@ -76,31 +73,12 @@ def json_list(obj: dict, key: str) -> list:
     return value
 
 
-def bounded_number(text: str) -> str:
-    """text, once no int of the number it spells needs more than MAX_DIGITS
-    digits: each side of a 'p/q' counts the digits of its mantissa plus the
-    size of its decimal exponent, so '1e-99999999' is refused with no
-    10**99999999 built."""
-    for side in text.split("/"):
-        mantissa, _, exp = side.lower().partition("e")
-        digits = sum(map(str.isdigit, mantissa))
-        try:
-            digits += abs(int(exp)) if len(exp) <= MAX_DIGITS else len(exp)
-        except ValueError:
-            pass  # no exponent, or no number: its parser says so
-        if digits > MAX_DIGITS:
-            shown = text if len(text) <= 40 else text[:37] + "..."
-            raise OutOfRange(f"{shown!r} needs more than {MAX_DIGITS} digits")
-    return text
-
-
 def as_fraction(x: Rational) -> Fraction:
     """Coerce int, Fraction or a 'p/q' or decimal string to Fraction.
 
-    Floats are rejected on purpose: silent binary-float artifacts would
-    poison every downstream exact comparison.  Convert explicitly with
-    Fraction(float_value) where that is genuinely wanted.  Booleans are no
-    numbers, and a string is read through bounded_number.
+    Floats and bools are rejected on purpose: silent binary-float artifacts
+    would poison every downstream exact comparison.  Convert explicitly
+    with Fraction(float_value) where that is genuinely wanted.
     """
     if isinstance(x, Fraction):
         return x

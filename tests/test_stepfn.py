@@ -39,7 +39,8 @@ from multsys.errors import (
     ParseError,
     UnsortedSamples,
 )
-from multsys.stepfn import MAX_DIGITS, as_fraction, piece_cap
+from multsys.errors import MAX_DIGITS
+from multsys.stepfn import as_fraction, piece_cap
 
 
 def test_validation_rejects_bad_shapes():
