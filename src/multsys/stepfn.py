@@ -29,7 +29,7 @@ import os
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -49,6 +49,8 @@ from .errors import (
 
 DEFAULT_PIECE_CAP = 1 << 20
 POWER_CAP = 1024
+# bits an exact power integrand may reach: P times the bits of its values
+POWER_BITS_CAP = 1 << 20
 # relative slack of a float comparison of two convex expectations
 REL_TOL = 1e-9
 
@@ -126,6 +128,8 @@ def _fractions(nums: Sequence[int], den: int) -> tuple[Fraction, ...]:
 
 def _spread(row: Sequence, at: Sequence[int]) -> tuple:
     """Row entry j repeated on the merged pieces at[j] .. at[j + 1] - 1."""
+    if type(at) is range:
+        return tuple(chain.from_iterable(map(repeat, row, repeat(at.step))))
     out: list = []
     for v, start, end in zip(row, at, at[1:]):
         out += [v] * (end - start)
@@ -139,7 +143,9 @@ def uniform_grid(pieces: int, length: Rational = 1) -> tuple[tuple[int, ...], in
     num, den = length.numerator, length.denominator * pieces
     g = math.gcd(num, den)
     num, den = num // g, den // g
-    return tuple(map(num.__mul__, range(pieces + 1))), den
+    # a length that is not positive keeps its invalid grid for the constructor to refuse
+    steps = range(0, num * pieces + 1, num) if num > 0 else map(num.__mul__, range(pieces + 1))
+    return tuple(steps), den
 
 
 # The last int grid that passed validation.  The strong reference keeps
@@ -313,16 +319,37 @@ def _check_same_domain(fs: Sequence[StepFunction]) -> None:
             )
 
 
+def _step(grid: tuple[int, ...]) -> int:
+    """s when the valid grid is 0, s, 2s, ..., else 0.  With a unit first
+    step the end decides alone: len - 1 ascending int steps from 0 to
+    len - 1 are all 1."""
+    s = grid[1]
+    if grid[-1] != s * (len(grid) - 1):
+        return 0
+    return s if s == 1 or grid == tuple(range(0, grid[-1] + 1, s)) else 0
+
+
 def _align(fs: Sequence[StepFunction]) -> tuple[tuple[int, ...], int, list[Sequence[int]]]:
     """The union of the breakpoints of fs as ints over one denominator, that
     denominator, and for every function the index in the union of each of
     its own breakpoints.  Functions sharing one grid get that grid back.
+
+    When every grid has equal steps, each a multiple of the finest, the
+    finest grid is the union and each function's indices are a range of
+    its stride; any other input is merged by a sorted set union.
     """
     first, den = fs[0]._grid, fs[0]._den
     if all(f._grid is first and f._den == den for f in fs):
         return first, den, [range(len(first))] * len(fs)
     _check_same_domain(fs)
     den = math.lcm(*{f._den for f in fs})
+    steps = [_step(f._grid) * (den // f._den) for f in fs]
+    fine = min(steps)
+    finest = fs[steps.index(fine)]
+    # a grid in lowest terms with the finest step is over den already; the
+    # den test keeps any other grid on the general path
+    if fine and finest._den == den and not any(s % fine for s in steps):
+        return finest._grid, den, [range(0, len(finest._grid), s // fine) for s in steps]
     scaled = [f._grid if f._den == den else [n * (den // f._den) for n in f._grid] for f in fs]
     merged = tuple(sorted(set().union(*scaled)))
     if len(merged) > max(map(len, scaled)):  # else no larger than a guarded input
@@ -678,12 +705,20 @@ def exact_phi_integral(mass: dict[int, int], q: int, d: int, spec: ConvexSpec) -
     Phi of every value is an int over one denominator, |n|**p over q**p
     for a power (abs is p == 1) and max(n*b - a*q, 0)**2 over (q*b)**2
     for a hinge at a / b, so the integral is one int sum and one Fraction.
+    A power whose p times the bits of the largest of q and |n| is above
+    POWER_BITS_CAP is refused (CapacityExceeded) before any power is taken.
     """
     if spec.kind == "hinge_square":
         a, b = spec.param.numerator, spec.param.denominator  # type: ignore[union-attr]
         num = sum(max(n * b - a * q, 0) ** 2 * ln for n, ln in mass.items())
         return Fraction(num, (q * b) ** 2 * d)
     p = 1 if spec.kind == "abs" else spec.param
+    # |n|**p and q**p carry p times the bits of n and q; refuse before building them
+    bits = max(q, max(map(abs, mass))).bit_length()
+    if p * bits > POWER_BITS_CAP:  # type: ignore[operator]
+        raise CapacityExceeded(
+            f"power {p} of values of {bits} bits exceeds the cap of {POWER_BITS_CAP} bits"
+        )
     num = sum(abs(n) ** p * ln for n, ln in mass.items())  # type: ignore[operator]
     return Fraction(num, q**p * d)  # type: ignore[operator]
 

@@ -45,6 +45,9 @@ from .stepfn import (
 
 PRODUCT_STEP_CAP = 16
 WALSH_CAP = 12
+# targets per packed int in parseval_select: a fixed group keeps the cost of
+# building and reading the ints linear in the targets
+SLOTS = 64
 
 
 @frozen
@@ -75,8 +78,9 @@ def _l2_sq(f: StepFunction) -> Fraction:
     return integral(product([f, f])) / f.domain_length
 
 
-def check_orthogonality(functions: Sequence[StepFunction]) -> None:
-    """Raise NotOrthogonal on the first nonvanishing pairwise expectation."""
+def check_orthogonality(functions: Sequence[StepFunction], *, _first: int = 1) -> None:
+    """Raise NotOrthogonal on the first nonvanishing pairwise expectation,
+    naming the functions by their positions counted from _first."""
     if not functions:
         return
     _, len_ints, _, grid_rows = int_grid(functions)
@@ -85,7 +89,9 @@ def check_orthogonality(functions: Sequence[StepFunction]) -> None:
         weighted = list(map(operator.mul, len_ints, rows[i]))
         for j in range(i + 1, len(rows)):
             if sum(map(operator.mul, weighted, rows[j])) != 0:
-                raise NotOrthogonal(f"functions {i + 1} and {j + 1} are not orthogonal")
+                raise NotOrthogonal(
+                    f"functions {i + _first} and {j + _first} are not orthogonal"
+                )
 
 
 def walsh_system(m: int) -> OrthogonalSystem:
@@ -101,18 +107,14 @@ def walsh_system(m: int) -> OrthogonalSystem:
     pieces = 1 << m
     _guard_pieces(pieces)
     grid, den = uniform_grid(pieces)
-    # function 2**b + 1 is the sign function on blocks of 2**(m - 1 - b)
-    # pieces; any other is the product of two with fewer bits
-    rows = [(1,) * pieces]
-    for j in range(1, pieces):
-        low = j & -j
-        if low == j:
-            block = pieces // (2 * j)
-            rows.append(((1,) * block + (-1,) * block) * j)
-        else:
-            rows.append(tuple(map(operator.mul, rows[j ^ low], rows[low])))
+    # by doubling: of order m, row 2i is row i of order m - 1 twice (bit 0
+    # picks no sign function) and row 2i + 1 is that row then its negation
+    # (bit 0 picks the one that flips at the middle)
+    rows = [(1,)]
+    for _ in range(m):
+        rows = [r + s for r in rows for s in (r, tuple(map(operator.neg, r)))]
     return OrthogonalSystem(
-        functions=tuple(StepFunction._from_ints(grid, den, row, 1) for row in rows),
+        functions=tuple(StepFunction._from_parts(grid, den, row, 1) for row in rows),
         sup_bound=Fraction(1),
         certified_orthogonal=True,
     )
@@ -124,6 +126,8 @@ def parseval_select(
     candidates: Sequence[StepFunction],
     targets: Sequence[StepFunction],
     assume_orthogonal: bool = False,
+    *,
+    _first: int = 1,
 ) -> tuple[int, Fraction]:
     """Pick the candidate minimizing sum_j |E[f_j phi_l]|, ties to the
     smallest index.
@@ -132,34 +136,64 @@ def parseval_select(
     sum always satisfies the averaging bound
     sqrt(m * sum ||f_j||_2^2 / n) when candidates are orthogonal with
     L2 norm at most 1; both preconditions are validated unless
-    assume_orthogonal skips the quadratic pairwise check.
+    assume_orthogonal skips the quadratic pairwise check.  Refusals name
+    the candidates by their positions counted from _first.
+
+    Every target's dot product with a candidate comes from one pass over
+    the pieces: the targets, weighted by the piece lengths, sit in slots
+    of one int per piece, each slot wide enough by Cauchy-Schwarz for any
+    dot product, so one sum of products holds them all, read back exactly.
     """
     if not candidates:
         raise EmptyCandidates("no candidates to select from")
     if not targets:
         raise OutOfRange("need at least one target")
     if not assume_orthogonal:
-        check_orthogonality(candidates)
-    _, len_ints, len_den, rows = int_grid(list(candidates) + list(targets))
-    T = candidates[0].domain_length
+        check_orthogonality(candidates, _first=_first)
+    grid, len_ints, _, rows = int_grid(list(candidates) + list(targets))
+    end = grid[-1]  # T, over the denominator of the lengths
     cand_rows, targ_rows = rows[: len(candidates)], rows[len(candidates):]
-    for i, (cv, cd) in enumerate(cand_rows, start=1):
-        norm_num = sum(map(operator.mul, map(operator.mul, len_ints, cv), cv))
-        if Fraction(norm_num, len_den * cd * cd) > T:
+    for i, (cv, cd) in enumerate(cand_rows, start=_first):
+        # a function bounded by 1 has norm at most 1; any other sums its norm
+        if (max(cv) > cd or min(cv) < -cd) and sum(
+            map(operator.mul, map(operator.mul, len_ints, cv), cv)
+        ) > end * cd * cd:
             raise BoundViolation(f"candidate {i} has L2 norm above 1")
-    weighted = [list(map(operator.mul, len_ints, tv)) for tv, _ in targ_rows]
-    best_pos = 0
-    best_sum: Fraction | None = None
+    q = math.lcm(*(td for _, td in targ_rows))
+    scaled = [tv if td == q else [v * (q // td) for v in tv] for tv, td in targ_rows]
+    weighted = [list(map(operator.mul, len_ints, tv)) for tv in scaled]
+    # |sum len c t| <= sqrt(sum len c^2 * sum len t^2), and a candidate over
+    # cd that passed has sum len c^2 <= end * cd^2
+    top = max(cd for _, cd in cand_rows)
+    target_norm = max(sum(map(operator.mul, w, t)) for w, t in zip(weighted, scaled))
+    width = math.isqrt(end * top * top * target_norm).bit_length() + 2
+    groups = [_pack(weighted[k : k + SLOTS], width) for k in range(0, len(weighted), SLOTS)]
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    best_pos, best = 0, None
     for pos, (cv, cd) in enumerate(cand_rows):
-        total = Fraction(0)
-        for (_, td), wrow in zip(targ_rows, weighted):
-            raw = sum(map(operator.mul, cv, wrow))
-            if raw:
-                total += abs(Fraction(raw, len_den * cd * td))
-        if best_sum is None or total < best_sum:
-            best_pos, best_sum = pos, total
-    assert best_sum is not None
-    return best_pos, best_sum / T
+        num = 0
+        for packed, bias, count in groups:
+            total = sum(map(operator.mul, cv, packed)) + bias
+            for _ in range(count):
+                num += abs((total & mask) - half)
+                total >>= width
+        # num / (len_den * cd * q) is the sum; compare it across candidates
+        if best is None or num * best[1] < best[0] * cd:
+            best_pos, best = pos, (num, cd)
+    assert best is not None
+    return best_pos, Fraction(best[0], best[1] * q * end)
+
+
+def _pack(rows: Sequence[Sequence[int]], width: int) -> tuple[list[int], int, int]:
+    """The rows packed into one int per piece, row j in the slot of bits
+    j * width .. (j + 1) * width - 1; the bias that lifts each slot of a sum
+    of products with those ints into [0, 2**width), when every slot's value
+    is below 2**(width - 1) in size; and the row count."""
+    packed = [0] * len(rows[0])
+    for row in reversed(rows):
+        packed = [(p << width) + v for p, v in zip(packed, row)]
+    bias = sum(1 << (width * j + width - 1) for j in range(len(rows)))
+    return packed, bias, len(rows)
 
 
 @frozen
@@ -235,7 +269,7 @@ def greedy_subsequence(
             )
         candidates = funcs[lo - 1 : hi - 1]
         pos, achieved = parseval_select(
-            candidates, targets, assume_orthogonal=sys.certified_orthogonal
+            candidates, targets, assume_orthogonal=sys.certified_orthogonal, _first=lo
         )
         bound_sq = Fraction(len(targets)) * norm_mass / len(candidates)
         chosen.append(lo + pos)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -249,6 +250,23 @@ def test_select_certificate_is_consistent(capsys):
     assert report["recomputed_mu"] == "0"
 
 
+
+def test_a_select_refusal_names_pool_indices(capsys, tmp_path):
+    """Pool functions 2 and 3 are equal, and the step-1 window [2, 4) holds
+    exactly those two; the refusal names them as the pool numbers them."""
+    quarters = ["0", "1/4", "1/2", "3/4", "1"]
+    rows = [[1, 1, 1, 1], [1, 1, -1, -1], [1, 1, -1, -1], [1, -1, 1, -1]]
+    path = tmp_path / "pool.json"
+    path.write_text(json.dumps({
+        "functions": [{"breakpoints": quarters, "values": row} for row in rows],
+        "lower_bounds": [-1] * 4, "upper_bounds": [1] * 4,
+    }))
+    code = main(["select", "--system", str(path), "--rho", "2", "--steps", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: functions 2 and 3 are not orthogonal\n"
+
 def test_rubinshtein_inline_seed(capsys):
     code, report = run(
         capsys,
@@ -463,6 +481,33 @@ def test_an_exact_result_past_the_int_string_limit_renders(capsys, tmp_path):
                for num, slash, den in sides)
     assert max(len(part) for side in sides for part in side) > 4300
 
+
+
+def test_an_exact_power_past_its_bit_cap_exits_two_at_once(capsys, tmp_path):
+    """Values of 4,000 digits pass the input bound, but their 1024th power
+    would need about 13.6 million bits: refused before any power is taken,
+    while power:64 (about 850 thousand bits) still runs."""
+    big = 10**3999 + 7
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({
+        "functions": [{"breakpoints": ["0", "1/3", "1"],
+                       "values": [f"1/{big}", f"-1/{2 * big}"]}],
+        "lower_bounds": ["-1"], "upper_bounds": ["1"],
+    }))
+    start = time.perf_counter()
+    code = main(["reduce", "--system", str(path), "--phi", "power:1024", "--no-meta"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: power 1024 of values of 13286 bits exceeds the cap of 1048576 bits\n"
+    )
+    assert elapsed < 1.0
+    code, report = run(capsys, "reduce", "--system", str(path), "--phi", "power:64",
+                       "--no-meta")
+    assert code in (0, 1)
+    assert report["domination"]["phi"] == "|t|^64"
 
 HUGE = "9" * 4301
 

@@ -14,9 +14,14 @@ calls on rademacher:8 to rademacher:12, recorded from the code that still
 summed each subset's moment and tallied each subset's joint patterns.  Two
 pin float domination sides other than exp:1 (power:2.5 and exp:1.5),
 recorded from the code that still built a linear combination per side.
+One pins select on unequal_pool.json, five orthogonal functions on five
+unequal pieces: every golden select runs on a Walsh pool, where every
+step sum is 0, so only a pool like this one shows a wrong dot product.
+It was recorded from the code that summed each target in its own pass.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -69,6 +74,8 @@ PINNED = (
      "8943a117ef894c9f2ebd3063e203af45f60018bc47a0e3c9ceaf70c15084cdf1"),
     ("tail --system rademacher:10 --level 3",
      "4470edcbb69ef8223567e96a35b21f264ce2f1349166c4d7426bae86482a3172"),
+    ("select --system unequal_pool.json --rho 2 --steps 2",
+     "2507dbe7e1cceb8efab7a04d4ee0ebe7da4d1f011717d16d9ec90c66ca5be15b"),
 )
 
 
@@ -80,3 +87,11 @@ def test_pinned_command_output(capsys, monkeypatch, op, digest):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_the_pinned_select_has_a_nonzero_step_sum(capsys, monkeypatch):
+    monkeypatch.chdir(DATA)
+    code = main("select --system unequal_pool.json --rho 2 --steps 2 --no-meta".split())
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["per_step_sum"][1] != "0"

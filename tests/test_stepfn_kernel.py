@@ -14,6 +14,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -36,6 +37,7 @@ from multsys import (
     measure_equal,
     normalize,
     product,
+    rademacher,
     reduce_to_independent,
     restrict,
     scale,
@@ -47,6 +49,7 @@ from multsys.errors import (
     LengthMismatch,
     NonAscendingBreakpoints,
 )
+from multsys import stepfn
 from multsys.stepfn import int_grid, value_range
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -337,6 +340,75 @@ def test_normalize_is_idempotent_and_keeps_the_function(f):
         x = (a + b) / 2
         assert evaluate(g, x) == evaluate(f, x)
 
+
+
+# ------------------------------------------------------------------ equal-step merges == reference
+
+def uniform(pieces, length, rng):
+    """A function on pieces equal pieces of [0, length), random values."""
+    grid = [F(i, pieces) * length for i in range(pieces + 1)]
+    return StepFunction(grid, [F(rng.randint(-9, 9), rng.choice([1, 2, 5])) for _ in range(pieces)])
+
+
+def irregular(grid, rng):
+    return StepFunction(grid, [F(rng.randint(-9, 9), rng.choice([1, 3])) for _ in grid[1:]])
+
+
+def assert_merges_match_the_reference(fs):
+    refined = reference_refinement(fs)
+    bps = refined[0][0]
+    grid, len_ints, den, rows = int_grid(fs)
+    assert tuple(F(n, den) for n in grid) == bps
+    assert (list(len_ints), den) == reference_scale_row([b - a for a, b in zip(bps, bps[1:])])
+    assert [(list(row), q) for row, q in rows] == [reference_scale_row(v) for _, v in refined]
+    assert [fields(g) for g in common_refinement(fs)] == refined
+    coeffs = [F(k + 2, k + 1) * (-1) ** k for k in range(len(fs))]
+    assert fields(linear_combination(coeffs, fs)) == reference_linear_combination(coeffs, fs)
+
+
+HALVES = (F(0), F(1, 3), F(1, 2), F(1))
+
+# (pieces per equal-step function, domain length, irregular grids, whether
+# the merge takes the equal-step path)
+MERGES = {
+    "nested-dyadic": ((1, 2, 4, 8, 16), F(1), (), True),
+    "dyadic-unsorted": ((8, 1, 32, 2), F(1), (), True),
+    "steps-2-and-3": ((2, 3), F(1), (), False),
+    "steps-4-and-6": ((4, 6, 12), F(1), (), True),
+    "mixed-irregular": ((4, 8), F(1), (HALVES,), False),
+    "irregular-on-the-finest": ((6,), F(1), ((F(0), F(1, 3), F(1)),), False),
+    "single-pieces": ((1, 1), F(1), (), True),
+    "single-and-five": ((1, 5), F(1), (), True),
+    "five-halves-nested": ((1, 2, 4, 20), F(5, 2), (), True),
+    "five-halves-4-and-10": ((4, 10), F(5, 2), (), False),
+    "five-halves-mixed": ((2, 10), F(5, 2), ((F(0), F(3, 4), F(5, 2)),), False),
+}
+
+
+@pytest.mark.parametrize("name", MERGES)
+def test_equal_step_merges_match_the_set_union_reference(name):
+    counts, length, grids, by_ranges = MERGES[name]
+    rng = random.Random(name)
+    fs = [uniform(p, length, rng) for p in counts] + [irregular(g, rng) for g in grids]
+    assert_merges_match_the_reference(fs)
+    assert_merges_match_the_reference(fs[::-1])
+    _, _, where = stepfn._align(fs)
+    assert all(type(at) is range for at in where) == by_ranges
+
+
+def test_the_rademacher_14_grids_merge_by_ranges_without_a_sort(monkeypatch):
+    fs = [rademacher(k) for k in range(1, 15)]
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("an equal-step merge sorted its breakpoints")
+
+    monkeypatch.setattr(stepfn, "sorted", no_sort, raising=False)
+    grid, den, where = stepfn._align(fs)
+    assert grid is fs[-1]._grid and den == 1 << 14
+    assert where == [range(0, (1 << 14) + 1, 1 << (14 - k)) for k in range(1, 15)]
+    _, _, _, rows = int_grid(fs)
+    assert rows[0][0] == (1,) * (1 << 13) + (-1,) * (1 << 13)
+    assert linear_combination([1] * 14, fs).piece_count == 1 << 14
 
 # ------------------------------------------------------------------ validation
 

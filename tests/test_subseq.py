@@ -1,5 +1,6 @@
 """Walsh pools, the averaging selector and the greedy certificate."""
 
+import operator
 import random
 from fractions import Fraction as F
 from itertools import combinations
@@ -10,6 +11,7 @@ from multsys import (
     OrthogonalSystem,
     as_bounded_system,
     check_orthogonality,
+    constant,
     greedy_subsequence,
     make_step,
     merge_selections,
@@ -32,7 +34,117 @@ from multsys.errors import (
     WindowExhausted,
 )
 from multsys import subseq
-from multsys.subseq import _l2_sq
+from multsys.stepfn import int_grid
+from multsys.subseq import SLOTS, _l2_sq
+
+
+def reference_parseval_select(candidates, targets):
+    """The selector with one pass per target for each candidate, the oracle
+    of the packed pass: norms checked in order, then each |E[f_j phi]| a
+    Fraction of its own dot product."""
+    _, len_ints, len_den, rows = int_grid(list(candidates) + list(targets))
+    T = candidates[0].domain_length
+    cand_rows, targ_rows = rows[: len(candidates)], rows[len(candidates):]
+    for i, (cv, cd) in enumerate(cand_rows, start=1):
+        norm_num = sum(map(operator.mul, map(operator.mul, len_ints, cv), cv))
+        if F(norm_num, len_den * cd * cd) > T:
+            raise BoundViolation(f"candidate {i} has L2 norm above 1")
+    weighted = [list(map(operator.mul, len_ints, tv)) for tv, _ in targ_rows]
+    best_pos, best_sum = 0, None
+    for pos, (cv, cd) in enumerate(cand_rows):
+        total = F(0)
+        for (_, td), wrow in zip(targ_rows, weighted):
+            raw = sum(map(operator.mul, cv, wrow))
+            if raw:
+                total += abs(F(raw, len_den * cd * td))
+        if best_sum is None or total < best_sum:
+            best_pos, best_sum = pos, total
+    return best_pos, best_sum / T
+
+
+def random_step(rng, length, value):
+    """A function on [0, length) cut at 1-5 random points of a random
+    denominator, so its pieces are unequal, with values drawn by value()."""
+    den = rng.choice([7, 12, 30, 97])
+    cuts = sorted(rng.sample(range(1, den), rng.randint(1, 5)))
+    grid = [F(0), *(F(c, den) * length for c in cuts), length]
+    return make_step(grid, [value() for _ in range(len(grid) - 1)])
+
+
+def norm_at_most_one(f):
+    """f halved until its L2 norm is at most 1; a value may stay above 1."""
+    while _l2_sq(f) > 1:
+        f = scale(f, F(1, 2))
+    return f
+
+
+def random_selection(rng, n_targets):
+    length = rng.choice([F(1), F(5, 2)])
+
+    def small():
+        return F(rng.randint(-9, 9), rng.choice([1, 2, 3, 10]))
+
+    def wide():
+        return F(rng.randint(-9999, 9999), rng.choice([1, 7, 100, 997]))
+
+    candidates = [norm_at_most_one(random_step(rng, length, small))
+                  for _ in range(rng.randint(1, 6))]
+    targets = [random_step(rng, length, wide) for _ in range(n_targets)]
+    targets.append(constant(0, length))
+    # dot products at the Cauchy-Schwarz bound, of both signs
+    k = rng.randrange(len(candidates))
+    targets += [scale(candidates[k], F(7919, 3)), scale(candidates[k], -5003)]
+    rng.shuffle(targets)
+    return candidates, targets
+
+
+def test_the_packed_pass_matches_one_pass_per_target_on_random_pools():
+    rng = random.Random(2020)
+    nonzero = 0
+    for _ in range(60):
+        candidates, targets = random_selection(rng, rng.randint(0, 4))
+        got = parseval_select(candidates, targets, assume_orthogonal=True)
+        assert got == reference_parseval_select(candidates, targets)
+        nonzero += got[1] != 0
+    assert nonzero >= 50
+
+
+def test_the_packed_pass_matches_the_reference_over_several_slot_groups():
+    rng = random.Random(2021)
+    for n_targets in (SLOTS - 3, SLOTS - 2, 2 * SLOTS + 5):
+        candidates, targets = random_selection(rng, n_targets)
+        assert len(targets) > SLOTS - 1
+        got = parseval_select(candidates, targets, assume_orthogonal=True)
+        assert got == reference_parseval_select(candidates, targets)
+
+
+def test_a_candidate_above_norm_one_is_refused_as_by_the_reference():
+    rng = random.Random(2022)
+    for _ in range(20):
+        candidates, targets = random_selection(rng, 2)
+        k = rng.randrange(len(candidates))
+        candidates[k] = scale(constant(1, candidates[k].domain_length), F(1001, 1000))
+        with pytest.raises(BoundViolation) as want:
+            reference_parseval_select(candidates, targets)
+        with pytest.raises(BoundViolation) as got:
+            parseval_select(candidates, targets, assume_orthogonal=True)
+        assert str(got.value) == str(want.value)
+
+
+def test_greedy_refusals_name_pool_indices_and_a_direct_call_its_own():
+    r1, r2 = rademacher(1), rademacher(2)
+    twin = OrthogonalSystem(functions=(r1, r2, r2), sup_bound=F(1), certified_orthogonal=False)
+    with pytest.raises(NotOrthogonal, match="^functions 2 and 3 are not orthogonal$"):
+        greedy_subsequence(twin, rho=2, steps=1)
+    with pytest.raises(NotOrthogonal, match="^functions 1 and 2 are not orthogonal$"):
+        parseval_select([r2, r2], [r1])
+    loud = OrthogonalSystem(
+        functions=(r1, r2, scale(rademacher(3), 2)), sup_bound=F(1), certified_orthogonal=True
+    )
+    with pytest.raises(BoundViolation, match="^candidate 3 has L2 norm above 1$"):
+        greedy_subsequence(loud, rho=2, steps=1)
+    with pytest.raises(BoundViolation, match="^candidate 2 has L2 norm above 1$"):
+        parseval_select(loud.functions[1:], [r1], assume_orthogonal=True)
 
 
 def test_walsh_system_is_orthonormal_and_product_closed():
