@@ -7,27 +7,31 @@ wrapped as {"value": ..., "approx": true} so consumers can tell certified
 numbers from approximations at a glance.
 
 Exit codes: 0 when every requested check holds, 1 when some inequality or
-consistency check fails (the report says which), 2 on malformed input,
-capacity errors or input too large for float arithmetic, 3 on an
-internal error (a bug, never a verdict).
+consistency check fails (the report says which), 2 on a usage error,
+malformed input, capacity errors or input too large for float
+arithmetic, 3 on an internal error (a bug, never a verdict).
 
 Each handler imports the modules it runs when it runs, so a call loads
 only what its subcommand needs: analyze on rademacher:N never loads the
-reduction, the inequalities, the lacunary or selection code.
+reduction, the inequalities, the lacunary or selection code.  The
+options are read by a small parser over the option table below, not by
+argparse, so no call imports argparse and its gettext, locale and
+shutil; a usage error is a ParseError like any other bad input.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from types import SimpleNamespace
 
 from . import __version__
-from .errors import MultsysError, ParseError, UnknownBuiltin, bounded_number
+from .errors import MultsysError, ParseError, UnknownBuiltin, bounded_number, shown
 
+TYPE_CHECKING = False  # True to a type checker; at run time typing stays unloaded
 if TYPE_CHECKING:
     from .moments import BoundedSystem, IndexFamily
     from .stepfn import ConvexSpec, StepFunction
@@ -197,7 +201,7 @@ def _write(path: str, text: str) -> None:
         raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
-def emit(report: dict, args: argparse.Namespace) -> None:
+def emit(report: dict, args: SimpleNamespace) -> None:
     if not args.no_meta:
         report["meta"] = {"tool": "multsys", "version": __version__}
     text = json.dumps(report, indent=2, allow_nan=False)
@@ -218,7 +222,7 @@ def verdict_exit(flags: Sequence[bool]) -> int:
 Outcome = tuple[dict, list[bool]]
 
 
-def cmd_analyze(args: argparse.Namespace) -> Outcome:
+def cmd_analyze(args: SimpleNamespace) -> Outcome:
     from .moments import multiplicative_error
 
     sys_obj = parse_system(args.system)
@@ -235,7 +239,7 @@ def cmd_analyze(args: argparse.Namespace) -> Outcome:
     }, []
 
 
-def cmd_reduce(args: argparse.Namespace) -> Outcome:
+def cmd_reduce(args: SimpleNamespace) -> Outcome:
     from .reduction import check_independence, reduce_to_independent, verify_domination
 
     sys_obj = parse_system(args.system)
@@ -272,7 +276,7 @@ def cmd_reduce(args: argparse.Namespace) -> Outcome:
     return report, [domination.holds, independence.independent, xi_mu == 0]
 
 
-def cmd_khintchine(args: argparse.Namespace) -> Outcome:
+def cmd_khintchine(args: SimpleNamespace) -> Outcome:
     from .inequalities import verify_khintchine
 
     sys_obj = parse_system(args.system)
@@ -288,7 +292,7 @@ def cmd_khintchine(args: argparse.Namespace) -> Outcome:
     }, [report.holds]
 
 
-def cmd_tail(args: argparse.Namespace) -> Outcome:
+def cmd_tail(args: SimpleNamespace) -> Outcome:
     from .inequalities import hoeffding_tail
 
     sys_obj = parse_system(args.system)
@@ -304,7 +308,7 @@ def cmd_tail(args: argparse.Namespace) -> Outcome:
     }, [report.holds]
 
 
-def cmd_lacunary(args: argparse.Namespace) -> Outcome:
+def cmd_lacunary(args: SimpleNamespace) -> Outcome:
     from .lacunary import (
         analytic_tail_bound, explicit_spec, geometric_spec, split_for_growth, truncated_mu,
     )
@@ -330,7 +334,7 @@ def cmd_lacunary(args: argparse.Namespace) -> Outcome:
     return payload, [report.holds, not report.violations]
 
 
-def cmd_select(args: argparse.Namespace) -> Outcome:
+def cmd_select(args: SimpleNamespace) -> Outcome:
     from .subseq import greedy_subsequence, selected_family_mu
 
     pool = parse_pool(args.system)
@@ -347,7 +351,7 @@ def cmd_select(args: argparse.Namespace) -> Outcome:
     }, [consistent, *bound_ok]
 
 
-def cmd_rubinshtein(args: argparse.Namespace) -> Outcome:
+def cmd_rubinshtein(args: SimpleNamespace) -> Outcome:
     from .rubinshtein import verify_rubinshtein
 
     seed = parse_seed(args.seed)
@@ -366,7 +370,9 @@ def cmd_rubinshtein(args: argparse.Namespace) -> Outcome:
 
 
 # ------------------------------------------------------------------ wiring
-# An option is (flags, add_argument keywords); a shared one is defined once.
+# An option is (flags, keywords): required, default, help, type=int,
+# choices, or an action (store_true, help, version); a shared one is
+# defined once.
 
 def _opt(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
     return flags, kwargs
@@ -382,18 +388,160 @@ REPORT = (
     _opt("--out", help="write the JSON report to this file"),
     _opt("--no-meta", action="store_true", help="omit the meta block from the report"),
 )
+HELP = _opt("-h", "--help", action="help", help="show this help and exit")
+VERSION = _opt("--version", action="version", help="show the version and exit")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="multsys",
-        description="verify multiplicative-system reductions and inequalities",
-    )
-    parser.add_argument("--version", action="version", version=f"multsys {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _dest(flags: tuple[str, ...]) -> str:
+    return flags[-1].lstrip("-").replace("-", "_")
+
+
+def _placeholder(flags: tuple[str, ...], kwargs: dict) -> str:
+    """The placeholder help shows after a flag for its value, if it takes one."""
+    if "action" in kwargs:
+        return ""
+    choices = kwargs.get("choices")
+    return " {" + ",".join(choices) + "}" if choices else " " + _dest(flags).upper()
+
+
+def _wrap(head: str, words: Sequence[str], indent: int, width: int = 79) -> list[str]:
+    """head, then words packed greedily into lines of at most width
+    characters; on every line after the first they start at column indent."""
+    lines = [head]
+    for word in words:
+        if len(lines[-1]) + 1 + len(word) > width:
+            lines.append(" " * (indent - 1))
+        lines[-1] += " " + word
+    return lines
+
+
+class Parser:
+    """The command table and its reader.
+
+    Options come in any order after the command: --flag VALUE,
+    --flag=VALUE, a unique prefix of a long flag (an exact flag wins),
+    and -p VALUE, -p=VALUE or -pVALUE.  The token after a valued option
+    is its value even when it starts with "-", a repeated option keeps
+    its last value, and an int option is read through _parse_int.
+    """
+
+    def __init__(self, commands: Sequence[tuple]) -> None:
+        # name -> (handler, help, options)
+        self.commands = {
+            name: (handler, help_text, (HELP, *options, *REPORT))
+            for name, handler, help_text, options in commands
+        }
+
+    def parse_args(self, argv: Sequence[str] | None = None) -> SimpleNamespace:
+        """command, func and one attribute per option; a usage error raises
+        ParseError, and -h, --help and --version print and exit 0."""
+        tokens = list(sys.argv[1:] if argv is None else argv)
+        _, tokens = self._read_options(None, (HELP, VERSION), tokens)
+        if not tokens:
+            raise ParseError(f"multsys needs a command: {', '.join(self.commands)}")
+        name, *tokens = tokens
+        if name not in self.commands:
+            raise ParseError(
+                f"unknown command {shown(name)!r}; use one of {', '.join(self.commands)}"
+            )
+        handler, _, options = self.commands[name]
+        values, rest = self._read_options(name, options, tokens)
+        if rest:
+            raise ParseError(f"{name} takes no argument {shown(rest[0])!r}")
+        missing = [flags[-1] for flags, kw in options if kw.get("required")
+                   and _dest(flags) not in values]
+        if missing:
+            raise ParseError(f"{name} needs {', '.join(missing)}")
+        defaults = {_dest(flags): kw.get("default", False if "action" in kw else None)
+                    for flags, kw in options if kw.get("action") != "help"}
+        return SimpleNamespace(command=name, func=handler, **{**defaults, **values})
+
+    def _read_options(
+        self, name: str | None, options: Sequence[tuple], tokens: list[str]
+    ) -> tuple[dict, list[str]]:
+        """The options that lead tokens, by dest, and the tokens after them."""
+        by_flag = {flag: (flags, kw) for flags, kw in options for flag in flags}
+        values: dict = {}
+        i = 0
+        while i < len(tokens) and tokens[i].startswith("-"):
+            token = tokens[i]
+            i += 1
+            if token.startswith("--"):
+                flag, explicit, value = token.partition("=")
+            else:  # a short flag holds its value as -pVALUE or -p=VALUE, if at all
+                flag, explicit = token[:2], token[2:]
+                value = explicit.removeprefix("=")
+            flags, kw = self._lookup(name, by_flag, flag)
+            action = kw.get("action")
+            if action and explicit:
+                raise ParseError(f"{flags[-1]} takes no value")
+            if action == "help":
+                print(self.format_help(name))
+                raise SystemExit(0)
+            if action == "version":
+                print(f"multsys {__version__}")
+                raise SystemExit(0)
+            if action:
+                values[_dest(flags)] = True
+                continue
+            if not explicit:
+                if i == len(tokens):
+                    raise ParseError(f"{flags[-1]} needs a value")
+                value = tokens[i]
+                i += 1
+            if kw.get("type") is int:
+                value = _parse_int(value, f"{flags[-1]} value {shown(value)!r}")
+            elif value not in kw.get("choices", (value,)):
+                raise ParseError(
+                    f"{flags[-1]} must be one of {', '.join(kw['choices'])}, got {shown(value)!r}"
+                )
+            values[_dest(flags)] = value
+        return values, tokens[i:]
+
+    @staticmethod
+    def _lookup(name: str | None, by_flag: dict, flag: str) -> tuple:
+        """The option of flag, or of the one long flag it is a prefix of."""
+        if flag in by_flag:
+            return by_flag[flag]
+        hits = [f for f in by_flag if len(flag) > 2 and f.startswith(flag)]
+        if len(hits) == 1:
+            return by_flag[hits[0]]
+        where = name or "multsys"
+        if hits:
+            raise ParseError(f"{flag} is ambiguous in {where}: {', '.join(hits)}")
+        raise ParseError(f"{where} has no option {shown(flag)!r}")
+
+    def format_help(self, name: str | None = None) -> str:
+        """Usage, purpose, and one line per option and, at top level, per command."""
+        if name is None:
+            head, about, options = "usage: multsys", DESCRIPTION, (HELP, VERSION)
+            sections = [("commands", [(cmd, text) for cmd, (_, text, _) in self.commands.items()])]
+        else:
+            head, sections = f"usage: multsys {name}", []
+            _, about, options = self.commands[name]
+        usage, rows = [], []
+        for flags, kw in options:
+            word = flags[0] + _placeholder(flags, kw)
+            usage.append(word if kw.get("required") else f"[{word}]")
+            rows.append((", ".join(flags) + _placeholder(flags, kw), kw.get("help", "")))
+        if name is None:
+            usage.append("COMMAND ...")
+        lines = [*_wrap(head, usage, len(head) + 1), "", about]
+        for title, rows in [*sections, ("options", rows)]:
+            column = max(len(left) for left, _ in rows) + 5
+            lines += ["", f"{title}:"]
+            for left, text in rows:
+                lines += _wrap(f"  {left}".ljust(column - 1), text.split(), column)
+        return "\n".join(line.rstrip() for line in lines)
+
+
+DESCRIPTION = "verify multiplicative-system reductions and inequalities"
+
+
+def build_parser() -> Parser:
     # (name, handler, help, options); built per call, so the handlers are
     # whatever the module attributes hold when the parser is built
-    commands = (
+    return Parser((
         ("analyze", cmd_analyze, "mixed moments and mu over a family",
          (SYSTEM, FAMILY, _opt("--csv", help="also write the moment table as CSV"))),
         ("reduce", cmd_reduce, "reduce to an independent system and check domination",
@@ -401,7 +549,8 @@ def build_parser() -> argparse.ArgumentParser:
           _opt("--full-trace", action="store_true", help="embed all pipeline stages"))),
         ("khintchine", cmd_khintchine, "p-norm bound for a coefficient sum",
          (SYSTEM, COEFFS, _opt("-p", required=True, help="moment order, p > 2"),
-          _opt("--mode", default="general", choices=["general", "even_integer"]))),
+          _opt("--mode", default="general", choices=["general", "even_integer"],
+               help="even_integer compares exactly, for an even integer p; default general"))),
         ("tail", cmd_tail, "sub-Gaussian tail bound at a level",
          (SYSTEM, FAMILY,
           _opt("--level", required=True, help="tail threshold, a positive rational"),
@@ -421,21 +570,15 @@ def build_parser() -> argparse.ArgumentParser:
           _opt("--n", required=True, type=int, help="number of dyadic dilates"),
           _opt("--l", type=int, help="family cardinality cap, default full"),
           COEFFS, _opt("--level", default="1", help="tail threshold, default 1"), PHI)),
-    )
-    for name, handler, help_text, options in commands:
-        p = sub.add_parser(name, help=help_text)
-        for flags, kwargs in options + REPORT:
-            p.add_argument(*flags, **kwargs)
-        p.set_defaults(func=handler)
-    return parser
+    ))
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    # exact results of any size render; every input number is bounded as read
     limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
     try:
+        args = build_parser().parse_args(argv)
+        # exact results of any size render; every input number is bounded as read
+        sys.set_int_max_str_digits(0)
         report, checks = args.func(args)
         emit({"command": args.command, **report}, args)
         return verdict_exit(checks)

@@ -139,9 +139,13 @@ def bounded_number(text: str) -> str:
         except ValueError:
             pass  # no exponent, or no number: its parser says so
         if digits > MAX_DIGITS:
-            shown = text if len(text) <= 40 else text[:37] + "..."
-            raise OutOfRange(f"{shown!r} needs more than {MAX_DIGITS} digits")
+            raise OutOfRange(f"{shown(text)!r} needs more than {MAX_DIGITS} digits")
     return text
+
+
+def shown(text: str) -> str:
+    """text as an error message quotes it: cut to 40 characters."""
+    return text if len(text) <= 40 else text[:37] + "..."
 
 
 class CapTooLarge(MultsysError):

@@ -16,8 +16,8 @@ a report object with a holds flag.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import (
     BadBounds,

@@ -19,9 +19,9 @@ the test suite against an oscillation-aware quadrature oracle.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from functools import lru_cache
 from itertools import combinations, product as iter_product
-from typing import Sequence
 
 from .errors import (
     CapacityExceeded,

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Collection, Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from types import MappingProxyType
-from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import (
     BadBounds,

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Collection, Sequence
 from fractions import Fraction
 from itertools import combinations
-from typing import Collection, Sequence
 
 from .errors import BadArity, NonZeroMean, NotTwoValued, TraceMismatch, frozen
 from .moments import (

@@ -18,13 +18,14 @@ multiplicative system, with mu = 0 over every index family.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
 
 from .errors import OutOfRange, TooLarge, WrongDomain, frozen
 from .moments import BoundedSystem, IndexFamily, MomentTable, symmetric_system
 from .stepfn import ConvexSpec, StepFunction, concat_many, dilate, scale, tile
 
+TYPE_CHECKING = False  # True to a type checker; at run time typing stays unloaded
 if TYPE_CHECKING:
     from .inequalities import TailReport
     from .reduction import DominationReport

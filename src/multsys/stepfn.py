@@ -27,10 +27,10 @@ import math
 import operator
 import os
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, repeat
-from typing import Iterable, Sequence
 
 from .errors import (
     CapacityExceeded,
@@ -304,7 +304,10 @@ def rademacher(k: int, length: Rational = 1) -> StepFunction:
         raise CapacityExceeded(f"2**{k} pieces exceed the cap of {cap}")
     pieces = 1 << k
     grid, den = uniform_grid(pieces, length)
-    return StepFunction._from_ints(grid, den, (1, -1) * (pieces // 2), 1)
+    row = (1, -1) * (pieces // 2)
+    if grid[-1] > 0:  # uniform_grid's grid of a positive length is valid and in lowest terms
+        return StepFunction._from_parts(grid, den, row, 1)
+    return StepFunction._from_ints(grid, den, row, 1)  # which refuses the grid
 
 
 # ------------------------------------------------------------------ refinement

@@ -7,6 +7,7 @@ Bessel plus Cauchy-Schwarz guarantee an index l with
     sum_j |E[f_j phi_l]|  <=  sqrt(m * sum_j ||f_j||_2^2 / n).
 
 The greedy driver starts from the first function and, at step m, selects
+from collections.abc import Sequence
 from the index window [rho**m, rho**(m+1)) against all 2**m - 1 products
 of the functions chosen so far.  Summing the achieved step sums gives an
 exact certificate for the multiplicative error of the selected family
@@ -19,7 +20,6 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import (
     BoundViolation,

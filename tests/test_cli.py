@@ -761,13 +761,17 @@ def test_each_call_loads_only_the_modules_it_runs(statement):
     assert set(loaded) == {f"multsys.{m}" for m in LOADED[statement]}
 
 
-def test_no_call_loads_dataclasses_or_inspect():
-    """The records need neither module.  One fresh interpreter makes every
-    call of LOADED in turn and names the first that loads one of them."""
+def test_no_call_loads_a_heavy_module():
+    """The records need neither dataclasses nor inspect, the table parser
+    needs neither argparse (with its gettext and shutil) nor typing.  One
+    fresh interpreter makes every call of LOADED in turn and names the
+    first that loads one of them.  It runs with -S, since a .pth file in
+    site-packages may import some of them before the probe starts."""
     calls = [s.split() for s in LOADED if not s.startswith("import")]
     probe = (
         "import contextlib, io, sys\n"
-        "heavy = {'dataclasses', 'inspect'} - set(sys.modules)\n"
+        "heavy = {'dataclasses', 'inspect', 'argparse', 'typing', 'shutil', 'gettext'}\n"
+        "heavy -= set(sys.modules)\n"
         "import multsys.cli\n"
         "print('import', *sorted(heavy & set(sys.modules)))\n"
         f"for argv in {calls!r}:\n"
@@ -780,7 +784,7 @@ def test_no_call_loads_dataclasses_or_inspect():
     )
     src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-S", "-c", probe],
         env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True,
         text=True,
@@ -834,6 +838,117 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.strip() == f"multsys {__version__}"
+
+
+# every flag each subcommand takes, as its help must name them
+FLAGS = {
+    "analyze": ["--system", "--family", "--csv"],
+    "reduce": ["--system", "--family", "--coeffs", "--phi", "--full-trace"],
+    "khintchine": ["--system", "--coeffs", "-p", "--mode"],
+    "tail": ["--system", "--family", "--level", "--mu"],
+    "lacunary": ["--lam", "--tau1", "--n", "--tau", "--nu-max", "--split-target"],
+    "select": ["--system", "--rho", "--steps"],
+    "rubinshtein": ["--seed", "--n", "--l", "--coeffs", "--level", "--phi"],
+}
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("command", [None, *FLAGS])
+def test_help_names_every_flag_and_exits_zero(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        # help comes before the missing required options and the unknown one
+        main([flag] if command is None else [command, flag, "--bogus"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 0
+    assert captured.err == ""
+    words = captured.out.replace(",", " ").replace("[", " ").replace("]", " ").split()
+    assert captured.out.startswith(f"usage: multsys {command or ''}".rstrip() + " ")
+    if command is None:
+        assert set(FLAGS) | {"-h", "--help", "--version"} <= set(words)
+    else:
+        assert set(FLAGS[command]) | {"-h", "--help", "--out", "--no-meta"} <= set(words)
+        assert "--version" not in words
+
+
+def test_the_console_script_reads_sys_argv(capsys, monkeypatch):
+    """pyproject's multsys script calls main() with no argv."""
+    argv = ["analyze", "--system", "rademacher:2", "--no-meta"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    monkeypatch.setattr(sys, "argv", ["multsys", *argv])
+    assert main() == 0
+    assert capsys.readouterr().out == expected
+    monkeypatch.setattr(sys, "argv", ["multsys", "--version"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"multsys {__version__}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["reduce", "--system", "rademacher:2", "--coeffs", "-1,1"],
+         ["reduce", "--system", "rademacher:2", "--coeffs=-1,1"]),
+        (["khintchine", "--sys", "rademacher:3", "-p", "4", "--mo", "even_integer"],
+         ["khintchine", "--system=rademacher:3", "-p4", "--mode=even_integer"]),
+        (["tail", "--system", "x", "--level", "9", "--system", "rademacher:3", "--lev", "1"],
+         ["tail", "--system", "rademacher:3", "--level", "1"]),
+        (["lacunary", "--lam", "3", "--tau1", "1", "--n", "3", "--nu", "2"],
+         ["lacunary", "--lam", "3", "--tau1", "1", "--n", "3", "--nu-max", "2"]),
+    ],
+    ids=["dash-value", "prefix-and-joined", "last-wins", "exact-beats-prefix"],
+)
+def test_equivalent_spellings_give_the_same_report(capsys, argv, expected):
+    assert main(argv + ["--no-meta"]) == main(expected + ["--no-meta"]) == 0
+    out = capsys.readouterr().out
+    first, second = out[:len(out) // 2], out[len(out) // 2:]
+    assert first == second and json.loads(first)["command"] == argv[0]
+
+
+def test_a_value_that_starts_with_a_dash_reaches_the_library(capsys):
+    code = main(["tail", "--system", "rademacher:2", "--level", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: tail threshold must be positive, got -1\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "multsys needs a command: analyze, reduce, khintchine, tail, lacunary, select,"
+             " rubinshtein"),
+        (["bogus"], "unknown command 'bogus'; use one of analyze, reduce,"),
+        (["analyze", "--system", "rademacher:2", "--bogus"], "analyze has no option '--bogus'"),
+        (["--bogus"], "multsys has no option '--bogus'"),
+        (["analyze", "--version"], "analyze has no option '--version'"),
+        (["lacunary", "--lam", "3", "--ta", "1"], "--ta is ambiguous in lacunary: --tau1, --tau"),
+        (["analyze", "--system"], "--system needs a value"),
+        (["tail", "--level", "1"], "tail needs --system"),
+        (["rubinshtein"], "rubinshtein needs --seed, --n"),
+        (["select", "--system", "walsh:3", "--rho", "x"], "bad --rho value 'x'"),
+        (["khintchine", "--system", "rademacher:2", "-p", "4", "--mode", "odd"],
+         "--mode must be one of general, even_integer, got 'odd'"),
+        (["analyze", "--system", "rademacher:2", "stray"], "analyze takes no argument 'stray'"),
+        (["analyze", "--system", "rademacher:2", "--no-meta=yes"], "--no-meta takes no value"),
+        (["select", "--system", "walsh:3", "--steps", "5" * 5000],
+         "'5555555555555555555555555555555555555...' needs more than 4300 digits"),
+        (["select", "--system", "walsh:3", "--steps", "5" * 4301],
+         "'5555555555555555555555555555555555555...' needs more than 4300 digits"),
+    ],
+    ids=["no-command", "unknown-command", "unknown-option", "unknown-top-option",
+         "version-after-command", "ambiguous-prefix", "missing-value", "missing-required",
+         "missing-two", "bad-int", "bad-choice", "stray-positional", "value-on-a-switch",
+         "5000-digits", "4301-digits"],
+)
+def test_a_usage_error_is_one_error_line_and_exit_two(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize(

@@ -33,6 +33,7 @@ from multsys import (
     evaluate,
     integral,
     linear_combination,
+    make_step,
     measure_above,
     measure_equal,
     normalize,
@@ -723,3 +724,21 @@ def test_the_stored_ints_are_in_lowest_terms():
     f = StepFunction._from_ints((0, 2, 4), 4, (6, -3), 9)
     assert (f._grid, f._den, f._row, f._q) == ((0, 1, 2), 2, (2, -1), 3)
     assert f == StepFunction((F(0), F(1, 2), F(1)), (F(2, 3), F(-1, 3)))
+
+
+@pytest.mark.parametrize("length", [1, F(5, 2)])
+def test_rademacher_stores_the_ints_the_validated_constructor_stores(length):
+    """rademacher builds its functions unchecked, from uniform_grid's
+    lowest-terms grid: the same ints as make_step's validated path."""
+    for k in range(1, 15):
+        pieces = 1 << k
+        ref = make_step([F(i) * length / pieces for i in range(pieces + 1)],
+                        [(-1) ** i for i in range(pieces)])
+        got = rademacher(k, length)
+        assert (got._grid, got._den, got._row, got._q) == (ref._grid, ref._den, ref._row, ref._q)
+
+
+@pytest.mark.parametrize("length, at", [(0, "0"), (-1, "-1/4"), (F(-1, 2), "-1/8")])
+def test_rademacher_refuses_a_length_that_is_not_positive(length, at):
+    with pytest.raises(NonAscendingBreakpoints, match=f"not strictly ascending at {at}$"):
+        rademacher(2, length)
