@@ -137,17 +137,18 @@ def parse_system(text: str) -> BoundedSystem:
 
     kind, _, rest = text.partition(":")
     if kind == "rademacher" and rest:
-        from .stepfn import piece_cap, rademacher
+        from . import stepfn
+        from .errors import CapacityExceeded
 
         n = _parse_int(rest, f"size in {text!r}")
         if n < 1:
             raise ParseError(f"need at least one function, got {n}")
         # 2**n > cap exactly when n >= cap.bit_length(), with no 2**n built
-        if n >= piece_cap().bit_length():
-            raise UnknownBuiltin(
-                f"rademacher:{n} needs 2**{n} pieces, beyond the cap of {piece_cap()}"
+        if n >= stepfn.PIECE_CAP.bit_length():
+            raise CapacityExceeded(
+                f"rademacher:{n} needs 2**{n} pieces, beyond the cap of {stepfn.PIECE_CAP}"
             )
-        return symmetric_system([rademacher(k) for k in range(1, n + 1)])
+        return symmetric_system([stepfn.rademacher(k) for k in range(1, n + 1)])
     if kind == "walsh" and rest:
         from .subseq import walsh_system
 

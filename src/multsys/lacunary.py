@@ -33,6 +33,10 @@ from .errors import (
     frozen,
 )
 
+TYPE_CHECKING = False  # True to a type checker; at run time numpy stays unloaded
+if TYPE_CHECKING:
+    import numpy as np
+
 ZERO_FREQ_TOL = 1e-12
 SUBSET_CAP = 1 << 22
 QUAD_ORDER = 32  # Gauss-Legendre nodes per quadrature panel

@@ -46,16 +46,14 @@ from .stepfn import (
     Rational,
     StepFunction,
     _guard_pieces,
-    _lowest,
-    as_fraction,
     uniform_grid,
 )
 
 
 # ------------------------------------------------------------------ cancellation blocks
 
-def walsh_cancellation_system(nu: int, length: Rational = 1) -> list[StepFunction]:
-    """nu sign functions on [0, length) whose full product is 1 while every
+def walsh_cancellation_system(nu: int) -> list[StepFunction]:
+    """nu sign functions on [0, 1) whose full product is 1 while every
     proper nonempty subproduct integrates to 0.
 
     Character construction: the first nu - 1 functions are the dyadic sign
@@ -66,8 +64,8 @@ def walsh_cancellation_system(nu: int, length: Rational = 1) -> list[StepFunctio
     if nu < 2:
         raise BadArity(f"need at least two functions, got {nu}")
     rows = _walsh_signs(nu)
-    grid, den = uniform_grid(len(rows[0]), length)
-    return [StepFunction._from_ints(grid, den, row, 1) for row in rows]
+    grid, den = uniform_grid(len(rows[0]))
+    return [StepFunction._from_parts(grid, den, row, 1) for row in rows]
 
 
 def _walsh_signs(nu: int) -> list[tuple[int, ...]]:
@@ -86,7 +84,7 @@ def _walsh_signs(nu: int) -> list[tuple[int, ...]]:
     return rows
 
 
-def flip_cancellation_system(nu: int, length: Rational = 1) -> list[StepFunction]:
+def flip_cancellation_system(nu: int) -> list[StepFunction]:
     """Same contract as walsh_cancellation_system via recursive sign flips.
 
     Start from the constant system 1..1 and process every proper nonempty
@@ -100,7 +98,6 @@ def flip_cancellation_system(nu: int, length: Rational = 1) -> list[StepFunction
     if nu < 2:
         raise BadArity(f"need at least two functions, got {nu}")
     _guard_pieces(1 << ((1 << nu) - 2))
-    length = as_fraction(length)
     rows: list[list[int]] = [[1] for _ in range(nu)]
     proper: list[Subset] = []
     for r in range(1, nu):
@@ -117,8 +114,8 @@ def flip_cancellation_system(nu: int, length: Rational = 1) -> list[StepFunction
                 new = [v for v in row for _ in (0, 1)]
             doubled.append(new)
         rows = doubled
-    grid, den = uniform_grid(len(rows[0]), length)
-    return [StepFunction._from_ints(grid, den, tuple(row), 1) for row in rows]
+    grid, den = uniform_grid(len(rows[0]))
+    return [StepFunction._from_parts(grid, den, tuple(row), 1) for row in rows]
 
 
 # ------------------------------------------------------------------ extension
@@ -325,8 +322,7 @@ def binarize(sys: BoundedSystem) -> BoundedSystem:
             last = v
         _guard_pieces(len(row) + splits)
         # valid by construction: every split point lies inside its piece
-        grid_k, den_k = _lowest(tuple(grid), W * d)
-        functions[k] = StepFunction._from_parts(grid_k, den_k, *_lowest(tuple(vals), vq))
+        functions[k] = StepFunction._from_ints(tuple(grid), W * d, tuple(vals), vq)
         qs.append(vq)
         if len(source) != len(row) or splits:
             rows = [list(map(r.__getitem__, source)) for r in rows]

@@ -67,6 +67,9 @@ def piece_cap() -> int:
     return int(raw)
 
 
+PIECE_CAP = piece_cap()  # read once, when this module is first imported
+
+
 def json_list(obj: dict, key: str) -> list:
     """obj[key], which must be a JSON list: a string would iterate by characters."""
     value = obj[key]
@@ -92,15 +95,16 @@ def as_fraction(x: Rational) -> Fraction:
 
 
 def _guard_pieces(count: int) -> None:
-    cap = piece_cap()
-    if count > cap:
-        raise CapacityExceeded(f"{count} pieces exceed the cap of {cap}")
+    if count > PIECE_CAP:
+        raise CapacityExceeded(f"{count} pieces exceed the cap of {PIECE_CAP}")
 
 
 # ------------------------------------------------------------------ integer kernel
 
 def int_row(xs: Sequence[Rational]) -> tuple[list[int], int]:
-    """Clear denominators: xs == ints / den elementwise, den the lcm of theirs.
+    """Clear denominators: xs == ints / den elementwise, den the lcm of theirs,
+    in lowest terms when every x is (a prime's top power in den comes with a
+    numerator free of that prime).
 
     Sums, products and comparisons over such rows cost no gcd per
     operation; one Fraction at the end restores the exact value.
@@ -136,36 +140,10 @@ def _spread(row: Sequence, at: Sequence[int]) -> tuple:
     return tuple(out)
 
 
-def uniform_grid(pieces: int, length: Rational = 1) -> tuple[tuple[int, ...], int]:
-    """Breakpoints i * length / pieces for i = 0..pieces, as (grid, den) in
+def uniform_grid(pieces: int) -> tuple[tuple[int, ...], int]:
+    """Breakpoints i / pieces for i = 0..pieces, as (grid, den): valid and in
     lowest terms, so every function built on it keeps this very tuple."""
-    length = as_fraction(length)
-    num, den = length.numerator, length.denominator * pieces
-    g = math.gcd(num, den)
-    num, den = num // g, den // g
-    # a length that is not positive keeps its invalid grid for the constructor to refuse
-    steps = range(0, num * pieces + 1, num) if num > 0 else map(num.__mul__, range(pieces + 1))
-    return tuple(steps), den
-
-
-# The last int grid that passed validation.  The strong reference keeps
-# its id from being reused, and a tuple of ints cannot change, so the
-# same object passes again without a second walk.
-_valid_grid: tuple | None = None
-
-
-def _check_breakpoints(grid: tuple[int, ...], den: int) -> None:
-    global _valid_grid
-    if grid is _valid_grid:
-        return
-    if grid[0] != 0:
-        raise NonAscendingBreakpoints("breakpoints must start at 0")
-    if not all(map(operator.lt, grid, grid[1:])):
-        i = next(i for i in range(1, len(grid)) if not grid[i] > grid[i - 1])
-        raise NonAscendingBreakpoints(
-            f"breakpoints not strictly ascending at {Fraction(grid[i], den)}"
-        )
-    _valid_grid = grid
+    return tuple(range(pieces + 1)), pieces
 
 
 @frozen
@@ -187,24 +165,25 @@ class StepFunction:
     _q: int
 
     def __init__(self, breakpoints: Sequence[Rational], values: Sequence[Rational]) -> None:
+        """The one validating constructor; kernels build through _from_ints."""
         grid, den = int_row(breakpoints)
         row, q = int_row(values)
-        self._set(tuple(grid), den, tuple(row), q)
-        _guard_pieces(len(self._row))
+        vars(self).update(_grid=tuple(grid), _den=den, _row=tuple(row), _q=q)
+        self.__post_init__()
+        _guard_pieces(len(row))
 
     @classmethod
     def _from_ints(
         cls, grid: tuple[int, ...], den: int, row: tuple[int, ...], q: int
     ) -> "StepFunction":
-        """The function with breakpoints grid[i] / den and values row[i] / q.
+        """The function with breakpoints grid[i] / den and values row[i] / q,
+        ints that form a valid function, brought to lowest terms.
 
         The piece count is not checked against the cap here: every kernel
         that makes more pieces than an input had guards the count it makes
         (_guard_pieces), so a result no larger than a guarded input reads
         no cap again."""
-        self = object.__new__(cls)
-        self._set(grid, den, row, q)
-        return self
+        return cls._from_parts(*_lowest(grid, den), *_lowest(row, q))
 
     @classmethod
     def _from_parts(
@@ -216,22 +195,21 @@ class StepFunction:
         vars(self).update(_grid=grid, _den=den, _row=row, _q=q)
         return self
 
-    def _set(self, grid: tuple[int, ...], den: int, row: tuple[int, ...], q: int) -> None:
-        """Store both rows in lowest terms, the canonical form, and validate."""
-        grid, den = _lowest(grid, den)
-        row, q = _lowest(row, q)
-        vars(self).update(_grid=grid, _den=den, _row=row, _q=q)
-        self.__post_init__()
-
     def __post_init__(self) -> None:
-        if len(self._grid) != len(self._row) + 1:
+        grid = self._grid
+        if len(grid) != len(self._row) + 1:
             raise LengthMismatch(
-                f"{len(self._grid)} breakpoints need "
-                f"{len(self._grid) - 1} values, got {len(self._row)}"
+                f"{len(grid)} breakpoints need {len(grid) - 1} values, got {len(self._row)}"
             )
         if len(self._row) == 0:
             raise EmptyDomain("a step function needs at least one piece")
-        _check_breakpoints(self._grid, self._den)
+        if grid[0] != 0:
+            raise NonAscendingBreakpoints("breakpoints must start at 0")
+        if not all(map(operator.lt, grid, grid[1:])):
+            i = next(i for i in range(1, len(grid)) if not grid[i] > grid[i - 1])
+            raise NonAscendingBreakpoints(
+                f"breakpoints not strictly ascending at {Fraction(grid[i], self._den)}"
+            )
 
     @cached_property
     def breakpoints(self) -> tuple[Fraction, ...]:
@@ -294,20 +272,16 @@ def constant(value: Rational, length: Rational = 1) -> StepFunction:
     )
 
 
-def rademacher(k: int, length: Rational = 1) -> StepFunction:
-    """k-th dyadic sign function: +1 then -1 alternating on 2**k equal pieces."""
+def rademacher(k: int) -> StepFunction:
+    """k-th dyadic sign function on [0, 1): +1 then -1 alternating on 2**k
+    equal pieces.  dilate(rademacher(k), 1 / L) is the one on [0, L)."""
     if k < 1:
         raise OutOfRange("rademacher index must be >= 1")
-    cap = piece_cap()
     # 2**k > cap exactly when k >= cap.bit_length(), with no 2**k built
-    if k >= cap.bit_length():
-        raise CapacityExceeded(f"2**{k} pieces exceed the cap of {cap}")
+    if k >= PIECE_CAP.bit_length():
+        raise CapacityExceeded(f"2**{k} pieces exceed the cap of {PIECE_CAP}")
     pieces = 1 << k
-    grid, den = uniform_grid(pieces, length)
-    row = (1, -1) * (pieces // 2)
-    if grid[-1] > 0:  # uniform_grid's grid of a positive length is valid and in lowest terms
-        return StepFunction._from_parts(grid, den, row, 1)
-    return StepFunction._from_ints(grid, den, row, 1)  # which refuses the grid
+    return StepFunction._from_parts(*uniform_grid(pieces), (1, -1) * (pieces // 2), 1)
 
 
 # ------------------------------------------------------------------ refinement
@@ -499,24 +473,13 @@ def _dilated(f: StepFunction, p: int, r: int) -> StepFunction:
     return StepFunction._from_parts(grid, den, f._row, f._q)
 
 
-def concat(f: StepFunction | None, g: StepFunction | None) -> StepFunction:
-    """Place g after f on [0, T_f + T_g).
-
-    A None operand stands for the zero-length function and returns the
-    other operand unchanged; both None is an error.
-    """
-    if f is None and g is None:
-        raise EmptyDomain("concat of two empty functions")
-    if f is None:
-        return g  # type: ignore[return-value]
-    if g is None:
-        return f
+def concat(f: StepFunction, g: StepFunction) -> StepFunction:
+    """Place g after f on [0, T_f + T_g)."""
     return concat_many([f, g])
 
 
 def concat_many(fs: Sequence[StepFunction]) -> StepFunction:
     """Concatenate several functions in one pass."""
-    fs = [f for f in fs if f is not None]
     if not fs:
         raise EmptyDomain("concat of an empty list")
     den = math.lcm(*{f._den for f in fs})

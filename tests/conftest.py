@@ -26,10 +26,11 @@ def acceptance() -> AcceptanceLog:
 @pytest.fixture(scope="module")
 def validated_stages():
     """Rebuild every system made with no re-validation, the reduction
-    stages that BoundedSystem._stage builds, through the public
-    constructor, which validates, and require an equal system.  Yields the
-    list of systems checked so far."""
+    stages that BoundedSystem._stage builds, and each of its functions
+    through the public constructors, which validate, and require equal
+    ones.  Yields the list of systems checked so far."""
     from multsys.moments import BoundedSystem
+    from multsys.stepfn import StepFunction
 
     trusted = BoundedSystem._stage.__func__
     checked = []
@@ -37,6 +38,7 @@ def validated_stages():
     def checking(cls, functions, lower, upper, *seed):
         out = trusted(cls, functions, lower, upper, *seed)
         assert BoundedSystem(functions, lower, upper) == out
+        assert all(StepFunction(f.breakpoints, f.values) == f for f in functions)
         checked.append(out)
         return out
 

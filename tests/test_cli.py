@@ -12,9 +12,9 @@ import pytest
 
 import multsys
 from multsys import __version__, rademacher, symmetric_system
-from multsys import cli, moments
+from multsys import cli, moments, stepfn
 from multsys.cli import build_parser, emit, main
-from multsys.errors import OutOfRange
+from multsys.errors import CapacityExceeded, OutOfRange
 from multsys.stepfn import POWER_CAP, ConvexSpec
 
 
@@ -382,8 +382,7 @@ def test_a_rubinshtein_system_of_no_dilates_names_the_count(capsys, argv):
         (["lacunary", "--lam", "1.0000001", "--tau1", "1", "--n", "100000000"], "4194304"),
     ],
 )
-def test_oversized_builtins_are_refused_before_allocating(capsys, monkeypatch, argv, cap):
-    monkeypatch.delenv("MULTSYS_PIECE_CAP", raising=False)
+def test_oversized_builtins_are_refused_before_allocating(capsys, argv, cap):
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
@@ -453,13 +452,56 @@ def test_an_empty_system_file_exits_two_with_one_message(capsys, tmp_path, argv)
     assert moments.BoundedSystem((), (), ()).n == 0
 
 
+def run_child(probe, cap):
+    """probe in a fresh interpreter with MULTSYS_PIECE_CAP set to cap: the
+    variable is read once, when multsys.stepfn is first imported."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), MULTSYS_PIECE_CAP=cap)
+    return subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
 @pytest.mark.parametrize("raw", ["abc", "-5"])
-def test_bad_piece_cap_exits_two_and_names_the_variable(capsys, monkeypatch, raw):
-    monkeypatch.setenv("MULTSYS_PIECE_CAP", raw)
-    code = main(["analyze", "--system", "rademacher:2"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("error:") and "MULTSYS_PIECE_CAP" in err
+def test_bad_piece_cap_exits_two_and_names_the_variable(raw):
+    out = run_child(
+        "import sys\n"
+        "from multsys.cli import main\n"
+        "sys.exit(main(['analyze', '--system', 'rademacher:2']))\n",
+        raw,
+    )
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == f"error: MULTSYS_PIECE_CAP must be a positive integer, got {raw!r}\n"
+
+
+def test_the_piece_cap_variable_is_read_once_at_import():
+    out = run_child(
+        "import os, sys\n"
+        "from multsys import stepfn\n"
+        "from multsys.cli import main\n"
+        "os.environ['MULTSYS_PIECE_CAP'] = '64'\n"
+        "print(stepfn.PIECE_CAP)\n"
+        "sys.exit(main(['analyze', '--system', 'rademacher:3']))\n",
+        "4",
+    )
+    assert out.returncode == 2
+    assert out.stdout == "4\n"
+    assert out.stderr == "error: rademacher:3 needs 2**3 pieces, beyond the cap of 4\n"
+
+
+@pytest.mark.parametrize("cap, n", [(None, 21), (4, 3)])
+def test_a_rademacher_spec_past_the_cap_is_a_capacity_error(capsys, monkeypatch, cap, n):
+    if cap is not None:
+        monkeypatch.setattr(stepfn, "PIECE_CAP", cap)
+    message = f"rademacher:{n} needs 2**{n} pieces, beyond the cap of {cap or 1 << 20}"
+    with pytest.raises(CapacityExceeded) as refused:
+        cli.parse_system(f"rademacher:{n}")
+    assert str(refused.value) == message
+    assert main(["analyze", "--system", f"rademacher:{n}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_an_exact_result_past_the_int_string_limit_renders(capsys, tmp_path):
@@ -955,16 +997,14 @@ def test_a_usage_error_is_one_error_line_and_exit_two(capsys, argv, message):
     "cap, argv, message",
     [
         (None, ["select", "--system", "walsh:13"], "walsh order must lie in 0..12, got 13"),
-        ("4", ["select", "--system", "walsh:3"], "8 pieces exceed the cap of 4"),
-        ("4", ["analyze", "--system", "walsh:3"], "8 pieces exceed the cap of 4"),
+        (4, ["select", "--system", "walsh:3"], "8 pieces exceed the cap of 4"),
+        (4, ["analyze", "--system", "walsh:3"], "8 pieces exceed the cap of 4"),
         (None, ["select", "--system", "walsh:x"], "bad order in 'walsh:x'"),
     ],
 )
 def test_a_walsh_pool_error_keeps_its_cause(capsys, monkeypatch, cap, argv, message):
-    if cap is None:
-        monkeypatch.delenv("MULTSYS_PIECE_CAP", raising=False)
-    else:
-        monkeypatch.setenv("MULTSYS_PIECE_CAP", cap)
+    if cap is not None:
+        monkeypatch.setattr(stepfn, "PIECE_CAP", cap)
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
@@ -972,8 +1012,7 @@ def test_a_walsh_pool_error_keeps_its_cause(capsys, monkeypatch, cap, argv, mess
     assert captured.err == f"error: {message}\n"
 
 
-def test_a_family_with_no_singletons_says_why_xi_keeps_a_mean(capsys, monkeypatch, tmp_path):
-    monkeypatch.delenv("MULTSYS_PIECE_CAP", raising=False)
+def test_a_family_with_no_singletons_says_why_xi_keeps_a_mean(capsys, tmp_path):
     fam = tmp_path / "pairs.json"
     fam.write_text("[[1, 2]]")
     system = Path(__file__).resolve().parent / "data" / "off_unit_system.json"
@@ -993,7 +1032,6 @@ def test_a_family_with_no_singletons_is_refused_before_either_domination_side(
 ):
     from multsys import reduction
 
-    monkeypatch.delenv("MULTSYS_PIECE_CAP", raising=False)
     original, calls = reduction.verify_domination, []
 
     def counted(*args, **kwargs):
@@ -1033,7 +1071,6 @@ def test_a_wrong_coefficient_count_is_refused_before_any_reduction(
 ):
     from multsys import reduction
 
-    monkeypatch.delenv("MULTSYS_PIECE_CAP", raising=False)
     calls = []
     monkeypatch.setattr(reduction, "reduce_to_independent", lambda *args: calls.append(args))
     data = Path(__file__).resolve().parent / "data"

@@ -36,7 +36,7 @@ from multsys import (
     walsh_cancellation_system,
     walsh_system,
 )
-from multsys import moments, reduction
+from multsys import moments, reduction, stepfn
 from multsys.errors import CapacityExceeded, MultsysError, NonZeroMean, NotTwoValued
 from multsys.moments import family_sums, lattice_sums, mask_of
 from multsys.reduction import IndependenceReport
@@ -650,7 +650,7 @@ def reference_extend(sys_obj, table):
         if len(s) == 1:
             members = [constant(-sign * caps[s[0] - 1], block_len)]
         else:
-            base = walsh_cancellation_system(len(s), block_len)
+            base = [dilate(g, 1 / block_len) for g in walsh_cancellation_system(len(s))]
             members = [scale(g, caps[idx - 1] if j > 0 else -sign * caps[idx - 1])
                        for j, (g, idx) in enumerate(zip(base, s))]
         member_of = dict(zip(s, members))
@@ -685,10 +685,10 @@ def extension_outcome(extend, sys_obj, table):
 def assert_extension_matches(sys_obj, fam, monkeypatch, cap=None):
     table = compute_moment_table(sys_obj, fam)
     if cap is not None:
-        monkeypatch.setenv("MULTSYS_PIECE_CAP", str(cap))
+        monkeypatch.setattr(stepfn, "PIECE_CAP", cap)
     got = extension_outcome(reduction._extend, sys_obj, table)
     assert got == extension_outcome(reference_extend, sys_obj, table)
-    monkeypatch.delenv("MULTSYS_PIECE_CAP", raising=False)
+    monkeypatch.undo()
     return table, got
 
 
@@ -713,7 +713,7 @@ def test_the_int_extension_matches_on_blocks_of_one_to_four_functions(monkeypatc
     # the 4-block's own 8 pieces exceed a cap of 7 before any function's total
     for cap in (7, 8, 20, 36, 37):
         assert_extension_matches(sys_obj, FULL, monkeypatch, cap=cap)
-    monkeypatch.setenv("MULTSYS_PIECE_CAP", "7")
+    monkeypatch.setattr(stepfn, "PIECE_CAP", 7)
     with pytest.raises(CapacityExceeded, match="^8 pieces exceed the cap of 7$"):
         reduction._extend(sys_obj, table)
 

@@ -9,6 +9,7 @@ from multsys import (
     BoundedSystem,
     IndexFamily,
     compute_moment_table,
+    dilate,
     enumerate_family,
     is_multiplicative,
     make_step,
@@ -38,7 +39,7 @@ def test_system_validation():
     with pytest.raises(ValueOutOfBounds):
         BoundedSystem((r1,), (F(-1, 2),), (F(1),))
     with pytest.raises(DomainMismatch):
-        symmetric_system([r1, rademacher(1, 2)])
+        symmetric_system([r1, dilate(r1, F(1, 2))])
 
 
 def test_capacities_take_the_smaller_side():

@@ -40,7 +40,6 @@ from multsys.errors import (
     BadArity,
     CapacityExceeded,
     LengthMismatch,
-    NonAscendingBreakpoints,
     NonZeroMean,
     NotTwoValued,
     TraceMismatch,
@@ -87,17 +86,6 @@ def test_cancellation_size_guards():
         flip_cancellation_system(1)
     with pytest.raises(CapacityExceeded):
         flip_cancellation_system(5)
-
-
-@pytest.mark.parametrize("length", [0, F(-1, 2)])
-def test_uniform_grids_on_an_empty_or_negative_domain_are_refused(length):
-    for build in (
-        lambda: rademacher(1, length),
-        lambda: walsh_cancellation_system(2, length),
-        lambda: flip_cancellation_system(2, length),
-    ):
-        with pytest.raises(NonAscendingBreakpoints):
-            build()
 
 
 def test_extension_leaves_multiplicative_systems_alone():

@@ -11,6 +11,7 @@ from multsys import (
     approx_by_steps,
     common_refinement,
     concat,
+    concat_many,
     constant,
     convex_expectation,
     dilate,
@@ -40,6 +41,7 @@ from multsys.errors import (
     UnsortedSamples,
 )
 from multsys.errors import MAX_DIGITS
+from multsys import stepfn
 from multsys.stepfn import as_fraction, piece_cap
 
 
@@ -83,13 +85,12 @@ def test_rademacher_alternates_starting_positive():
 
 
 def test_rademacher_compares_exponents_before_building_any_piece(monkeypatch):
-    monkeypatch.setenv("MULTSYS_PIECE_CAP", "4")
+    with pytest.raises(CapacityExceeded, match=r"^2\*\*100000000000 pieces exceed the cap of 1048576$"):
+        rademacher(10**11)
+    monkeypatch.setattr(stepfn, "PIECE_CAP", 4)
     assert rademacher(2).piece_count == 4
     with pytest.raises(CapacityExceeded, match=r"^2\*\*3 pieces exceed the cap of 4$"):
         rademacher(3)
-    monkeypatch.delenv("MULTSYS_PIECE_CAP")
-    with pytest.raises(CapacityExceeded, match=r"^2\*\*100000000000 pieces exceed the cap of 1048576$"):
-        rademacher(10**11)
 
 
 def test_refinement_preserves_values_pointwise():
@@ -118,7 +119,7 @@ def test_dilate_and_tile_round_trip():
     r1 = rademacher(1)
     half = dilate(r1, 2)
     assert half.domain_length == F(1, 2)
-    assert tile(half, 2).values == rademacher(2, 1).values
+    assert tile(half, 2).values == rademacher(2).values
     with pytest.raises(NonPositiveFactor):
         dilate(r1, 0)
 
@@ -129,10 +130,8 @@ def test_concat_handles_empty_operands():
     fg = concat(f, g)
     assert fg.values == (F(3), F(-1))
     assert fg.breakpoints == (F(0), F(1, 2), F(1))
-    assert concat(None, f) is f
-    assert concat(f, None) is f
     with pytest.raises(EmptyDomain):
-        concat(None, None)
+        concat_many([])
 
 
 def test_restrict_is_identity_at_full_length():

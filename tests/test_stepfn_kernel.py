@@ -28,9 +28,11 @@ from multsys import (
     binarize,
     common_refinement,
     concat_many,
+    constant,
     convex_expectation,
     dilate,
     evaluate,
+    flip_cancellation_system,
     integral,
     linear_combination,
     make_step,
@@ -43,13 +45,10 @@ from multsys import (
     restrict,
     scale,
     tile,
+    walsh_cancellation_system,
+    walsh_system,
 )
-from multsys.errors import (
-    CapacityExceeded,
-    EmptyDomain,
-    LengthMismatch,
-    NonAscendingBreakpoints,
-)
+from multsys.errors import CapacityExceeded, LengthMismatch, NonAscendingBreakpoints
 from multsys import stepfn
 from multsys.stepfn import int_grid, value_range
 
@@ -164,6 +163,11 @@ def reference_concat(fs):
     return tuple(bps), tuple(vals)
 
 
+def reference_restrict(f, t):
+    bps = [b for b in f.breakpoints if b < t]
+    return (*bps, t), f.values[:len(bps)]
+
+
 def reference_normalize(bps, vals):
     out_bps, out_vals = [bps[0]], []
     for v, right in zip(vals, bps[1:]):
@@ -252,7 +256,13 @@ SPECS = [
 
 
 def fields(f):
-    return f.breakpoints, f.values
+    """f's Fraction fields, once the validating constructor has rebuilt f
+    from them into the very ints f stores: kernels build their results
+    unchecked, so a bad grid or a row off its lowest terms shows here."""
+    bps, vals = f.breakpoints, f.values
+    g = StepFunction(bps, vals)
+    assert (g._grid, g._den, g._row, g._q) == (f._grid, f._den, f._row, f._q)
+    return bps, vals
 
 
 # ------------------------------------------------------------------ kernel == reference
@@ -436,7 +446,7 @@ def test_a_validated_tuple_is_still_checked_for_shape_and_cap(monkeypatch):
         StepFunction(grid, (F(1),))
     with pytest.raises(NonAscendingBreakpoints):
         StepFunction(grid[:2] + (F(1, 3), F(1)), (F(1),) * 3)
-    monkeypatch.setenv("MULTSYS_PIECE_CAP", "1")
+    monkeypatch.setattr(stepfn, "PIECE_CAP", 1)
     with pytest.raises(CapacityExceeded):
         StepFunction(grid, (F(1), F(2)))
 
@@ -489,6 +499,29 @@ def test_scale_matches_the_reference_and_inverts(f, c):
 def test_concat_and_tile_match_the_reference(fs, copies):
     assert fields(concat_many(fs)) == reference_concat(fs)
     assert fields(tile(fs[0], copies)) == reference_concat([fs[0]] * copies)
+
+
+@PROPERTY
+@given(step_functions(), st.data())
+def test_restrict_matches_the_reference(f, data):
+    t = data.draw(st.sampled_from(f.breakpoints[1:])
+                  | st.integers(1, 7).map(lambda k: f.domain_length * F(k, 7)))
+    assert fields(restrict(f, t)) == reference_restrict(f, t)
+
+
+def test_the_builders_store_what_the_validated_constructor_stores():
+    from multsys.rubinshtein import reflect
+
+    f = StepFunction((F(0), F(1, 3), F(1, 2), F(5, 2)), (F(1), F(-2, 3), F(3, 10)))
+    built = [constant(F(-3, 4), F(5, 2)), constant(6), constant(0, F(4, 6)), reflect(f)]
+    for m in range(6):
+        built += walsh_system(m).functions
+    for nu in range(2, 6):
+        built += walsh_cancellation_system(nu)
+    for nu in range(2, 5):
+        built += flip_cancellation_system(nu)
+    for g in built:
+        fields(g)
 
 
 @PROPERTY
@@ -598,19 +631,18 @@ def test_binarize_caps_the_unmerged_piece_count(monkeypatch):
     f = StepFunction((F(0), F(1, 4), F(1, 2), F(3, 4), F(1)), (F(1), F(1), F(1), F(0)))
     sys_obj = BoundedSystem((f,), (F(-1),), (F(1),))
     assert [g.piece_count for g in binarize(sys_obj).functions] == [2]
-    monkeypatch.setenv("MULTSYS_PIECE_CAP", "4")
+    monkeypatch.setattr(stepfn, "PIECE_CAP", 4)
     with pytest.raises(CapacityExceeded, match="^5 pieces exceed the cap of 4$"):
         binarize(sys_obj)
-    monkeypatch.setenv("MULTSYS_PIECE_CAP", "5")
+    monkeypatch.setattr(stepfn, "PIECE_CAP", 5)
     assert [g.piece_count for g in binarize(sys_obj).functions] == [2]
 
 
 # ------------------------------------------------------------------ the piece cap, where pieces grow
-# The cap is read where a piece count can grow past every input's, and a
-# result no larger than a guarded input reads it not at all.
+# The cap is checked where a piece count can grow past every input's, and
+# a result no larger than a guarded input is not checked at all.
 
 def growing_kernels():
-    from multsys import flip_cancellation_system, walsh_cancellation_system, walsh_system
     from multsys.moments import IndexFamily, compute_moment_table, symmetric_system
     from multsys.reduction import _extend
 
@@ -639,24 +671,22 @@ GROWING = [name for name, _, _ in growing_kernels()]
 
 @pytest.mark.parametrize("name", GROWING)
 def test_each_growing_kernel_is_capped_and_reads_the_cap_on_every_call(monkeypatch, name):
-    monkeypatch.delenv("MULTSYS_PIECE_CAP", raising=False)
     call, pieces = next((c, p) for n, c, p in growing_kernels() if n == name)
     call()
-    monkeypatch.setenv("MULTSYS_PIECE_CAP", str(pieces - 1))
+    monkeypatch.setattr(stepfn, "PIECE_CAP", pieces - 1)
     with pytest.raises(CapacityExceeded, match=f"^{pieces} pieces exceed the cap of {pieces - 1}$"):
         call()
-    monkeypatch.setenv("MULTSYS_PIECE_CAP", str(pieces))
+    monkeypatch.setattr(stepfn, "PIECE_CAP", pieces)
     call()
 
 
 def test_a_result_no_larger_than_a_guarded_input_reads_no_cap(monkeypatch):
-    from multsys import stepfn
     from multsys.rubinshtein import reflect
 
     f = StepFunction((F(0), F(1, 3), F(1, 2), F(1)), (F(1), F(1), F(-2)))
     twin = scale(f, 3)
     reads = []
-    monkeypatch.setattr(stepfn, "piece_cap", lambda: reads.append(1) or 1)
+    monkeypatch.setattr(stepfn, "_guard_pieces", reads.append)
     results = [
         scale(f, 2), dilate(f, 3), restrict(f, F(1, 2)), normalize(f), reflect(f),
         product([f, twin]), linear_combination([1, -1], [f, twin]), *common_refinement([f, twin]),
@@ -682,14 +712,25 @@ def counting_post_init(monkeypatch):
 
 
 def test_each_constructor_validates_once_per_object(monkeypatch):
+    """Only the public constructor validates, once per object; make_step and
+    from_json go through it, and every kernel builds its result unchecked."""
     calls = counting_post_init(monkeypatch)
     f = StepFunction((F(0), F(1, 3), F(1)), (F(2), F(-1, 2)))
     assert calls == [f]
+    made = [make_step([0, "1/3", 1], [2, "-1/2"]), StepFunction.from_json(f.to_json())]
+    assert made == [f, f] and calls == [f, *made]
+    r = rademacher(1)
     g = StepFunction._from_ints((0, 1, 3), 3, (4, -1), 2)
-    assert calls == [f, g]
     assert g == f
-    h = scale(f, 3)
-    assert calls == [f, g, h]
+    sys_obj = BoundedSystem((f, r), (F(-1), F(-1)), (F(2), F(1)))
+    kernels = [
+        scale(f, 3), dilate(f, 3), restrict(f, F(1, 2)), normalize(f), tile(f, 2),
+        concat_many([f, r]), product([f, r]), linear_combination([1, 2], [f, r]),
+        *common_refinement([f, r]), *binarize(sys_obj).functions,
+        *reduce_to_independent(sys_obj, FULL).xi.functions,
+    ]
+    assert all(type(g) is StepFunction for g in kernels)
+    assert calls == [f, *made]
 
 
 def test_fields_cannot_be_assigned():
@@ -709,17 +750,6 @@ def test_copy_and_pickle_round_trip(f):
         assert back.to_json() == f.to_json()
 
 
-def test_int_built_objects_are_validated():
-    with pytest.raises(NonAscendingBreakpoints, match="not strictly ascending at 1/4"):
-        StepFunction._from_ints((0, 2, 1, 4), 4, (1, 2, 3), 1)
-    with pytest.raises(NonAscendingBreakpoints, match="start at 0"):
-        StepFunction._from_ints((1, 2), 2, (1,), 1)
-    with pytest.raises(LengthMismatch):
-        StepFunction._from_ints((0, 1, 2), 2, (1,), 1)
-    with pytest.raises(EmptyDomain):
-        StepFunction._from_ints((0,), 1, (), 1)
-
-
 def test_the_stored_ints_are_in_lowest_terms():
     f = StepFunction._from_ints((0, 2, 4), 4, (6, -3), 9)
     assert (f._grid, f._den, f._row, f._q) == ((0, 1, 2), 2, (2, -1), 3)
@@ -728,17 +758,12 @@ def test_the_stored_ints_are_in_lowest_terms():
 
 @pytest.mark.parametrize("length", [1, F(5, 2)])
 def test_rademacher_stores_the_ints_the_validated_constructor_stores(length):
-    """rademacher builds its functions unchecked, from uniform_grid's
-    lowest-terms grid: the same ints as make_step's validated path."""
+    """rademacher builds its functions unchecked on [0, 1), from
+    uniform_grid's lowest-terms grid, and dilate by 1 / length moves one to
+    [0, length): the same ints as make_step's validated path."""
     for k in range(1, 15):
         pieces = 1 << k
         ref = make_step([F(i) * length / pieces for i in range(pieces + 1)],
                         [(-1) ** i for i in range(pieces)])
-        got = rademacher(k, length)
+        got = dilate(rademacher(k), 1 / F(length))
         assert (got._grid, got._den, got._row, got._q) == (ref._grid, ref._den, ref._row, ref._q)
-
-
-@pytest.mark.parametrize("length, at", [(0, "0"), (-1, "-1/4"), (F(-1, 2), "-1/8")])
-def test_rademacher_refuses_a_length_that_is_not_positive(length, at):
-    with pytest.raises(NonAscendingBreakpoints, match=f"not strictly ascending at {at}$"):
-        rademacher(2, length)
