@@ -16,6 +16,7 @@ a report object with a holds flag.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from fractions import Fraction
 
@@ -36,7 +37,7 @@ from .moments import (
     is_multiplicative,
     multiplicative_error,
 )
-from .stepfn import REL_TOL, ConvexSpec, Rational, as_fraction
+from .stepfn import REL_TOL, ConvexSpec, Rational, _mass_where, as_fraction
 
 TAIL_TOL = 1e-12
 MGF_TOL = 1e-12
@@ -56,18 +57,12 @@ def khintchine_constant(p: float) -> float:
     return math.sqrt(2.0) * (math.gamma((p + 1) / 2) / math.sqrt(math.pi)) ** (1.0 / p)
 
 
-def khintchine_constant_as_printed(p: float) -> float:
-    """Variant with pi instead of sqrt(pi); kept for discrepancy reporting."""
-    if not p > 2:
-        raise OutOfRange(f"the sharp constant needs p > 2, got {p}")
-    return math.sqrt(2.0) * (math.gamma((p + 1) / 2) / math.pi) ** (1.0 / p)
-
-
 def khintchine_constant_variants(p: float) -> dict[str, float]:
-    """Both readings of the constant, for reports that flag the difference."""
+    """Both readings of the constant, for reports that flag the difference:
+    the variant as printed has pi instead of sqrt(pi)."""
     return {
         "corrected": khintchine_constant(p),
-        "as_printed": khintchine_constant_as_printed(p),
+        "as_printed": math.sqrt(2.0) * (math.gamma((p + 1) / 2) / math.pi) ** (1.0 / p),
     }
 
 
@@ -263,11 +258,8 @@ def hoeffding_tail(
         mu, _ = multiplicative_error(sys, fam if fam is not None else IndexFamily.full())
     elif mu < 0:
         raise OutOfRange(f"mu must be nonnegative, got {mu}")
-    # the sum exceeds a / b where its value v / q does: where v * b > a * q
     law, q, den = combination_law(sys, [Fraction(1)] * sys.n)
-    a, b = level.numerator, level.denominator
-    above = Fraction(sum(w for v, w in law.items() if v * b > a * q), den)
-    exact_measure = above / sys.domain_length
+    exact_measure = _mass_where(law, q, den, operator.gt, level) / sys.domain_length
     denom = sum(
         ((hi - lo) ** 2 for lo, hi in zip(sys.lower_bounds, sys.upper_bounds)),
         Fraction(0),

@@ -43,6 +43,7 @@ from .stepfn import (
     Rational,
     StepFunction,
     _dilated,
+    _law,
     _lowest,
     _scaled,
     as_fraction,
@@ -292,13 +293,7 @@ def pattern_measure(grid: IntGrid) -> PatternHistogram:
     has at most 2**n entries however many pieces it has.
     """
     _, lengths, den, rows = grid
-    mass: dict[tuple[int, ...], int] = {}
-    for key, length in zip(zip(*(row for row, _ in rows)), lengths):
-        if key in mass:
-            mass[key] += length
-        else:
-            mass[key] = length
-    return mass, den, tuple(q for _, q in rows)
+    return _law(zip(*(row for row, _ in rows)), lengths), den, tuple(q for _, q in rows)
 
 
 def mask_of(subset: Subset) -> int:
@@ -482,14 +477,10 @@ def combination_law(sys: BoundedSystem, cs: Sequence[Fraction]) -> tuple[dict[in
     if "grid" in vars(sys):
         mass, den, dens = sys.histogram
         q, factors = _scaled(cs, dens)
-        pairs = zip([sum(map(operator.mul, factors, key)) for key in mass], mass.values())
-    else:
-        _, lengths, den, [(row, q)] = int_grid([linear_combination(cs, sys.functions)])
-        pairs = zip(row, lengths)
-    law: dict[int, int] = {}
-    for v, w in pairs:
-        law[v] = law.get(v, 0) + w
-    return law, q, den
+        values = [sum(map(operator.mul, factors, key)) for key in mass]
+        return _law(values, mass.values()), q, den
+    _, lengths, den, [(row, q)] = int_grid([linear_combination(cs, sys.functions)])
+    return _law(row, lengths), q, den
 
 
 def combination_integral(
@@ -499,20 +490,20 @@ def combination_integral(
     an exact Phi and a float otherwise; with combination_law, the one
     reader of a sum of a system's functions.
 
-    An exact Phi reads the law of the combination (combination_law), and
-    exact_phi_integral does the rest.  A float Phi on a system holding its
-    merged grid is evaluated once per value pattern of the histogram, on
-    the combination's value there, and the merged grid is then summed
-    piece by piece in domain order, each piece taking the Phi of its
-    pattern (float_phi_integral, the float loop of convex_expectation),
-    because a float sum's bits depend on the order of its terms; these
-    are the pieces and values linear_combination builds, so the bits are
-    those of convex_expectation of it, which any other system reads.
+    A system never merged is not merged for it: the integral is
+    convex_expectation of one difference array (linear_combination).  On
+    a system holding its merged grid, an exact Phi reads the law of the
+    combination (combination_law), and a float Phi is evaluated once per
+    value pattern of the histogram and summed over the merged pieces in
+    domain order (float_phi_integral), since a float sum's bits depend on
+    the order of its terms: those are the pieces and values that
+    linear_combination builds, so the bits are those of
+    convex_expectation of it.
     """
-    if phi.is_exact:
-        return exact_phi_integral(*combination_law(sys, cs), phi)
     if "grid" not in vars(sys):
         return convex_expectation(linear_combination(cs, sys.functions), phi)
+    if phi.is_exact:
+        return exact_phi_integral(*combination_law(sys, cs), phi)
     _, lengths, d, rows = sys.grid
     q, factors = _scaled(cs, [rq for _, rq in rows])
     phis = {

@@ -46,6 +46,7 @@ from .stepfn import (
     Rational,
     StepFunction,
     _guard_pieces,
+    _law,
     uniform_grid,
 )
 
@@ -375,9 +376,7 @@ def check_independence(sys: BoundedSystem, fam: IndexFamily) -> IndependenceRepo
     low_mass: list[int] = []
     for k, (lo, hi, q) in enumerate(zip(sys.lower_bounds, sys.upper_bounds, dens)):
         # the mass of each value of function k, in one walk
-        law: dict[int, int] = {}
-        for key, w in mass.items():
-            law[key[k]] = law.get(key[k], 0) + w
+        law = _law(map(operator.itemgetter(k), mass), mass.values())
         # A_k and B_k as ints over q; None where q is no multiple of the denominator
         low, high = (
             b.numerator * (q // b.denominator) if q % b.denominator == 0 else None

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .errors import OutOfRange, TooLarge, WrongDomain, frozen
 from .moments import BoundedSystem, IndexFamily, MomentTable, symmetric_system
-from .stepfn import ConvexSpec, StepFunction, concat_many, dilate, scale, tile
+from .stepfn import ConvexSpec, StepFunction, concat_many, dilate, scale, tile, value_range
 
 TYPE_CHECKING = False  # True to a type checker; at run time typing stays unloaded
 if TYPE_CHECKING:
@@ -74,7 +74,8 @@ def build_phi(seed: StepFunction) -> ReflectionGenerator:
 
 
 def sup_abs(f: StepFunction) -> Fraction:
-    return max(abs(v) for v in f.values)
+    low, high = value_range(f)
+    return max(-low, high)
 
 
 def dilated_system(gen: ReflectionGenerator, n: int) -> BoundedSystem:

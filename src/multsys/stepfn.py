@@ -140,6 +140,17 @@ def _spread(row: Sequence, at: Sequence[int]) -> tuple:
     return tuple(out)
 
 
+def _law(keys: Iterable, lengths: Iterable[int]) -> dict:
+    """The lengths summed by key, with keys in order of first appearance."""
+    mass: dict = {}
+    for key, ln in zip(keys, lengths):
+        if key in mass:
+            mass[key] += ln
+        else:
+            mass[key] = ln
+    return mass
+
+
 def uniform_grid(pieces: int) -> tuple[tuple[int, ...], int]:
     """Breakpoints i / pieces for i = 0..pieces, as (grid, den): valid and in
     lowest terms, so every function built on it keeps this very tuple."""
@@ -540,13 +551,17 @@ def normalize(f: StepFunction) -> StepFunction:
     return StepFunction._from_ints(tuple(grid), f._den, tuple(row), f._q)
 
 
-def _measure_where(f: StepFunction, compare, level: Rational) -> Fraction:
-    """Measure of {x : compare(f(x), level)}.  For v == n / q and
-    level == a / b, compare(v, level) is compare(n * b, a * q)."""
-    level = as_fraction(level)
-    _, lengths, d, [(row, q)] = int_grid([f])
+def _mass_where(law: dict[int, int], q: int, d: int, compare, level: Fraction) -> Fraction:
+    """The length, over d, that law gives the values n / q comparing with
+    level: for level == a / b, compare(n / q, level) is compare(n * b, a * q)."""
     b, bar = level.denominator, level.numerator * q
-    return Fraction(sum(ln for n, ln in zip(row, lengths) if compare(n * b, bar)), d)
+    return Fraction(sum(ln for n, ln in law.items() if compare(n * b, bar)), d)
+
+
+def _measure_where(f: StepFunction, compare, level: Rational) -> Fraction:
+    """Measure of {x : compare(f(x), level)}, read off the law of f."""
+    _, lengths, d, [(row, q)] = int_grid([f])
+    return _mass_where(_law(row, lengths), q, d, compare, as_fraction(level))
 
 
 def measure_above(f: StepFunction, level: Rational) -> Fraction:
@@ -641,10 +656,7 @@ def convex_expectation(f: StepFunction, spec: ConvexSpec) -> Fraction | float:
     """
     _, lengths, d, [(row, q)] = int_grid([f])
     if spec.is_exact:
-        mass: dict[int, int] = {}
-        for n, ln in zip(row, lengths):
-            mass[n] = mass.get(n, 0) + ln
-        return exact_phi_integral(mass, q, d, spec)
+        return exact_phi_integral(_law(row, lengths), q, d, spec)
     phi = {n: spec.float_value(n / q) for n in set(row)}
     return float_phi_integral(map(phi.__getitem__, row), lengths, d, spec)
 

@@ -251,6 +251,10 @@ def greedy_subsequence(
         raise EmptyCandidates("empty system")
     if sys.sup_bound <= 0:
         raise BoundViolation("sup bound must be positive")
+    # windows start at rho**m, so the first step whose window is empty refuses the run
+    m = next((m for m in range(1, steps + 1) if rho**m > sys.n), None)
+    if m is not None:
+        raise WindowExhausted(f"step {m} window starts at {rho**m}, past the last index {sys.n}")
     funcs = _unit_sup(sys, sys.functions)
     chosen = [1]
     # the products of every nonempty subset of the chosen functions, and
@@ -263,10 +267,6 @@ def greedy_subsequence(
     for m in range(1, steps + 1):
         lo = rho**m
         hi = min(rho ** (m + 1), sys.n + 1)
-        if lo > sys.n:
-            raise WindowExhausted(
-                f"step {m} window starts at {lo}, past the last index {sys.n}"
-            )
         candidates = funcs[lo - 1 : hi - 1]
         pos, achieved = parseval_select(
             candidates, targets, assume_orthogonal=sys.certified_orthogonal, _first=lo

@@ -267,6 +267,23 @@ def test_a_select_refusal_names_pool_indices(capsys, tmp_path):
     assert captured.out == ""
     assert captured.err == "error: functions 2 and 3 are not orthogonal\n"
 
+
+def test_select_past_the_last_window_exits_before_any_product(capsys, monkeypatch):
+    """The refusal of a run whose step 11 window starts past walsh:10's 1,024
+    functions, as the loop that reached step 11 first wrote it."""
+    from multsys import subseq
+
+    def no_product(fs):
+        raise AssertionError("a refused selection multiplied functions")
+
+    monkeypatch.setattr(subseq, "product", no_product)
+    code = main("select --system walsh:10 --rho 2 --steps 11".split())
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: step 11 window starts at 2048, past the last index 1024\n"
+
+
 def test_rubinshtein_inline_seed(capsys):
     code, report = run(
         capsys,

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from multsys import stepfn
 from multsys.cli import main
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -42,7 +43,7 @@ def _sha256(data: bytes) -> str:
 
 @pytest.mark.parametrize("op", [op for variants in STARTUP.values() for op in variants])
 def test_startup_op_matches_its_golden_digest(capsys, monkeypatch, op):
-    monkeypatch.delenv("MULTSYS_PIECE_CAP", raising=False)
+    monkeypatch.setattr(stepfn, "PIECE_CAP", stepfn.DEFAULT_PIECE_CAP)
     code = main(op.split() + ["--no-meta"])
     out = capsys.readouterr().out
     assert code == 0
@@ -51,7 +52,7 @@ def test_startup_op_matches_its_golden_digest(capsys, monkeypatch, op):
 
 @pytest.mark.parametrize("op", [variants[0] for variants in STARTUP.values()])
 def test_out_file_holds_the_golden_report(capsys, monkeypatch, tmp_path, op):
-    monkeypatch.delenv("MULTSYS_PIECE_CAP", raising=False)
+    monkeypatch.setattr(stepfn, "PIECE_CAP", stepfn.DEFAULT_PIECE_CAP)
     path = tmp_path / "report.json"
     code = main(op.split() + ["--out", str(path), "--no-meta"])
     assert code == 0
@@ -78,7 +79,7 @@ BATTERY = json.loads((BENCH / "golden.json").read_text(encoding="utf-8"))["batte
 @pytest.mark.parametrize("kind", WORKLOADS.KINDS)
 @pytest.mark.parametrize("index", range(8))
 def test_battery_items_match_their_golden_digests(monkeypatch, kind, index):
-    monkeypatch.delenv("MULTSYS_PIECE_CAP", raising=False)
+    monkeypatch.setattr(stepfn, "PIECE_CAP", stepfn.DEFAULT_PIECE_CAP)
     w = WORKLOADS
     system = w.build_system(kind, index)
     for variant in range(w.VARIANTS):

@@ -26,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+from multsys import stepfn
 from multsys.cli import main
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -81,7 +82,7 @@ PINNED = (
 
 @pytest.mark.parametrize("op, digest", PINNED, ids=[op for op, _ in PINNED])
 def test_pinned_command_output(capsys, monkeypatch, op, digest):
-    monkeypatch.delenv("MULTSYS_PIECE_CAP", raising=False)
+    monkeypatch.setattr(stepfn, "PIECE_CAP", stepfn.DEFAULT_PIECE_CAP)
     monkeypatch.chdir(DATA)
     code = main(op.split() + ["--no-meta"])
     out = capsys.readouterr().out

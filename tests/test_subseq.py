@@ -147,6 +147,38 @@ def test_greedy_refusals_name_pool_indices_and_a_direct_call_its_own():
         parseval_select(loud.functions[1:], [r1], assume_orthogonal=True)
 
 
+def _no_product(fs):
+    raise AssertionError("a refused selection multiplied functions")
+
+
+def test_an_exhausted_window_is_refused_before_any_product(monkeypatch):
+    """walsh:10 holds 1,024 functions, so rho == 2 reaches step 10 and no
+    eleventh window: the run is refused before any function is scaled or
+    multiplied, with the message the step itself would have given."""
+    pool = walsh_system(10)
+    monkeypatch.setattr(subseq, "product", _no_product)
+    monkeypatch.setattr(subseq, "_unit_sup", _no_product)
+    with pytest.raises(WindowExhausted) as got:
+        greedy_subsequence(pool, rho=2, steps=11)
+    assert str(got.value) == "step 11 window starts at 2048, past the last index 1024"
+    with pytest.raises(WindowExhausted, match="^step 2 window starts at 9, past the last index 4$"):
+        greedy_subsequence(rademacher_pool(4), rho=3, steps=5)
+
+
+def test_a_pool_out_of_windows_reports_the_window_before_orthogonality():
+    """Functions 2 and 3 are equal, which step 1's window [2, 4) would find;
+    with three steps the third window starts past the pool, and that
+    refusal, known before any window is read, comes first."""
+    r1, r2 = rademacher(1), rademacher(2)
+    twin = OrthogonalSystem(
+        functions=(r1, r2, r2, rademacher(3)), sup_bound=F(1), certified_orthogonal=False
+    )
+    with pytest.raises(NotOrthogonal, match="^functions 2 and 3 are not orthogonal$"):
+        greedy_subsequence(twin, rho=2, steps=2)
+    with pytest.raises(WindowExhausted, match="^step 3 window starts at 8, past the last index 4$"):
+        greedy_subsequence(twin, rho=2, steps=3)
+
+
 def test_walsh_system_is_orthonormal_and_product_closed():
     sys_obj = walsh_system(3)
     assert sys_obj.n == 8
