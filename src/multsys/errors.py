@@ -8,6 +8,7 @@ inequalities under test are never exceptions: they are reported as data
 in the result objects.
 """
 
+import math
 from operator import attrgetter
 
 # the two methods records run often, compiled once per class
@@ -121,6 +122,19 @@ def _validate_subset(s: object, n: int) -> tuple[int, ...]:
     if any(not b > a for a, b in zip(t, t[1:])):
         raise BadSubset(f"subset {t} not strictly ascending")
     return t
+
+
+def _guard_subsets(n: int, top: int, cap: int) -> None:
+    """Refuse the subsets of 1..n with 1..top members if they number more
+    than cap: comb(n, v) is added for v = 1, 2, ... only until the sum
+    passes cap, so a refusal costs a few terms, however large n is."""
+    count = 0
+    for v in range(1, top + 1):
+        count += math.comb(n, v)
+        if count > cap:
+            raise CapacityExceeded(
+                f"the subsets of 1..{n} with at most {top} members exceed the cap of {cap}"
+            )
 
 
 # CPython's default bound on int <-> str conversion: the CLI lifts it so that

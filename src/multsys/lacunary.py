@@ -29,6 +29,7 @@ from .errors import (
     NotLacunary,
     OutOfRange,
     TauTooSmall,
+    _guard_subsets,
     _validate_subset,
     frozen,
 )
@@ -270,9 +271,7 @@ def truncated_mu(spec: LacunarySpec, nu_max: int) -> TruncatedMuReport:
         raise OutOfRange(f"subset size cap must lie in 1..{spec.n}, got {nu_max}")
     if not spec.lam > 2:
         raise LambdaTooSmall(f"the global bound needs lambda > 2, got {spec.lam}")
-    count = sum(math.comb(spec.n, v) for v in range(1, nu_max + 1))
-    if count > SUBSET_CAP:
-        raise CapacityExceeded(f"{count} subsets exceed the cap of {SUBSET_CAP}")
+    _guard_subsets(spec.n, nu_max, SUBSET_CAP)
     entries = []
     violations = []
     mu = 0.0

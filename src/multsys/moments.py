@@ -27,13 +27,13 @@ from types import MappingProxyType
 from .errors import (
     BadBounds,
     BadSubset,
-    CapacityExceeded,
     CapTooLarge,
     DomainMismatch,
     LengthMismatch,
     NonPositiveFactor,
     ParseError,
     ValueOutOfBounds,
+    _guard_subsets,
     _validate_subset,
     frozen,
 )
@@ -266,9 +266,7 @@ def enumerate_family(n: int, fam: IndexFamily) -> list[Subset]:
     l = n if fam.cap is None else fam.cap
     if not 1 <= l <= n:
         raise CapTooLarge(f"cardinality cap must lie in 1..{n}, got {l}")
-    count = sum(math.comb(n, v) for v in range(1, l + 1))
-    if count > FAMILY_CAP:
-        raise CapacityExceeded(f"family would hold {count} subsets, cap is {FAMILY_CAP}")
+    _guard_subsets(n, l, FAMILY_CAP)
     out: list[Subset] = []
     for v in range(1, l + 1):
         out.extend(combinations(range(1, n + 1), v))

@@ -26,7 +26,8 @@ from collections.abc import Collection, Sequence
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import BadArity, NonZeroMean, NotTwoValued, TraceMismatch, frozen
+from . import stepfn
+from .errors import BadArity, CapacityExceeded, NonZeroMean, NotTwoValued, TraceMismatch, frozen
 from .moments import (
     BoundedSystem,
     IndexFamily,
@@ -77,7 +78,8 @@ def _walsh_signs(nu: int) -> list[tuple[int, ...]]:
     _guard_pieces(pieces)
     rows: list[tuple[int, ...]] = []
     for k in range(1, nu):
-        rows.append(tuple(1 if (i >> (nu - 1 - k)) & 1 == 0 else -1 for i in range(pieces)))
+        w = pieces >> k  # row k: w ones then w minus ones, 2**(k - 1) times over
+        rows.append(((1,) * w + (-1,) * w) * (1 << (k - 1)))
     last = (1,) * pieces
     for row in rows:
         last = tuple(map(operator.mul, last, row))
@@ -144,14 +146,12 @@ def _extend(sys: BoundedSystem, table: MomentTable) -> BoundedSystem:
     j of s takes C_k times the j-th sign row of walsh_cancellation_system
     (the first member's row times -sign, so the block product integrates
     to minus the moment), and every function outside s is 0 on one piece.
-    A block's piece count is checked against the cap before it is
-    written, then each function's total.
 
     The extended system's merged grid is written in the same pass, so it
     is never merged: the merged grid of sys on that denominator, then the
     equal steps of each block, with every row on those pieces, handed to
-    BoundedSystem._stage.  Its piece count meets the cap in binarize,
-    which reads it first.
+    BoundedSystem._stage.  Its piece count, read off the table before any
+    row is written, bounds each block's and function's: it alone meets the cap.
     """
     T = sys.domain_length
     caps = sys.capacities()
@@ -162,6 +162,11 @@ def _extend(sys: BoundedSystem, table: MomentTable) -> BoundedSystem:
     ]
     if not blocks:
         return sys
+    pieces = len(sys.grid[1]) + sum(1 << (len(s) - 1) for s, _, _ in blocks)
+    if pieces > stepfn.PIECE_CAP:
+        raise CapacityExceeded(
+            f"the extension needs {pieces} merged pieces, beyond the cap of {stepfn.PIECE_CAP}"
+        )
     fs = sys.functions
     den = math.lcm(
         *{f._den for f in fs}, *{L.denominator << (len(s) - 1) for s, L, _ in blocks}
@@ -200,8 +205,6 @@ def _extend(sys: BoundedSystem, table: MomentTable) -> BoundedSystem:
                 row.extend(values)
                 on_merged.extend(values)
         end += width
-    for row in rows:
-        _guard_pieces(len(row))
     new_functions = tuple(
         StepFunction._from_ints(tuple(grid), den, tuple(row), q)
         for grid, row, q in zip(grids, rows, qs)
@@ -251,9 +254,6 @@ def binarize(sys: BoundedSystem) -> BoundedSystem:
     n = sys.n
     functions = list(sys.functions)
     merged, _, d, on_merged = sys.grid
-    # a grid written by the extension has not met the cap that a merge reads
-    if functions and len(merged) > max(len(f._grid) for f in functions):
-        _guard_pieces(len(merged) - 1)
     rows: list[Sequence[int]] = [row for row, _ in on_merged]
     # owner[i]: the last function with the left breakpoint of merged piece i
     owner = [0] * (len(merged) - 1)

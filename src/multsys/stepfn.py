@@ -493,6 +493,7 @@ def concat_many(fs: Sequence[StepFunction]) -> StepFunction:
     """Concatenate several functions in one pass."""
     if not fs:
         raise EmptyDomain("concat of an empty list")
+    _guard_pieces(sum(len(f._row) for f in fs))
     den = math.lcm(*{f._den for f in fs})
     q = math.lcm(*{f._q for f in fs})
     grid = [0]
@@ -502,7 +503,6 @@ def concat_many(fs: Sequence[StepFunction]) -> StepFunction:
         grid.extend(n * m + offset for n in f._grid[1:])
         s = q // f._q
         row.extend(f._row if s == 1 else [v * s for v in f._row])
-    _guard_pieces(len(row))
     return StepFunction._from_ints(tuple(grid), den, tuple(row), q)
 
 

@@ -47,6 +47,30 @@ def validated_stages():
         yield checked
 
 
+@pytest.fixture(scope="session")
+def dependent_system():
+    """Makes dependent systems as JSON: n functions on [0, 1), each
+    with four pieces cut at three distinct sixteenths and values drawn
+    from {1, -1, 1/2, -1/2}, bounds [-1, 1], seeded by n.  Almost every
+    mixed moment is nonzero, so over the full family the extension's
+    merged grid grows about threefold per function: 785,194 pieces at
+    n = 13, 2,344,231 at n = 14."""
+    import random
+
+    def build(n: int) -> dict:
+        rng = random.Random(n)
+        functions = []
+        for _ in range(n):
+            cuts = sorted(rng.sample(range(1, 16), 3))
+            functions.append({
+                "breakpoints": ["0", *[f"{c}/16" for c in cuts], "1"],
+                "values": [rng.choice(["1", "-1", "1/2", "-1/2"]) for _ in range(4)],
+            })
+        return {"functions": functions, "lower_bounds": ["-1"] * n, "upper_bounds": ["1"] * n}
+
+    return build
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if not _VERDICTS:
         return

@@ -1029,6 +1029,23 @@ def test_a_walsh_pool_error_keeps_its_cause(capsys, monkeypatch, cap, argv, mess
     assert captured.err == f"error: {message}\n"
 
 
+def test_reduce_refuses_a_14_function_extension_by_its_count(
+    capsys, monkeypatch, tmp_path, dependent_system
+):
+    """A dependent system the extension cannot hold is a capacity error,
+    exit 2, found from the moment table before any row is written."""
+    monkeypatch.setattr(stepfn, "PIECE_CAP", stepfn.DEFAULT_PIECE_CAP)
+    path = tmp_path / "dependent.json"
+    path.write_text(json.dumps(dependent_system(14)))
+    code = main(["reduce", "--system", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the extension needs 2344231 merged pieces, beyond the cap of 1048576\n"
+    )
+
+
 def test_a_family_with_no_singletons_says_why_xi_keeps_a_mean(capsys, tmp_path):
     fam = tmp_path / "pairs.json"
     fam.write_text("[[1, 2]]")

@@ -682,12 +682,41 @@ def extension_outcome(extend, sys_obj, table):
         return str(exc)
 
 
+def extension_sizes(sys_obj, table):
+    """The piece counts of the extension, read off the table alone: each
+    block's (2**(|s| - 1) equal pieces), each extended function's (its own
+    pieces, then its block or one zero piece per block) and the extended
+    merged grid's (the input's merged pieces, then every block's)."""
+    nonzero = [s for s, m in zip(table.subsets, table.moments) if m]
+    blocks = [1 << (len(s) - 1) for s in nonzero]
+    functions = [
+        f.piece_count + sum(b if k in s else 1 for s, b in zip(nonzero, blocks))
+        for k, f in enumerate(sys_obj.functions, start=1)
+    ]
+    return blocks, functions, len(int_grid(sys_obj.functions)[1]) + sum(blocks)
+
+
+def extension_refusal(pieces, cap):
+    return f"the extension needs {pieces} merged pieces, beyond the cap of {cap}"
+
+
 def assert_extension_matches(sys_obj, fam, monkeypatch, cap=None):
+    """The int extension against the oracle under cap: a refusal exactly
+    when the merged count read off the table exceeds the cap, that count
+    the merged pieces of the oracle's extension with the cap lifted, and
+    otherwise the oracle's functions at zero tolerance, JSON and all."""
     table = compute_moment_table(sys_obj, fam)
+    oracle = reference_extend(sys_obj, table)
+    blocks, _, pieces = extension_sizes(sys_obj, table)
+    if blocks:
+        assert pieces == len(oracle.grid[1])
     if cap is not None:
         monkeypatch.setattr(stepfn, "PIECE_CAP", cap)
     got = extension_outcome(reduction._extend, sys_obj, table)
-    assert got == extension_outcome(reference_extend, sys_obj, table)
+    if blocks and pieces > stepfn.PIECE_CAP:
+        assert got == extension_refusal(pieces, stepfn.PIECE_CAP)
+    else:
+        assert got == extension_outcome(reference_extend, sys_obj, table)
     monkeypatch.undo()
     return table, got
 
@@ -710,12 +739,48 @@ def test_the_int_extension_matches_on_blocks_of_one_to_four_functions(monkeypatc
     table, got = assert_extension_matches(sys_obj, FULL, monkeypatch)
     assert {len(s) for s, m in zip(table.subsets, table.moments) if m} == {1, 2, 3, 4}
     assert [f.piece_count for f, _ in got] == [37] * 4
-    # the 4-block's own 8 pieces exceed a cap of 7 before any function's total
-    for cap in (7, 8, 20, 36, 37):
+    # the merged grid: the input's 3 pieces, then 4 * 1 + 6 * 2 + 4 * 4 + 8 block pieces,
+    # refused below 43 whatever the 4-block's 8 pieces and each function's 37
+    for cap in (7, 8, 20, 36, 37, 42, 43):
         assert_extension_matches(sys_obj, FULL, monkeypatch, cap=cap)
     monkeypatch.setattr(stepfn, "PIECE_CAP", 7)
-    with pytest.raises(CapacityExceeded, match="^8 pieces exceed the cap of 7$"):
+    with pytest.raises(CapacityExceeded, match=f"^{extension_refusal(43, 7)}$"):
         reduction._extend(sys_obj, table)
+
+
+@PROPERTY
+@given(step_systems(), st.data())
+def test_the_reduction_refuses_at_the_extension_what_it_refused_before(sys_obj, data):
+    """Under a cap fixed before the input is built, the reduction refuses
+    at the extension exactly when a block, an extended function or the
+    extended merged grid, each counted from the table, exceeds the cap: the
+    checks that once ran on the written rows and on binarize's entry.  A
+    larger input is refused when it is built or merged; a later refusal is
+    binarize's, by the per-index count it always made."""
+    fam = data.draw(reduction_families(sys_obj.n))
+    cap = data.draw(st.integers(1, 40))
+    table = compute_moment_table(sys_obj, fam)
+    blocks, functions, pieces = extension_sizes(sys_obj, table)
+    inputs = [f.piece_count for f in sys_obj.functions]
+    merged = len(sys_obj.grid[1])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stepfn, "PIECE_CAP", cap)
+        try:
+            fresh = [StepFunction(f.breakpoints, f.values) for f in sys_obj.functions]
+            lo, hi = sys_obj.lower_bounds, sys_obj.upper_bounds
+            reduce_to_independent(BoundedSystem(tuple(fresh), lo, hi), fam)
+            refusal = None
+        except CapacityExceeded as exc:
+            refusal = str(exc)
+    if max(inputs) > cap:
+        assert refusal == f"{next(c for c in inputs if c > cap)} pieces exceed the cap of {cap}"
+    elif merged > cap:
+        assert refusal == f"{merged} pieces exceed the cap of {cap}"
+    elif blocks and max(*blocks, *functions, pieces) > cap:
+        assert refusal == extension_refusal(pieces, cap)
+    elif refusal is not None:
+        count = int(refusal.split()[0])
+        assert count > cap and refusal == f"{count} pieces exceed the cap of {cap}"
 
 
 FLOAT_SPECS = (ConvexSpec.exp(1.0), ConvexSpec.exp(2.5), ConvexSpec.power(2.5))

@@ -34,7 +34,7 @@ from multsys import (
     verify_rubinshtein,
     walsh_cancellation_system,
 )
-from multsys import moments, stepfn
+from multsys import moments, reduction, stepfn
 from multsys.stepfn import int_grid
 from multsys.errors import (
     BadArity,
@@ -100,6 +100,70 @@ def test_extension_kills_selected_moments():
     assert extended.domain_length == 2  # mu is 1, so the domain doubles
     for s in ((1,), (2,), (1, 2)):
         assert mixed_moment(extended, s) == 0
+
+
+def test_extend_system_alone_refuses_a_merged_grid_past_the_cap(monkeypatch):
+    # blocks (1,) and (1, 2) after the 3 merged pieces: 5 pieces per function, 6 merged
+    f = make_step([0, F(1, 3), 1], [1, -1])
+    g = make_step([0, F(1, 2), 1], [1, -1])
+    sys_obj = symmetric_system([f, g])
+    monkeypatch.setattr(stepfn, "PIECE_CAP", 6)
+    assert [h.piece_count for h in extend_system(sys_obj, FULL).functions] == [5, 5]
+    monkeypatch.setattr(stepfn, "PIECE_CAP", 5)
+    with pytest.raises(
+        CapacityExceeded, match="^the extension needs 6 merged pieces, beyond the cap of 5$"
+    ):
+        extend_system(sys_obj, FULL)
+
+
+@pytest.mark.parametrize("nu", range(1, 13))
+def test_walsh_sign_rows_repeat_blocks_of_ones_and_minus_ones(nu):
+    # the per-element bit test the rows were once built with
+    pieces = 1 << (nu - 1)
+    rows = [
+        tuple(1 if (i >> (nu - 1 - k)) & 1 == 0 else -1 for i in range(pieces))
+        for k in range(1, nu)
+    ]
+    last = (1,) * pieces
+    for row in rows:
+        last = tuple(a * b for a, b in zip(last, row))
+    assert reduction._walsh_signs(nu) == [*rows, last]
+
+
+@pytest.mark.parametrize("n, below", [(14, None), (5, 1)])
+def test_an_extension_past_the_cap_is_refused_before_any_row(
+    monkeypatch, dependent_system, n, below
+):
+    """At the default cap the 14-function system's extension needs 2,344,231
+    merged pieces; the 5-function one is refused by a cap one below its
+    count, as a system of 15 or 16 functions is at the default cap.  After
+    the input table no sign row and no function is built."""
+    sys_obj = BoundedSystem.from_json(dependent_system(n))
+    table = compute_moment_table(sys_obj, FULL)
+    pieces = len(int_grid(sys_obj.functions)[1]) + sum(
+        1 << (len(s) - 1) for s, m in zip(table.subsets, table.moments) if m
+    )
+    cap = stepfn.DEFAULT_PIECE_CAP if below is None else pieces - below
+    monkeypatch.setattr(stepfn, "PIECE_CAP", cap)
+    assert pieces > cap
+    calls = []
+    tabulate = reduction.compute_moment_table
+    signs = reduction._walsh_signs
+    from_ints = StepFunction._from_ints.__func__
+    monkeypatch.setattr(
+        reduction, "compute_moment_table", lambda *a: calls.append("table") or tabulate(*a)
+    )
+    monkeypatch.setattr(reduction, "_walsh_signs", lambda nu: calls.append("signs") or signs(nu))
+    monkeypatch.setattr(
+        StepFunction, "_from_ints", classmethod(lambda *a: calls.append("ints") or from_ints(*a))
+    )
+    message = f"^the extension needs {pieces} merged pieces, beyond the cap of {cap}$"
+    with pytest.raises(CapacityExceeded, match=message):
+        reduce_to_independent(sys_obj, FULL)
+    with pytest.raises(CapacityExceeded, match=message):
+        reduction._extend(sys_obj, table)
+    assert calls[calls.index("table"):] == ["table"]
+    assert below is not None or pieces == 2344231
 
 
 def test_binarize_splits_a_constant_at_three_quarters():
