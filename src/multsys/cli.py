@@ -2,9 +2,11 @@
 
 Each subcommand builds the objects the library exposes, runs one
 verification workflow and emits a single JSON report on stdout (or to
---out).  Exact rationals are rendered as "p/q" strings; every float is
-wrapped as {"value": ..., "approx": true} so consumers can tell certified
-numbers from approximations at a glance.
+--out).  Exact rationals are rendered as "p/q" strings and every computed
+float is wrapped as {"value": ..., "approx": true} (errors.report_value
+writes both forms for every record) so consumers can tell certified
+numbers from approximations at a glance; the config block echoes the
+inputs raw.
 
 Exit codes: 0 when every requested check holds, 1 when some inequality or
 consistency check fails (the report says which), 2 on a usage error,
@@ -24,12 +26,12 @@ from __future__ import annotations
 import json
 import math
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from types import SimpleNamespace
 
 from . import __version__
-from .errors import MultsysError, ParseError, UnknownBuiltin, bounded_number, shown
+from .errors import MultsysError, ParseError, UnknownBuiltin, bounded_number, report_value, shown
 
 TYPE_CHECKING = False  # True to a type checker; at run time typing stays unloaded
 if TYPE_CHECKING:
@@ -131,8 +133,28 @@ def parse_seed(text: str) -> StepFunction:
     return StepFunction.from_json(obj)
 
 
-def parse_system(text: str) -> BoundedSystem:
-    """A builtin spec (rademacher:N, walsh:M, rubinshtein:N:SEED) or a JSON path."""
+# given n, the family a command enumerates over a system of n functions, or None
+Family = Callable[[int], "IndexFamily | None"]
+
+
+def _size_family(n: int, family: Family | None) -> None:
+    """Refuse the family a command will enumerate over n functions as
+    enumerate_family would, by moments.family_top, with no function built."""
+    fam = None if family is None else family(n)
+    if fam is not None and fam.subsets is None:
+        from .moments import family_top
+
+        family_top(n, fam)
+
+
+def parse_system(text: str, family: Family | None = None) -> BoundedSystem:
+    """A builtin spec (rademacher:N, walsh:M, rubinshtein:N:SEED) or a JSON path.
+
+    family, if given, maps the spec's n to the family the command will
+    enumerate; a rademacher or walsh pool too large for it is refused
+    before any function is built.  A rubinshtein spec is not sized:
+    dilated_system refuses more than 12 dilates, whose 4,095 subsets fit.
+    """
     from .moments import BoundedSystem, symmetric_system
 
     kind, _, rest = text.partition(":")
@@ -148,11 +170,14 @@ def parse_system(text: str) -> BoundedSystem:
             raise CapacityExceeded(
                 f"rademacher:{n} needs 2**{n} pieces, beyond the cap of {stepfn.PIECE_CAP}"
             )
+        _size_family(n, family)
         return symmetric_system([stepfn.rademacher(k) for k in range(1, n + 1)])
     if kind == "walsh" and rest:
-        from .subseq import walsh_system
+        from .subseq import walsh_size, walsh_system
 
-        pool = walsh_system(_parse_int(rest, f"order in {text!r}"))
+        m = _parse_int(rest, f"order in {text!r}")
+        _size_family(walsh_size(m), family)
+        pool = walsh_system(m)
         return symmetric_system(pool.functions, pool.sup_bound)
     if kind == "rubinshtein" and rest:
         from .rubinshtein import build_phi, dilated_system
@@ -226,8 +251,8 @@ Outcome = tuple[dict, list[bool]]
 def cmd_analyze(args: SimpleNamespace) -> Outcome:
     from .moments import multiplicative_error
 
-    sys_obj = parse_system(args.system)
     fam = parse_family(args.family)
+    sys_obj = parse_system(args.system, lambda n: fam)
     mu, table = multiplicative_error(sys_obj, fam)
     if args.csv:
         _write(args.csv, table.to_csv())
@@ -243,8 +268,8 @@ def cmd_analyze(args: SimpleNamespace) -> Outcome:
 def cmd_reduce(args: SimpleNamespace) -> Outcome:
     from .reduction import check_independence, reduce_to_independent, verify_domination
 
-    sys_obj = parse_system(args.system)
     fam = parse_family(args.family)
+    sys_obj = parse_system(args.system, lambda n: fam)
     coeffs = parse_coeffs(args.coeffs, sys_obj.n)
     phi = parse_phi(args.phi)
     sys_obj.coefficients(coeffs)  # a wrong count is refused before any work
@@ -278,12 +303,13 @@ def cmd_reduce(args: SimpleNamespace) -> Outcome:
 
 
 def cmd_khintchine(args: SimpleNamespace) -> Outcome:
-    from .inequalities import verify_khintchine
+    from .inequalities import even_integer_family, verify_khintchine
 
-    sys_obj = parse_system(args.system)
-    coeffs = parse_coeffs(args.coeffs, sys_obj.n)
     order = parse_float(args.p, "moment order")
     p = int(order) if order.is_integer() else order
+    even = args.mode == "even_integer"
+    sys_obj = parse_system(args.system, (lambda n: even_integer_family(p, n)) if even else None)
+    coeffs = parse_coeffs(args.coeffs, sys_obj.n)
     report = verify_khintchine(sys_obj, coeffs, p, mode=args.mode)
     return {
         "config": {
@@ -296,8 +322,9 @@ def cmd_khintchine(args: SimpleNamespace) -> Outcome:
 def cmd_tail(args: SimpleNamespace) -> Outcome:
     from .inequalities import hoeffding_tail
 
-    sys_obj = parse_system(args.system)
     fam = parse_family(args.family)
+    # a given mu is not computed, so no family is enumerated
+    sys_obj = parse_system(args.system, (lambda n: fam) if args.mu is None else None)
     mu = parse_fraction(args.mu) if args.mu is not None else None
     report = hoeffding_tail(sys_obj, parse_fraction(args.level), fam=fam, mu=mu)
     return {
@@ -327,7 +354,7 @@ def cmd_lacunary(args: SimpleNamespace) -> Outcome:
     payload = {
         "config": {"tau": list(spec.tau), "lam": spec.lam, "nu_max": nu_max},
         **report.to_json(),
-        "analytic_tail": {"value": analytic_tail_bound(spec), "approx": True},
+        "analytic_tail": report_value(analytic_tail_bound(spec)),
     }
     if args.split_target is not None:
         parts = split_for_growth(spec, parse_float(args.split_target, "split target"))

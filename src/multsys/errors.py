@@ -1,6 +1,6 @@
 """Exception types shared across the package, the index-subset and
-input-number checks, and the frozen record decorator every result and
-input type is built with.
+input-number checks, the frozen record decorator every result and input
+type is built with, and the encoder every report is written through.
 
 Every validation failure raises a named exception so callers can tell
 bad input apart from a genuine inequality violation.  Violations of the
@@ -9,6 +9,7 @@ in the result objects.
 """
 
 import math
+from fractions import Fraction
 from operator import attrgetter
 
 # the two methods records run often, compiled once per class
@@ -26,10 +27,12 @@ def frozen(cls: type) -> type:
     """Make cls an immutable record of its annotated fields, in order, a
     class value being that field's default: an __init__ (which then calls
     __post_init__, if cls has one), __eq__ and __hash__ on the field tuple,
-    a Name(field=value, ...) repr, and a __setattr__ and __delattr__ that
-    raise dataclasses.FrozenInstanceError.  A method cls defines is kept,
-    and so is the instance __dict__, for cached_property, pickle and copy."""
+    a Name(field=value, ...) repr, a __setattr__ and __delattr__ that
+    raise dataclasses.FrozenInstanceError, and __match_args__, the field
+    names (which report_json reads).  A method cls defines is kept, and so
+    is the instance __dict__, for cached_property, pickle and copy."""
     names = tuple(vars(cls).get("__annotations__", ()))
+    cls.__match_args__ = names
     key = attrgetter(*names)
     defaults = {f"_{n}": vars(cls)[n] for n in names if n in vars(cls)}
     scope = {"__set": object.__setattr__, **defaults}
@@ -56,6 +59,28 @@ def frozen(cls: type) -> type:
         if attr not in vars(cls):
             setattr(cls, attr, scope[attr])
     return cls
+
+
+def report_value(x: object) -> object:
+    """x as a report writes it: a Fraction as "p/q", a float as
+    {"value": x, "approx": true}, a tuple or list as a list and a dict key
+    by key, each item rendered alike, a record by its to_json(), and any
+    other value (a str, an int, a bool, None) as it is."""
+    if isinstance(x, Fraction):
+        return str(x)
+    if isinstance(x, float):
+        return {"value": x, "approx": True}
+    if isinstance(x, (tuple, list)):
+        return [report_value(v) for v in x]
+    if isinstance(x, dict):
+        return {k: report_value(v) for k, v in x.items()}
+    to_json = getattr(x, "to_json", None)
+    return x if to_json is None else to_json()
+
+
+def report_json(record: object) -> dict:
+    """A frozen record's report: each field by report_value, in declaration order."""
+    return {name: report_value(getattr(record, name)) for name in record.__match_args__}
 
 
 class MultsysError(ValueError):

@@ -28,6 +28,7 @@ from .errors import (
     OutOfRange,
     TooLarge,
     frozen,
+    report_json,
 )
 from .moments import (
     BoundedSystem,
@@ -138,20 +139,20 @@ class KhintchineReport:
     rhs_pth_power: Fraction | None = None
 
     def to_json(self) -> dict:
-        out: dict = {
-            "p": self.p,
-            "mode": self.mode,
-            "constant": {"value": self.constant, "approx": True},
-            "constant_as_printed": {"value": self.constant_as_printed, "approx": True},
-            "lhs_norm": {"value": self.lhs_norm, "approx": True},
-            "rhs": {"value": self.rhs, "approx": True},
-            "holds": self.holds,
-            "exact": self.exact,
-        }
-        if self.lhs_pth_power is not None:
-            out["lhs_pth_power"] = str(self.lhs_pth_power)
-            out["rhs_pth_power"] = str(self.rhs_pth_power)
+        # p is echoed as given; the p-th powers are there only when compared exactly
+        out = {**report_json(self), "p": self.p}
+        if self.lhs_pth_power is None:
+            del out["lhs_pth_power"], out["rhs_pth_power"]
         return out
+
+
+def even_integer_family(p: float | int, n: int) -> IndexFamily | None:
+    """The family even_integer mode checks n functions multiplicative
+    over, the subsets of at most min(p, n) members, or None unless p is an
+    even int > 2, which the mode needs."""
+    if isinstance(p, int) and p % 2 == 0 and p > 2:
+        return IndexFamily.cardinality_cap(min(p, n))
+    return None
 
 
 def verify_khintchine(
@@ -179,12 +180,12 @@ def verify_khintchine(
     variants = khintchine_constant_variants(float(p))
     lhs_pow = rhs_pow = None
     if mode == "even_integer":
-        if not isinstance(p, int) or p % 2 != 0 or p <= 2:
+        fam = even_integer_family(p, sys.n)
+        if fam is None:
             raise OutOfRange(f"even_integer mode needs an even integer p > 2, got {p}")
-        fam = IndexFamily.cardinality_cap(min(p, sys.n))
         if not is_multiplicative(sys, fam):
             raise NotMultiplicative(
-                f"system is not multiplicative over subsets of size <= {min(p, sys.n)}"
+                f"system is not multiplicative over subsets of size <= {fam.cap}"
             )
         lhs_pow = combination_integral(sys, cs, ConvexSpec.power(p)) / sys.domain_length
         rhs_pow = double_factorial(p - 1) * sum_sq ** (p // 2)
@@ -222,14 +223,7 @@ class TailReport:
     mu: Fraction
     holds: bool
 
-    def to_json(self) -> dict:
-        return {
-            "level": str(self.level),
-            "exact_measure": str(self.exact_measure),
-            "bound": {"value": self.bound, "approx": True},
-            "mu": str(self.mu),
-            "holds": self.holds,
-        }
+    to_json = report_json
 
 
 def hoeffding_tail(
@@ -277,12 +271,7 @@ class MgfReport:
     rhs: float
     holds: bool
 
-    def to_json(self) -> dict:
-        return {
-            "lhs": {"value": self.lhs, "approx": True},
-            "rhs": {"value": self.rhs, "approx": True},
-            "holds": self.holds,
-        }
+    to_json = report_json
 
 
 def mgf_factor_check(lo: Rational, hi: Rational, gamma: float) -> MgfReport:

@@ -32,6 +32,7 @@ from .errors import (
     _guard_subsets,
     _validate_subset,
     frozen,
+    report_value,
 )
 
 TYPE_CHECKING = False  # True to a type checker; at run time numpy stays unloaded
@@ -248,12 +249,10 @@ class TruncatedMuReport:
     violations: tuple[tuple[int, ...], ...]
 
     def to_json(self) -> dict:
+        # every field but the entries, which stay in-process
         return {
-            "mu_truncated": {"value": self.mu_truncated, "approx": True},
-            "global_bound": {"value": self.global_bound, "approx": True},
-            "tail_bound": {"value": self.tail_bound, "approx": True},
-            "holds": self.holds,
-            "violations": [list(v) for v in self.violations],
+            name: report_value(getattr(self, name))
+            for name in self.__match_args__ if name != "entries"
         }
 
 

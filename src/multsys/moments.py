@@ -36,6 +36,8 @@ from .errors import (
     _guard_subsets,
     _validate_subset,
     frozen,
+    report_json,
+    report_value,
 )
 from .stepfn import (
     ConvexSpec,
@@ -162,22 +164,18 @@ class BoundedSystem:
         """C_k = min(-A_k, B_k), the symmetric value capacity of each function."""
         return tuple(min(-lo, hi) for lo, hi in zip(self.lower_bounds, self.upper_bounds))
 
-    def to_json(self) -> dict:
-        return {
-            "functions": [f.to_json() for f in self.functions],
-            "lower_bounds": [str(b) for b in self.lower_bounds],
-            "upper_bounds": [str(b) for b in self.upper_bounds],
-        }
+    to_json = report_json
 
     @classmethod
     def from_json(cls, obj: dict) -> "BoundedSystem":
         try:
-            fns = tuple(StepFunction.from_json(o) for o in json_list(obj, "functions"))
+            fns = json_list(obj, "functions")
             lo = tuple(map(as_fraction, json_list(obj, "lower_bounds")))
             hi = tuple(map(as_fraction, json_list(obj, "upper_bounds")))
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad system object: {exc}") from exc
-        return cls(fns, lo, hi)
+        # built past the try, so a function's own error keeps its type and message
+        return cls(tuple(map(StepFunction.from_json, fns)), lo, hi)
 
 
 def symmetric_system(functions: Sequence[StepFunction], bound: Rational = 1) -> BoundedSystem:
@@ -254,6 +252,18 @@ class IndexFamily:
         return f"l={self.cap}"
 
 
+def family_top(n: int, fam: IndexFamily) -> int:
+    """The most members a subset of a capped or full family over n
+    functions has, its cap or n, once that lies in 1..n and the family's
+    subsets fit under FAMILY_CAP.  Needs n alone, so a pool can be sized
+    before any function is built."""
+    l = n if fam.cap is None else fam.cap
+    if not 1 <= l <= n:
+        raise CapTooLarge(f"cardinality cap must lie in 1..{n}, got {l}")
+    _guard_subsets(n, l, FAMILY_CAP)
+    return l
+
+
 def enumerate_family(n: int, fam: IndexFamily) -> list[Subset]:
     """Materialize the family for a system of n functions, canonically ordered."""
     if fam.subsets is not None:
@@ -263,10 +273,7 @@ def enumerate_family(n: int, fam: IndexFamily) -> list[Subset]:
         if len(validated) != len(fam.subsets):
             raise BadSubset("explicit family contains duplicate subsets")
         return validated
-    l = n if fam.cap is None else fam.cap
-    if not 1 <= l <= n:
-        raise CapTooLarge(f"cardinality cap must lie in 1..{n}, got {l}")
-    _guard_subsets(n, l, FAMILY_CAP)
+    l = family_top(n, fam)
     out: list[Subset] = []
     for v in range(1, l + 1):
         out.extend(combinations(range(1, n + 1), v))
@@ -418,7 +425,7 @@ class MomentTable:
 
     def to_json(self) -> list[dict]:
         return [
-            {"subset": list(s), "moment": str(m), "normalized": str(d)}
+            {"subset": list(s), "moment": report_value(m), "normalized": report_value(d)}
             for s, m, d in zip(self.subsets, self.moments, self.normalized)
         ]
 

@@ -27,7 +27,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import stepfn
-from .errors import BadArity, CapacityExceeded, NonZeroMean, NotTwoValued, TraceMismatch, frozen
+from .errors import (
+    BadArity, CapacityExceeded, NonZeroMean, NotTwoValued, TraceMismatch, frozen, report_json,
+)
 from .moments import (
     BoundedSystem,
     IndexFamily,
@@ -443,16 +445,7 @@ class ReductionTrace:
     xi: BoundedSystem
     moment_tables: dict[str, MomentTable]
 
-    def to_json(self) -> dict:
-        return {
-            "mu": str(self.mu),
-            "family": [list(s) for s in self.family],
-            "input_system": self.input_system.to_json(),
-            "extended": self.extended.to_json(),
-            "binarized": self.binarized.to_json(),
-            "xi": self.xi.to_json(),
-            "moment_tables": {k: t.to_json() for k, t in self.moment_tables.items()},
-        }
+    to_json = report_json
 
 
 def reduce_to_independent(sys: BoundedSystem, fam: IndexFamily) -> ReductionTrace:
@@ -507,19 +500,7 @@ class DominationReport:
     phi: str
 
     def to_json(self) -> dict:
-        def side(x: Fraction | float) -> object:
-            if isinstance(x, Fraction):
-                return str(x)
-            return {"value": x, "approx": True}
-
-        return {
-            "phi": self.phi,
-            "lhs": side(self.lhs),
-            "rhs": side(self.rhs),
-            "mu": str(self.mu),
-            "holds": self.holds,
-            "exact": self.exact,
-        }
+        return {"phi": self.phi, **report_json(self)}  # phi first
 
 
 def verify_domination(

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .errors import OutOfRange, TooLarge, WrongDomain, frozen
+from .errors import OutOfRange, TooLarge, WrongDomain, frozen, report_json
 from .moments import BoundedSystem, IndexFamily, MomentTable, symmetric_system
 from .stepfn import ConvexSpec, StepFunction, concat_many, dilate, scale, tile, value_range
 
@@ -54,8 +54,7 @@ class ReflectionGenerator:
     seed: StepFunction
     phi: StepFunction
 
-    def to_json(self) -> dict:
-        return {"seed": self.seed.to_json(), "phi": self.phi.to_json()}
+    to_json = report_json
 
 
 def build_phi(seed: StepFunction) -> ReflectionGenerator:
@@ -107,15 +106,7 @@ class RubinshteinReport:
     domination: DominationReport
     tail: TailReport
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "mu": str(self.mu),
-            "multiplicative": self.multiplicative,
-            "moments": self.moments.to_json(),
-            "domination": self.domination.to_json(),
-            "tail": self.tail.to_json(),
-        }
+    to_json = report_json
 
 
 def verify_rubinshtein(

@@ -45,6 +45,7 @@ from .errors import (
     UnsortedSamples,
     bounded_number,
     frozen,
+    report_value,
 )
 
 DEFAULT_PIECE_CAP = 1 << 20
@@ -250,10 +251,7 @@ class StepFunction:
     # -- serialization --------------------------------------------
 
     def to_json(self) -> dict:
-        return {
-            "breakpoints": [str(b) for b in self.breakpoints],
-            "values": [str(v) for v in self.values],
-        }
+        return {"breakpoints": report_value(self.breakpoints), "values": report_value(self.values)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "StepFunction":

@@ -30,6 +30,7 @@ from .errors import (
     TooLarge,
     WindowExhausted,
     frozen,
+    report_json,
 )
 from .moments import BoundedSystem, IndexFamily, compute_moment_table, symmetric_system
 from .stepfn import (
@@ -94,6 +95,17 @@ def check_orthogonality(functions: Sequence[StepFunction], *, _first: int = 1) -
                 )
 
 
+def walsh_size(m: int) -> int:
+    """2**m, the number of functions of walsh_system(m) and of pieces of
+    each, if m is an order it builds: one in 0..WALSH_CAP whose pieces
+    the cap holds."""
+    if not 0 <= m <= WALSH_CAP:
+        raise TooLarge(f"walsh order must lie in 0..{WALSH_CAP}, got {m}")
+    pieces = 1 << m
+    _guard_pieces(pieces)
+    return pieces
+
+
 def walsh_system(m: int) -> OrthogonalSystem:
     """The 2**m Walsh functions on the dyadic grid of 2**m pieces.
 
@@ -102,11 +114,7 @@ def walsh_system(m: int) -> OrthogonalSystem:
     orthonormal and closed under products, which makes it the standard
     test bed for the greedy selector.
     """
-    if not 0 <= m <= WALSH_CAP:
-        raise TooLarge(f"walsh order must lie in 0..{WALSH_CAP}, got {m}")
-    pieces = 1 << m
-    _guard_pieces(pieces)
-    grid, den = uniform_grid(pieces)
+    grid, den = uniform_grid(walsh_size(m))
     # by doubling: of order m, row 2i is row i of order m - 1 twice (bit 0
     # picks no sign function) and row 2i + 1 is that row then its negation
     # (bit 0 picks the one that flips at the middle)
@@ -216,17 +224,7 @@ class SelectionCertificate:
     rho: int
     mu_total: Fraction
 
-    def to_json(self) -> dict:
-        return {
-            "chosen_indices": list(self.chosen_indices),
-            "per_step_sum": [str(s) for s in self.per_step_sum],
-            "per_step_bound_sq": [str(b) for b in self.per_step_bound_sq],
-            "per_step_bound": [{"value": b, "approx": True} for b in self.per_step_bound],
-            "threshold_ok": list(self.threshold_ok),
-            "windows": [list(w) for w in self.windows],
-            "rho": self.rho,
-            "mu_total": str(self.mu_total),
-        }
+    to_json = report_json
 
 
 def greedy_subsequence(

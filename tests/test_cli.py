@@ -12,7 +12,7 @@ import pytest
 
 import multsys
 from multsys import __version__, rademacher, symmetric_system
-from multsys import cli, moments, stepfn
+from multsys import cli, moments, stepfn, subseq
 from multsys.cli import build_parser, emit, main
 from multsys.errors import CapacityExceeded, OutOfRange
 from multsys.stepfn import POWER_CAP, ConvexSpec
@@ -1027,6 +1027,92 @@ def test_a_walsh_pool_error_keeps_its_cause(capsys, monkeypatch, cap, argv, mess
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+# (n, top) of each refused family; walsh:12 was refused at the parent only
+# after building 4,096 functions of 4,096 pieces.  Even_integer mode sizes a
+# pool of fewer than p functions by all its subsets.
+WALSH_REFUSALS = {
+    "analyze --system walsh:12": (4096, 4096),
+    "analyze --system walsh:12 --family l=2": (4096, 2),
+    "reduce --system walsh:12": (4096, 4096),
+    "tail --system walsh:12 --level 1": (4096, 4096),
+    "khintchine --system walsh:12 -p 4 --mode even_integer": (4096, 4),
+    "khintchine --system walsh:5 -p 34 --mode even_integer": (32, 32),
+}
+
+
+@pytest.mark.parametrize("call", list(WALSH_REFUSALS))
+def test_a_family_too_large_for_a_walsh_pool_is_refused_before_the_pool(
+    capsys, monkeypatch, call
+):
+    built = []
+    monkeypatch.setattr(subseq, "walsh_system", built.append)
+    code = main(call.split())
+    captured = capsys.readouterr()
+    assert (code, captured.out, built) == (2, "", [])
+    n, top = WALSH_REFUSALS[call]
+    assert captured.err == (
+        f"error: the subsets of 1..{n} with at most {top} members exceed the cap of 4194304\n"
+    )
+
+
+# under a family cap of 10: n = 8 (walsh:3) has 255 subsets, n = 4 has 15,
+# of which 10 have at most two members
+SIZED_EARLY = [
+    "analyze --system walsh:3",
+    "analyze --system walsh:3 --family l=1",
+    "analyze --system walsh:3 --family l=9",
+    "analyze --system rademacher:4 --family l=2",
+    "analyze --system rademacher:4 --family l=3",
+    "analyze --system rubinshtein:4:step:1,-1/2",
+    "reduce --system rademacher:4",
+    "tail --system walsh:3 --level 1",
+    "tail --system walsh:3 --level 1 --mu 0",
+    "khintchine --system walsh:3 -p 4 --mode even_integer",
+    "khintchine --system walsh:3 -p 3 --mode even_integer",
+    "khintchine --system walsh:3 -p 10 --mode even_integer",
+    "khintchine --system rademacher:3 -p 8 --mode even_integer",
+    "khintchine --system rademacher:3 -p 4 --mode even_integer",
+    "khintchine --system rademacher:4 -p 4",
+    "select --system walsh:3 --steps 1",
+]
+
+
+@pytest.mark.parametrize("call", SIZED_EARLY)
+def test_sizing_a_family_early_refuses_what_the_enumeration_refuses(
+    capsys, monkeypatch, call
+):
+    """Each call ends as it does when only enumerate_family checks the
+    family's size: the same exit code, report and message."""
+    monkeypatch.setattr(moments, "FAMILY_CAP", 10)
+    early = main(call.split() + ["--no-meta"]), *capsys.readouterr()
+    monkeypatch.setattr(cli, "_size_family", lambda n, fam: None)
+    late = main(call.split() + ["--no-meta"]), *capsys.readouterr()
+    assert early == late
+
+
+def test_a_family_too_large_is_named_before_a_fault_found_later(capsys, monkeypatch):
+    """The family is sized before the pool is built, so of two faults in
+    one call it is named first: here before a bad integrand, which the
+    enumeration alone would meet only after the family was parsed."""
+    monkeypatch.setattr(moments, "FAMILY_CAP", 10)
+    assert main(["reduce", "--system", "walsh:3", "--phi", "power:x"]) == 2
+    assert capsys.readouterr().err == (
+        "error: the subsets of 1..8 with at most 8 members exceed the cap of 10\n"
+    )
+
+
+def test_a_system_file_past_the_piece_cap_names_the_cap():
+    path = Path(__file__).resolve().parent / "data" / "off_unit_system.json"
+    out = run_child(
+        "import sys\n"
+        "from multsys.cli import main\n"
+        f"sys.exit(main(['reduce', '--system', {str(path)!r}]))\n",
+        "3",
+    )
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == "error: 4 pieces exceed the cap of 3\n"
 
 
 def test_reduce_refuses_a_14_function_extension_by_its_count(

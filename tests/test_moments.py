@@ -1,10 +1,13 @@
 """Mixed moments, index families and the multiplicative error."""
 
+import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from multsys import stepfn
 from multsys import (
     BoundedSystem,
     IndexFamily,
@@ -21,11 +24,15 @@ from multsys import (
 from multsys.errors import (
     BadBounds,
     BadSubset,
+    CapacityExceeded,
     CapTooLarge,
     DomainMismatch,
+    NonAscendingBreakpoints,
     ParseError,
     ValueOutOfBounds,
 )
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def rademacher_system(n):
@@ -135,3 +142,19 @@ def test_system_json_requires_lists():
     for key in ("functions", "lower_bounds", "upper_bounds"):
         with pytest.raises(ParseError):
             BoundedSystem.from_json({**obj, key: "1"})
+
+
+def test_a_system_object_keeps_its_functions_own_errors(monkeypatch):
+    """Only the object's shape is a parse error: a function past the piece
+    cap or with bad breakpoints is refused by its own constructor."""
+    obj = json.loads((DATA / "off_unit_system.json").read_text())
+    monkeypatch.setattr(stepfn, "PIECE_CAP", 3)
+    with pytest.raises(CapacityExceeded) as refused:
+        BoundedSystem.from_json(obj)
+    assert not isinstance(refused.value, ParseError)
+    assert str(refused.value) == "4 pieces exceed the cap of 3"
+    monkeypatch.undo()
+    obj["functions"][0]["breakpoints"][1] = "0"
+    with pytest.raises(NonAscendingBreakpoints) as refused:
+        BoundedSystem.from_json(obj)
+    assert not isinstance(refused.value, ParseError)
