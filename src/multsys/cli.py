@@ -160,16 +160,11 @@ def parse_system(text: str, family: Family | None = None) -> BoundedSystem:
     kind, _, rest = text.partition(":")
     if kind == "rademacher" and rest:
         from . import stepfn
-        from .errors import CapacityExceeded
 
         n = _parse_int(rest, f"size in {text!r}")
         if n < 1:
             raise ParseError(f"need at least one function, got {n}")
-        # 2**n > cap exactly when n >= cap.bit_length(), with no 2**n built
-        if n >= stepfn.PIECE_CAP.bit_length():
-            raise CapacityExceeded(
-                f"rademacher:{n} needs 2**{n} pieces, beyond the cap of {stepfn.PIECE_CAP}"
-            )
+        stepfn.dyadic_pieces(n, f"rademacher:{n}")
         _size_family(n, family)
         return symmetric_system([stepfn.rademacher(k) for k in range(1, n + 1)])
     if kind == "walsh" and rest:
@@ -358,7 +353,7 @@ def cmd_lacunary(args: SimpleNamespace) -> Outcome:
     }
     if args.split_target is not None:
         parts = split_for_growth(spec, parse_float(args.split_target, "split target"))
-        payload["split"] = [{"tau": list(p.tau), "lam": p.lam} for p in parts]
+        payload["split"] = [{"tau": list(p.tau), "lam": report_value(p.lam)} for p in parts]
     return payload, [report.holds, not report.violations]
 
 

@@ -38,7 +38,7 @@ from .moments import (
     is_multiplicative,
     multiplicative_error,
 )
-from .stepfn import REL_TOL, ConvexSpec, Rational, _mass_where, as_fraction
+from .stepfn import ConvexSpec, Rational, _mass_where, as_fraction, within_tolerance
 
 TAIL_TOL = 1e-12
 MGF_TOL = 1e-12
@@ -196,7 +196,7 @@ def verify_khintchine(
         moment = combination_integral(sys, cs, ConvexSpec.power(p))
         lhs = (float(moment) / float(sys.domain_length)) ** (1.0 / p)
         rhs = variants["corrected"] * math.sqrt(float(sum_sq))
-        holds = lhs <= rhs or (lhs - rhs) <= REL_TOL * max(abs(lhs), abs(rhs), 1.0)
+        holds = within_tolerance(lhs, rhs)
     else:
         raise OutOfRange(f"unknown mode {mode!r}")
     return KhintchineReport(

@@ -386,21 +386,9 @@ def family_sums(hist: PatternHistogram, subsets: Sequence[Subset]) -> list[int]:
 ZERO = Fraction(0)
 
 
-def _moment(num: int, subset: Subset, den: int, dens: Sequence[int], T: Fraction) -> Fraction:
-    """The moment whose lattice sum over the subset is num."""
-    if not num:
-        return ZERO
-    return Fraction(
-        num * T.denominator, den * math.prod(dens[k - 1] for k in subset) * T.numerator
-    )
-
-
 def mixed_moment(sys: BoundedSystem, subset: Sequence[int]) -> Fraction:
     """E[prod_{k in subset} phi_k] under the uniform law on [0, T)."""
-    s = _validate_subset(subset, sys.n)
-    hist = sys.histogram
-    mask = mask_of(s)
-    return _moment(lattice_sums(hist, (mask,))[mask], s, hist[1], hist[2], sys.domain_length)
+    return moment_table(sys, (_validate_subset(subset, sys.n),)).moments[0]
 
 
 @frozen
@@ -448,7 +436,9 @@ def moment_table(sys: BoundedSystem, subsets: tuple[Subset, ...]) -> MomentTable
     moments: list[Fraction] = []
     normalized: list[Fraction] = []
     for s, num in zip(subsets, nums):
-        m = _moment(num, s, den, dens, T)
+        m = ZERO if not num else Fraction(
+            num * T.denominator, den * math.prod(dens[k - 1] for k in s) * T.numerator
+        )
         moments.append(m)
         # capacities are positive, so only the moment carries a sign
         normalized.append(m if not num else Fraction(

@@ -44,13 +44,14 @@ from .moments import (
     moment_table,
 )
 from .stepfn import (
-    REL_TOL,
     ConvexSpec,
     Rational,
     StepFunction,
     _guard_pieces,
     _law,
-    uniform_grid,
+    dyadic_pieces,
+    sign_functions,
+    within_tolerance,
 )
 
 
@@ -67,17 +68,15 @@ def walsh_cancellation_system(nu: int) -> list[StepFunction]:
     """
     if nu < 2:
         raise BadArity(f"need at least two functions, got {nu}")
-    rows = _walsh_signs(nu)
-    grid, den = uniform_grid(len(rows[0]))
-    return [StepFunction._from_parts(grid, den, row, 1) for row in rows]
+    dyadic_pieces(nu - 1, f"walsh_cancellation_system({nu})")
+    return sign_functions(_walsh_signs(nu))
 
 
 def _walsh_signs(nu: int) -> list[tuple[int, ...]]:
     """The sign rows of walsh_cancellation_system(nu) on its 2**(nu - 1)
-    equal pieces, the piece count checked against the cap first.  For
-    nu == 1 the one row is (1,)."""
+    equal pieces, a count the caller has held to the cap.  For nu == 1
+    the one row is (1,)."""
     pieces = 1 << (nu - 1)
-    _guard_pieces(pieces)
     rows: list[tuple[int, ...]] = []
     for k in range(1, nu):
         w = pieces >> k  # row k: w ones then w minus ones, 2**(k - 1) times over
@@ -102,7 +101,10 @@ def flip_cancellation_system(nu: int) -> list[StepFunction]:
     """
     if nu < 2:
         raise BadArity(f"need at least two functions, got {nu}")
-    _guard_pieces(1 << ((1 << nu) - 2))
+    what, exponent = f"flip_cancellation_system({nu})", f"(2**{nu} - 2)"
+    # 2**nu - 2 >= nu: a nu past the cap is refused before 2**nu is built
+    dyadic_pieces(nu, what, exponent)
+    dyadic_pieces((1 << nu) - 2, what, exponent)
     rows: list[list[int]] = [[1] for _ in range(nu)]
     proper: list[Subset] = []
     for r in range(1, nu):
@@ -119,8 +121,7 @@ def flip_cancellation_system(nu: int) -> list[StepFunction]:
                 new = [v for v in row for _ in (0, 1)]
             doubled.append(new)
         rows = doubled
-    grid, den = uniform_grid(len(rows[0]))
-    return [StepFunction._from_parts(grid, den, tuple(row), 1) for row in rows]
+    return sign_functions(rows)
 
 
 # ------------------------------------------------------------------ extension
@@ -538,9 +539,7 @@ def verify_domination(
     else:
         lhs_val = float(lhs) / float(T)
         rhs_val = float(factor) * float(rhs) / float(T)
-        holds = lhs_val <= rhs_val or (lhs_val - rhs_val) <= REL_TOL * max(
-            abs(lhs_val), abs(rhs_val), 1.0
-        )
+        holds = within_tolerance(lhs_val, rhs_val)
     return DominationReport(
         lhs=lhs_val,
         rhs=rhs_val,

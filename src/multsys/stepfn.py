@@ -100,6 +100,22 @@ def _guard_pieces(count: int) -> None:
         raise CapacityExceeded(f"{count} pieces exceed the cap of {PIECE_CAP}")
 
 
+def dyadic_pieces(k: int, what: str, exponent: str | None = None) -> int:
+    """2**k, the pieces what needs, if the cap admits them, which is exactly
+    when k < cap.bit_length(): a refused 2**k is never built.  The refusal
+    writes k as the text exponent when one is given."""
+    if k >= PIECE_CAP.bit_length():
+        raise CapacityExceeded(
+            f"{what} needs 2**{exponent or k} pieces, beyond the cap of {PIECE_CAP}"
+        )
+    return 1 << k
+
+
+def within_tolerance(lhs: float, rhs: float) -> bool:
+    """Whether the float lhs <= rhs holds up to relative slack REL_TOL."""
+    return lhs <= rhs or (lhs - rhs) <= REL_TOL * max(abs(lhs), abs(rhs), 1.0)
+
+
 # ------------------------------------------------------------------ integer kernel
 
 def int_row(xs: Sequence[Rational]) -> tuple[list[int], int]:
@@ -152,12 +168,6 @@ def _law(keys: Iterable, lengths: Iterable[int]) -> dict:
     return mass
 
 
-def uniform_grid(pieces: int) -> tuple[tuple[int, ...], int]:
-    """Breakpoints i / pieces for i = 0..pieces, as (grid, den): valid and in
-    lowest terms, so every function built on it keeps this very tuple."""
-    return tuple(range(pieces + 1)), pieces
-
-
 @frozen
 class StepFunction:
     """Piecewise-constant function on [0, breakpoints[-1]).
@@ -193,8 +203,8 @@ class StepFunction:
 
         The piece count is not checked against the cap here: every kernel
         that makes more pieces than an input had guards the count it makes
-        (_guard_pieces), so a result no larger than a guarded input reads
-        no cap again."""
+        (_guard_pieces, dyadic_pieces), so a result no larger than a guarded
+        input reads no cap again."""
         return cls._from_parts(*_lowest(grid, den), *_lowest(row, q))
 
     @classmethod
@@ -281,16 +291,22 @@ def constant(value: Rational, length: Rational = 1) -> StepFunction:
     )
 
 
+def sign_functions(rows: Sequence[Sequence[int]]) -> list[StepFunction]:
+    """One function on [0, 1) per +-1 row, all of one length P, with row[i]
+    on [i / P, (i + 1) / P): valid in lowest terms, so nothing is checked,
+    and every function shares one grid tuple."""
+    pieces = len(rows[0])
+    grid = tuple(range(pieces + 1))
+    return [StepFunction._from_parts(grid, pieces, tuple(row), 1) for row in rows]
+
+
 def rademacher(k: int) -> StepFunction:
     """k-th dyadic sign function on [0, 1): +1 then -1 alternating on 2**k
     equal pieces.  dilate(rademacher(k), 1 / L) is the one on [0, L)."""
     if k < 1:
         raise OutOfRange("rademacher index must be >= 1")
-    # 2**k > cap exactly when k >= cap.bit_length(), with no 2**k built
-    if k >= PIECE_CAP.bit_length():
-        raise CapacityExceeded(f"2**{k} pieces exceed the cap of {PIECE_CAP}")
-    pieces = 1 << k
-    return StepFunction._from_parts(*uniform_grid(pieces), (1, -1) * (pieces // 2), 1)
+    pieces = dyadic_pieces(k, f"rademacher({k})")
+    return sign_functions([(1, -1) * (pieces // 2)])[0]
 
 
 # ------------------------------------------------------------------ refinement
@@ -632,14 +648,10 @@ class ConvexSpec:
         return self.kind != "exp" and (self.kind != "power" or isinstance(self.param, int))
 
     def float_value(self, t: float) -> float:
-        if self.kind == "power":
-            return abs(t) ** float(self.param)  # type: ignore[arg-type]
+        """Phi(t) for the kinds that are not is_exact: exp, fractional power."""
         if self.kind == "exp":
             return math.exp(float(self.param) * t)  # type: ignore[arg-type]
-        if self.kind == "hinge_square":
-            gap = t - float(self.param)  # type: ignore[arg-type]
-            return gap * gap if gap > 0 else 0.0
-        return abs(t)
+        return abs(t) ** float(self.param)  # type: ignore[arg-type]
 
 
 def convex_expectation(f: StepFunction, spec: ConvexSpec) -> Fraction | float:

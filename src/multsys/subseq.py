@@ -35,13 +35,13 @@ from .errors import (
 from .moments import BoundedSystem, IndexFamily, compute_moment_table, symmetric_system
 from .stepfn import (
     StepFunction,
-    _guard_pieces,
+    dyadic_pieces,
     int_grid,
     integral,
     product,
     rademacher,
     scale,
-    uniform_grid,
+    sign_functions,
 )
 
 PRODUCT_STEP_CAP = 16
@@ -101,9 +101,7 @@ def walsh_size(m: int) -> int:
     the cap holds."""
     if not 0 <= m <= WALSH_CAP:
         raise TooLarge(f"walsh order must lie in 0..{WALSH_CAP}, got {m}")
-    pieces = 1 << m
-    _guard_pieces(pieces)
-    return pieces
+    return dyadic_pieces(m, f"walsh_system({m})")
 
 
 def walsh_system(m: int) -> OrthogonalSystem:
@@ -114,7 +112,7 @@ def walsh_system(m: int) -> OrthogonalSystem:
     orthonormal and closed under products, which makes it the standard
     test bed for the greedy selector.
     """
-    grid, den = uniform_grid(walsh_size(m))
+    walsh_size(m)
     # by doubling: of order m, row 2i is row i of order m - 1 twice (bit 0
     # picks no sign function) and row 2i + 1 is that row then its negation
     # (bit 0 picks the one that flips at the middle)
@@ -122,7 +120,7 @@ def walsh_system(m: int) -> OrthogonalSystem:
     for _ in range(m):
         rows = [r + s for r in rows for s in (r, tuple(map(operator.neg, r)))]
     return OrthogonalSystem(
-        functions=tuple(StepFunction._from_parts(grid, den, row, 1) for row in rows),
+        functions=tuple(sign_functions(rows)),
         sup_bound=Fraction(1),
         certified_orthogonal=True,
     )

@@ -27,6 +27,7 @@ from multsys.errors import (
     OutOfRange,
     TauTooSmall,
 )
+from multsys.lacunary import FrequencyTerm
 
 
 def test_geometric_spec_certifies_the_ratio():
@@ -175,6 +176,11 @@ def test_split_for_growth_interleaves():
         assert part.lam >= 3.0
     fast = geometric_spec(3, 2, 4)
     assert split_for_growth(fast, target=3.0) == [fast]
+    # two frequencies at ratio 1.1 need a stride of 12, whose last ten offsets are empty
+    pair = explicit_spec((1.0, 1.1), 1.05)
+    assert split_for_growth(pair, target=3.0) == [
+        LacunarySpec(tau=(1.0,), lam=1.1**12), LacunarySpec(tau=(1.1,), lam=1.1**12)
+    ]
     with pytest.raises(NotLacunary):
         split_for_growth(LacunarySpec(tau=(1.0, 1.0), lam=1.0), target=3.0)
 
@@ -191,3 +197,20 @@ def test_quadrature_respects_the_panel_cap():
     spec = geometric_spec(8, 1.3, 8)
     with pytest.raises(CapacityExceeded):
         quadrature_product_integral(spec, (8,), max_panels=1000)
+    # the seed grid fits, but no doubling does, so no second estimate is made
+    with pytest.raises(CapacityExceeded, match="^no convergence within 16 panels "):
+        quadrature_product_integral(spec, (1,), max_panels=16)
+
+
+def test_a_negative_intermediate_frequency_is_folded_by_parity():
+    """sin(2 pi x) sin(3 pi x) sin(4 pi x): the harmonic 1.5 - 2.5 folds to
+    sin at 0.5 with its sign flipped, and the closed form meets the quadrature."""
+    spec = explicit_spec((1.0, 1.5, 2.0), 1.3)
+    assert expand_product(spec, (1, 2, 3)).terms == (
+        FrequencyTerm(freq=2.5, kind="sin", coef=0.25),
+        FrequencyTerm(freq=1.5, kind="sin", coef=0.25),
+        FrequencyTerm(freq=4.5, kind="sin", coef=-0.25),
+        FrequencyTerm(freq=0.5, kind="sin", coef=0.25),
+    )
+    quad = quadrature_product_integral(spec, (1, 2, 3))
+    assert abs(product_integral(spec, (1, 2, 3)) - quad) < 1e-9

@@ -92,6 +92,11 @@ def test_rademacher_moments_vanish():
     assert mixed_moment(sys_obj, (1, 2, 3, 4)) == 0
 
 
+def test_the_empty_system_is_multiplicative_over_the_empty_family():
+    # the grid of no functions and the lattice fold over no coordinates
+    assert is_multiplicative(BoundedSystem((), (), ()), IndexFamily.explicit([]))
+
+
 def test_duplicated_function_gives_unit_error():
     r1 = rademacher(1)
     sys_obj = symmetric_system([r1, r1])

@@ -3,6 +3,7 @@
 import pickle
 import random
 import sys
+import time
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -86,6 +87,24 @@ def test_cancellation_size_guards():
         flip_cancellation_system(1)
     with pytest.raises(CapacityExceeded):
         flip_cancellation_system(5)
+
+
+@pytest.mark.parametrize(
+    "build, nu, message",
+    [
+        (flip_cancellation_system, 15, "flip_cancellation_system(15) needs 2**(2**15 - 2)"),
+        (flip_cancellation_system, 64, "flip_cancellation_system(64) needs 2**(2**64 - 2)"),
+        (walsh_cancellation_system, 20000, "walsh_cancellation_system(20000) needs 2**19999"),
+    ],
+)
+def test_a_cancellation_system_past_the_cap_is_refused_from_its_exponent(build, nu, message):
+    """The refusal reads nu alone: no 2**(2**nu - 2) is built and no count
+    too long to print is formatted."""
+    start = time.perf_counter()
+    with pytest.raises(CapacityExceeded) as refused:
+        build(nu)
+    assert time.perf_counter() - start < 0.1
+    assert str(refused.value) == f"{message} pieces, beyond the cap of {stepfn.PIECE_CAP}"
 
 
 def test_extension_leaves_multiplicative_systems_alone():

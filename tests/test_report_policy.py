@@ -159,11 +159,10 @@ CALLS = {
 # the paths that may hold raw floats, beside the config block, which echoes
 # the inputs; "*" stands for any list index.  khintchine's p is the order as
 # given.  lacunary's split writes each part's tau as config writes the whole
-# sequence, and each part's lam raw too, though it is computed: a known
-# exception to the policy, not part of it
+# sequence; each part's lam is computed, so it is an approx object
 RAW = {
     "khintchine": {("p",)},
-    "lacunary": {("split", "*", "tau", "*"), ("split", "*", "lam")},
+    "lacunary": {("split", "*", "tau", "*")},
 }
 
 

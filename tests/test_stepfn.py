@@ -42,7 +42,7 @@ from multsys.errors import (
 )
 from multsys.errors import MAX_DIGITS
 from multsys import stepfn
-from multsys.stepfn import as_fraction, piece_cap
+from multsys.stepfn import REL_TOL, as_fraction, piece_cap, within_tolerance
 
 
 def test_validation_rejects_bad_shapes():
@@ -85,11 +85,17 @@ def test_rademacher_alternates_starting_positive():
 
 
 def test_rademacher_compares_exponents_before_building_any_piece(monkeypatch):
-    with pytest.raises(CapacityExceeded, match=r"^2\*\*100000000000 pieces exceed the cap of 1048576$"):
+    with pytest.raises(
+        CapacityExceeded,
+        match=r"^rademacher\(100000000000\) needs 2\*\*100000000000 pieces, "
+        r"beyond the cap of 1048576$",
+    ):
         rademacher(10**11)
     monkeypatch.setattr(stepfn, "PIECE_CAP", 4)
     assert rademacher(2).piece_count == 4
-    with pytest.raises(CapacityExceeded, match=r"^2\*\*3 pieces exceed the cap of 4$"):
+    with pytest.raises(
+        CapacityExceeded, match=r"^rademacher\(3\) needs 2\*\*3 pieces, beyond the cap of 4$"
+    ):
         rademacher(3)
 
 
@@ -201,6 +207,39 @@ def test_approx_by_steps_backfills_and_validates():
         approx_by_steps([(1.5, 1.0)])
     with pytest.raises(EmptyDomain):
         approx_by_steps([])
+
+
+def test_a_sample_at_zero_sets_the_first_value():
+    f = approx_by_steps([(0.0, 2.0), (0.5, -1.0)])
+    assert f == make_step([0, "1/2", 1], [2, -1])
+
+
+def inline_verdict(lhs, rhs):
+    """The float verdict as verify_domination and verify_khintchine wrote it inline."""
+    return lhs <= rhs or (lhs - rhs) <= REL_TOL * max(abs(lhs), abs(rhs), 1.0)
+
+
+@pytest.mark.parametrize(
+    "lhs, rhs, holds",
+    [
+        (3.0, 3.0, True),  # equal sides
+        (-2.5, -2.5, True),
+        (1.0, 2.0, True),
+        (1000.0, 1000.0 - 0.99e-6, True),  # a gap just under REL_TOL * |lhs|
+        (1000.0, 1000.0 - 1.01e-6, False),  # and just over
+        (0.5, 0.5 - 0.99e-9, True),  # both sides below 1: the slack is REL_TOL itself
+        (0.5, 0.5 - 1.01e-9, False),
+        (-0.25, -0.25 - 0.99e-9, True),
+        (1e-12, -0.99e-9, True),
+        (1e-12, -1.01e-9, False),
+    ],
+)
+def test_the_float_verdict_is_the_inline_expression_at_its_edges(lhs, rhs, holds):
+    assert within_tolerance(lhs, rhs) is inline_verdict(lhs, rhs) is holds
+    # the float on either side of the boundary the slack draws
+    edge = lhs - REL_TOL * max(abs(lhs), 1.0)
+    for r in (math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)):
+        assert within_tolerance(lhs, r) is inline_verdict(lhs, r)
 
 
 def test_json_round_trip_is_exact():
