@@ -149,17 +149,22 @@ def _validate_subset(s: object, n: int) -> tuple[int, ...]:
     return t
 
 
-def _guard_subsets(n: int, top: int, cap: int) -> None:
-    """Refuse the subsets of 1..n with 1..top members if they number more
-    than cap: comb(n, v) is added for v = 1, 2, ... only until the sum
-    passes cap, so a refusal costs a few terms, however large n is."""
+def beyond_cap(what: str, need: object, cap: object, unit: str = "pieces") -> CapacityExceeded:
+    """The one refusal at a size cap: the stage, what it needs, and the cap."""
+    return CapacityExceeded(f"{what} needs {need} {unit}, beyond the cap of {cap}")
+
+
+def _guard_subsets(n: int, top: int, cap: int, what: str = "", harmonics: bool = False) -> None:
+    """Refuse the subsets of 1..n with 1..top members, or with harmonics
+    the 2**(v - 1) terms a v-subset's sine product expands to, past cap:
+    sizes v = 1, 2, ... are added only until the sum passes cap, so a
+    refusal costs a few terms however large n is, and names a lower bound."""
     count = 0
     for v in range(1, top + 1):
-        count += math.comb(n, v)
+        count += math.comb(n, v) << (v - 1) * harmonics
         if count > cap:
-            raise CapacityExceeded(
-                f"the subsets of 1..{n} with at most {top} members exceed the cap of {cap}"
-            )
+            what = what or f"a family over 1..{n} up to size {top}"
+            raise beyond_cap(what, f"at least {count}", cap, "terms" if harmonics else "subsets")
 
 
 # CPython's default bound on int <-> str conversion: the CLI lifts it so that

@@ -24,13 +24,13 @@ from functools import lru_cache
 from itertools import combinations, product as iter_product
 
 from .errors import (
-    CapacityExceeded,
     LambdaTooSmall,
     NotLacunary,
     OutOfRange,
     TauTooSmall,
     _guard_subsets,
     _validate_subset,
+    beyond_cap,
     frozen,
     report_value,
 )
@@ -40,7 +40,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 ZERO_FREQ_TOL = 1e-12
-SUBSET_CAP = 1 << 22
+TERM_CAP = 1 << 22  # harmonic terms truncated_mu may expand
 QUAD_ORDER = 32  # Gauss-Legendre nodes per quadrature panel
 QUAD_TOL = 1e-12  # quadrature refining stops once two estimates agree within this
 
@@ -78,9 +78,9 @@ def geometric_spec(lam: float, tau1: float, n: int) -> LacunarySpec:
         raise TauTooSmall(f"frequencies must start at 1 or above, got {tau1}")
     if not lam > 1:
         raise NotLacunary(f"growth factor must exceed 1, got {lam}")
-    # each frequency is a subset of its own, so truncated_mu would refuse more
-    if n > SUBSET_CAP:
-        raise CapacityExceeded(f"{n} frequencies exceed the subset cap of {SUBSET_CAP}")
+    # each frequency is a term of its own, so truncated_mu would refuse more
+    if n > TERM_CAP:
+        raise beyond_cap("geometric_spec", n, TERM_CAP, "frequencies")
     tau = tuple(tau1 * lam ** (k - 1) for k in range(1, n + 1))
     certified = min(
         (b / a for a, b in zip(tau, tau[1:])), default=lam
@@ -270,7 +270,8 @@ def truncated_mu(spec: LacunarySpec, nu_max: int) -> TruncatedMuReport:
         raise OutOfRange(f"subset size cap must lie in 1..{spec.n}, got {nu_max}")
     if not spec.lam > 2:
         raise LambdaTooSmall(f"the global bound needs lambda > 2, got {spec.lam}")
-    _guard_subsets(spec.n, nu_max, SUBSET_CAP)
+    what = f"truncated_mu over {spec.n} frequencies up to size {nu_max}"
+    _guard_subsets(spec.n, nu_max, TERM_CAP, what, harmonics=True)
     entries = []
     violations = []
     mu = 0.0
@@ -371,9 +372,7 @@ def quadrature_product_integral(
     nodes, weights = _gauss_nodes()
     panels = max(16, math.ceil(total_freq / 4.0))
     if panels > max_panels:
-        raise CapacityExceeded(
-            f"oscillation needs {panels} panels, above the cap of {max_panels}"
-        )
+        raise beyond_cap("the quadrature", panels, max_panels, "panels")
 
     def estimate(p: int) -> float:
         h = 1.0 / p
@@ -396,6 +395,6 @@ def quadrature_product_integral(
         if abs(cur - prev) < QUAD_TOL:
             return cur
         prev = cur
-    raise CapacityExceeded(
-        f"no convergence within {max_panels} panels (last estimate {prev})"
+    raise beyond_cap(
+        f"the quadrature (last estimate {prev})", f"more than {max_panels}", max_panels, "panels"
     )

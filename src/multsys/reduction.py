@@ -26,10 +26,7 @@ from collections.abc import Collection, Sequence
 from fractions import Fraction
 from itertools import combinations
 
-from . import stepfn
-from .errors import (
-    BadArity, CapacityExceeded, NonZeroMean, NotTwoValued, TraceMismatch, frozen, report_json,
-)
+from .errors import BadArity, NonZeroMean, NotTwoValued, TraceMismatch, frozen, report_json
 from .moments import (
     BoundedSystem,
     IndexFamily,
@@ -166,10 +163,7 @@ def _extend(sys: BoundedSystem, table: MomentTable) -> BoundedSystem:
     if not blocks:
         return sys
     pieces = len(sys.grid[1]) + sum(1 << (len(s) - 1) for s, _, _ in blocks)
-    if pieces > stepfn.PIECE_CAP:
-        raise CapacityExceeded(
-            f"the extension needs {pieces} merged pieces, beyond the cap of {stepfn.PIECE_CAP}"
-        )
+    _guard_pieces(pieces, "the extension", "merged pieces")
     fs = sys.functions
     den = math.lcm(
         *{f._den for f in fs}, *{L.denominator << (len(s) - 1) for s, L, _ in blocks}
@@ -324,7 +318,7 @@ def binarize(sys: BoundedSystem) -> BoundedSystem:
                 new_row.append(lo_num)
                 v = lo_num
             last = v
-        _guard_pieces(len(row) + splits)
+        _guard_pieces(len(row) + splits, f"binarize at function {k + 1}")
         # valid by construction: every split point lies inside its piece
         functions[k] = StepFunction._from_ints(tuple(grid), W * d, tuple(vals), vq)
         qs.append(vq)

@@ -33,7 +33,6 @@ from functools import cached_property
 from itertools import accumulate, chain, repeat
 
 from .errors import (
-    CapacityExceeded,
     DomainMismatch,
     EmptyDomain,
     LengthMismatch,
@@ -43,6 +42,7 @@ from .errors import (
     OutOfRange,
     ParseError,
     UnsortedSamples,
+    beyond_cap,
     bounded_number,
     frozen,
     report_value,
@@ -95,9 +95,10 @@ def as_fraction(x: Rational) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
-def _guard_pieces(count: int) -> None:
+def _guard_pieces(count: int, what: str, unit: str = "pieces") -> None:
+    """Refuse the count pieces the stage what makes, if past the cap."""
     if count > PIECE_CAP:
-        raise CapacityExceeded(f"{count} pieces exceed the cap of {PIECE_CAP}")
+        raise beyond_cap(what, count, PIECE_CAP, unit)
 
 
 def dyadic_pieces(k: int, what: str, exponent: str | None = None) -> int:
@@ -105,9 +106,7 @@ def dyadic_pieces(k: int, what: str, exponent: str | None = None) -> int:
     when k < cap.bit_length(): a refused 2**k is never built.  The refusal
     writes k as the text exponent when one is given."""
     if k >= PIECE_CAP.bit_length():
-        raise CapacityExceeded(
-            f"{what} needs 2**{exponent or k} pieces, beyond the cap of {PIECE_CAP}"
-        )
+        raise beyond_cap(what, f"2**{exponent or k}", PIECE_CAP)
     return 1 << k
 
 
@@ -192,7 +191,7 @@ class StepFunction:
         row, q = int_row(values)
         vars(self).update(_grid=tuple(grid), _den=den, _row=tuple(row), _q=q)
         self.__post_init__()
-        _guard_pieces(len(row))
+        _guard_pieces(len(row), "a step function")
 
     @classmethod
     def _from_ints(
@@ -355,7 +354,7 @@ def _align(fs: Sequence[StepFunction]) -> tuple[tuple[int, ...], int, list[Seque
     scaled = [f._grid if f._den == den else [n * (den // f._den) for n in f._grid] for f in fs]
     merged = tuple(sorted(set().union(*scaled)))
     if len(merged) > max(map(len, scaled)):  # else no larger than a guarded input
-        _guard_pieces(len(merged) - 1)
+        _guard_pieces(len(merged) - 1, f"a merge of {len(fs)} functions")
     index = {n: i for i, n in enumerate(merged)}.__getitem__
     return merged, den, [list(map(index, row)) for row in scaled]
 
@@ -507,7 +506,7 @@ def concat_many(fs: Sequence[StepFunction]) -> StepFunction:
     """Concatenate several functions in one pass."""
     if not fs:
         raise EmptyDomain("concat of an empty list")
-    _guard_pieces(sum(len(f._row) for f in fs))
+    _guard_pieces(sum(len(f._row) for f in fs), f"a concatenation of {len(fs)} functions")
     den = math.lcm(*{f._den for f in fs})
     q = math.lcm(*{f._q for f in fs})
     grid = [0]
@@ -704,9 +703,7 @@ def exact_phi_integral(mass: dict[int, int], q: int, d: int, spec: ConvexSpec) -
     # |n|**p and q**p carry p times the bits of n and q; refuse before building them
     bits = max(q, max(map(abs, mass))).bit_length()
     if p * bits > POWER_BITS_CAP:  # type: ignore[operator]
-        raise CapacityExceeded(
-            f"power {p} of values of {bits} bits exceeds the cap of {POWER_BITS_CAP} bits"
-        )
+        raise beyond_cap(f"power {p} of {bits}-bit values", p * bits, POWER_BITS_CAP, "bits")
     num = sum(abs(n) ** p * ln for n, ln in mass.items())  # type: ignore[operator]
     return Fraction(num, q**p * d)  # type: ignore[operator]
 

@@ -23,12 +23,12 @@ from fractions import Fraction
 
 from .errors import (
     BoundViolation,
-    CapacityExceeded,
     EmptyCandidates,
     NotOrthogonal,
     OutOfRange,
     TooLarge,
     WindowExhausted,
+    beyond_cap,
     frozen,
     report_json,
 )
@@ -242,7 +242,9 @@ def greedy_subsequence(
     if steps < 1:
         raise OutOfRange(f"need at least one step, got {steps}")
     if steps > PRODUCT_STEP_CAP:
-        raise CapacityExceeded(f"2**{steps} products per step is beyond the cap")
+        raise beyond_cap(
+            "greedy_subsequence", f"2**{steps}", f"2**{PRODUCT_STEP_CAP}", "products per step"
+        )
     if sys.n < 1:
         raise EmptyCandidates("empty system")
     if sys.sup_bound <= 0:

@@ -561,7 +561,7 @@ def test_an_exact_power_past_its_bit_cap_exits_two_at_once(capsys, tmp_path):
     assert code == 2
     assert captured.out == ""
     assert captured.err == (
-        "error: power 1024 of values of 13286 bits exceeds the cap of 1048576 bits\n"
+        "error: power 1024 of 13286-bit values needs 13604864 bits, beyond the cap of 1048576\n"
     )
     assert elapsed < 1.0
     code, report = run(capsys, "reduce", "--system", str(path), "--phi", "power:64",
@@ -1033,16 +1033,16 @@ def test_a_walsh_pool_error_keeps_its_cause(capsys, monkeypatch, cap, argv, mess
     assert captured.err == f"error: {message}\n"
 
 
-# (n, top) of each refused family; walsh:12 was refused at the parent only
-# after building 4,096 functions of 4,096 pieces.  Even_integer mode sizes a
-# pool of fewer than p functions by all its subsets.
+# (n, top, the partial count refused) of each refused family; walsh:12 was
+# refused at the parent only after building 4,096 functions of 4,096 pieces.
+# Even_integer mode sizes a pool of fewer than p functions by all its subsets.
 WALSH_REFUSALS = {
-    "analyze --system walsh:12": (4096, 4096),
-    "analyze --system walsh:12 --family l=2": (4096, 2),
-    "reduce --system walsh:12": (4096, 4096),
-    "tail --system walsh:12 --level 1": (4096, 4096),
-    "khintchine --system walsh:12 -p 4 --mode even_integer": (4096, 4),
-    "khintchine --system walsh:5 -p 34 --mode even_integer": (32, 32),
+    "analyze --system walsh:12": (4096, 4096, 8390656),
+    "analyze --system walsh:12 --family l=2": (4096, 2, 8390656),
+    "reduce --system walsh:12": (4096, 4096, 8390656),
+    "tail --system walsh:12 --level 1": (4096, 4096, 8390656),
+    "khintchine --system walsh:12 -p 4 --mode even_integer": (4096, 4, 8390656),
+    "khintchine --system walsh:5 -p 34 --mode even_integer": (32, 32, 4514872),
 }
 
 
@@ -1055,9 +1055,10 @@ def test_a_family_too_large_for_a_walsh_pool_is_refused_before_the_pool(
     code = main(call.split())
     captured = capsys.readouterr()
     assert (code, captured.out, built) == (2, "", [])
-    n, top = WALSH_REFUSALS[call]
+    n, top, count = WALSH_REFUSALS[call]
     assert captured.err == (
-        f"error: the subsets of 1..{n} with at most {top} members exceed the cap of 4194304\n"
+        f"error: a family over 1..{n} up to size {top} needs at least {count} subsets, "
+        "beyond the cap of 4194304\n"
     )
 
 
@@ -1103,7 +1104,7 @@ def test_a_family_too_large_is_named_before_a_fault_found_later(capsys, monkeypa
     monkeypatch.setattr(moments, "FAMILY_CAP", 10)
     assert main(["reduce", "--system", "walsh:3", "--phi", "power:x"]) == 2
     assert capsys.readouterr().err == (
-        "error: the subsets of 1..8 with at most 8 members exceed the cap of 10\n"
+        "error: a family over 1..8 up to size 8 needs at least 36 subsets, beyond the cap of 10\n"
     )
 
 
@@ -1116,7 +1117,7 @@ def test_a_system_file_past_the_piece_cap_names_the_cap():
         "3",
     )
     assert (out.returncode, out.stdout) == (2, "")
-    assert out.stderr == "error: 4 pieces exceed the cap of 3\n"
+    assert out.stderr == "error: a step function needs 4 pieces, beyond the cap of 3\n"
 
 
 def test_reduce_refuses_a_14_function_extension_by_its_count(

@@ -773,14 +773,19 @@ def test_the_reduction_refuses_at_the_extension_what_it_refused_before(sys_obj, 
         except CapacityExceeded as exc:
             refusal = str(exc)
     if max(inputs) > cap:
-        assert refusal == f"{next(c for c in inputs if c > cap)} pieces exceed the cap of {cap}"
+        count = next(c for c in inputs if c > cap)
+        assert refusal == f"a step function needs {count} pieces, beyond the cap of {cap}"
     elif merged > cap:
-        assert refusal == f"{merged} pieces exceed the cap of {cap}"
+        assert refusal == (
+            f"a merge of {sys_obj.n} functions needs {merged} pieces, beyond the cap of {cap}"
+        )
     elif blocks and max(*blocks, *functions, pieces) > cap:
         assert refusal == extension_refusal(pieces, cap)
     elif refusal is not None:
-        count = int(refusal.split()[0])
-        assert count > cap and refusal == f"{count} pieces exceed the cap of {cap}"
+        k, count = int(refusal.split()[3]), int(refusal.split()[5])
+        assert 1 <= k <= sys_obj.n and count > cap and refusal == (
+            f"binarize at function {k} needs {count} pieces, beyond the cap of {cap}"
+        )
 
 
 FLOAT_SPECS = (ConvexSpec.exp(1.0), ConvexSpec.exp(2.5), ConvexSpec.power(2.5))

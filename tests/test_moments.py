@@ -157,7 +157,7 @@ def test_a_system_object_keeps_its_functions_own_errors(monkeypatch):
     with pytest.raises(CapacityExceeded) as refused:
         BoundedSystem.from_json(obj)
     assert not isinstance(refused.value, ParseError)
-    assert str(refused.value) == "4 pieces exceed the cap of 3"
+    assert str(refused.value) == "a step function needs 4 pieces, beyond the cap of 3"
     monkeypatch.undo()
     obj["functions"][0]["breakpoints"][1] = "0"
     with pytest.raises(NonAscendingBreakpoints) as refused:

@@ -633,7 +633,9 @@ def test_binarize_caps_the_unmerged_piece_count(monkeypatch):
     sys_obj = BoundedSystem((f,), (F(-1),), (F(1),))
     assert [g.piece_count for g in binarize(sys_obj).functions] == [2]
     monkeypatch.setattr(stepfn, "PIECE_CAP", 4)
-    with pytest.raises(CapacityExceeded, match="^5 pieces exceed the cap of 4$"):
+    with pytest.raises(
+        CapacityExceeded, match="^binarize at function 1 needs 5 pieces, beyond the cap of 4$"
+    ):
         binarize(sys_obj)
     monkeypatch.setattr(stepfn, "PIECE_CAP", 5)
     assert [g.piece_count for g in binarize(sys_obj).functions] == [2]
@@ -668,6 +670,15 @@ def growing_kernels():
 
 
 GROWING = [name for name, _, _ in growing_kernels()]
+# the stage each other kernel's refusal names: its merge or concatenation
+STAGE = {
+    "constructor": "a step function",
+    "common_refinement": "a merge of 2 functions",
+    "product": "a merge of 2 functions",
+    "linear_combination": "a merge of 2 functions",
+    "concat_many": "a concatenation of 2 functions",
+    "tile": "a concatenation of 3 functions",
+}
 # a power-of-two count is refused with the builder's call and its exponent
 DYADIC = {
     "walsh_cancellation_system": "walsh_cancellation_system(3) needs 2**2",
@@ -681,11 +692,12 @@ def test_each_growing_kernel_is_capped_and_reads_the_cap_on_every_call(monkeypat
     call, pieces = next((c, p) for n, c, p in growing_kernels() if n == name)
     call()
     monkeypatch.setattr(stepfn, "PIECE_CAP", pieces - 1)
-    message = f"{pieces} pieces exceed the cap of {pieces - 1}"
     if name == "extension":  # it counts its merged grid, and says so
         message = f"the extension needs {pieces} merged pieces, beyond the cap of {pieces - 1}"
-    if name in DYADIC:
+    elif name in DYADIC:
         message = f"{DYADIC[name]} pieces, beyond the cap of {pieces - 1}"
+    else:
+        message = f"{STAGE[name]} needs {pieces} pieces, beyond the cap of {pieces - 1}"
     with pytest.raises(CapacityExceeded, match=f"^{re.escape(message)}$"):
         call()
     monkeypatch.setattr(stepfn, "PIECE_CAP", pieces)

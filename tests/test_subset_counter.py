@@ -21,7 +21,7 @@ import pytest
 
 from multsys import moments
 from multsys.errors import CapacityExceeded, _guard_subsets
-from multsys.lacunary import SUBSET_CAP, geometric_spec, truncated_mu
+from multsys.lacunary import TERM_CAP, geometric_spec, truncated_mu
 from multsys.moments import FAMILY_CAP, IndexFamily, enumerate_family
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "multsys"
@@ -107,7 +107,8 @@ def test_a_full_family_past_the_cap_is_refused_after_two_terms(comb_calls, n):
     assert comb_calls == [(n, 1), (n, 2)]
     message = str(refused.value)
     assert message == (
-        f"the subsets of 1..{n} with at most {n} members exceed the cap of {FAMILY_CAP}"
+        f"a family over 1..{n} up to size {n} needs at least {n * (n + 1) // 2} subsets, "
+        f"beyond the cap of {FAMILY_CAP}"
     )
     assert len(message) < 100
 
@@ -117,17 +118,21 @@ def test_a_truncated_sum_past_the_cap_is_refused_after_three_terms(comb_calls):
     with pytest.raises(CapacityExceeded) as refused:
         truncated_mu(geometric_spec(2.5, 1.0, 600), 600)
     assert comb_calls == [(600, 1), (600, 2), (600, 3)]
+    # 600 + 179,700 * 2 + 35,820,200 * 4 harmonic terms
     assert str(refused.value) == (
-        f"the subsets of 1..600 with at most 600 members exceed the cap of {SUBSET_CAP}"
+        "truncated_mu over 600 frequencies up to size 600 needs at least 143640800 terms, "
+        f"beyond the cap of {TERM_CAP}"
     )
 
 
 def test_the_counter_admits_a_count_equal_to_the_cap():
     _guard_subsets(5, 5, 31)
     _guard_subsets(5, 2, 15)
-    with pytest.raises(CapacityExceeded, match="^the subsets of 1..5 with at most 5 members"):
+    with pytest.raises(
+        CapacityExceeded, match="^a family over 1..5 up to size 5 needs at least 31 subsets"
+    ):
         _guard_subsets(5, 5, 30)
-    with pytest.raises(CapacityExceeded, match="exceed the cap of 14$"):
+    with pytest.raises(CapacityExceeded, match="needs at least 15 subsets, beyond the cap of 14$"):
         _guard_subsets(5, 2, 14)
 
 
@@ -141,5 +146,7 @@ def test_admitted_families_enumerate_as_before(monkeypatch):
     monkeypatch.setattr(moments, "FAMILY_CAP", 31)
     assert len(enumerate_family(5, IndexFamily.full())) == 31
     monkeypatch.setattr(moments, "FAMILY_CAP", 30)
-    with pytest.raises(CapacityExceeded, match="^the subsets of 1..5 with at most 5 members"):
+    with pytest.raises(
+        CapacityExceeded, match="^a family over 1..5 up to size 5 needs at least 31 subsets"
+    ):
         enumerate_family(5, IndexFamily.full())
